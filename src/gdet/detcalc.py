@@ -73,6 +73,8 @@ def det_exact(g: GroupTable, e: RingElement) -> int:
 
 def valuation(m: int, p: int):
     """p-adic valuation of m; None encodes the infinite valuation of 0."""
+    if p < 2:
+        raise ValueError(f"valuation needs a base p >= 2, got {p}")
     if m == 0:
         return None
     v = 0
@@ -122,8 +124,53 @@ def quadratic_form(x: int, y: int, z: int) -> int:
 # factored S4 evaluation
 
 
-def _eval_form(coeffs, entries, offset=0):
-    return sum(sign * coeffs[i + offset] for i, sign in entries)
+def _compile_cells(table, offset):
+    """Flatten an s4data (slot, sign) table into one (plus, plus, minus, minus) tuple per cell.
+
+    Cells are listed row-major and slots are shifted by `offset` into the
+    flat 24-slot coefficient vector.
+    """
+    cells = []
+    for row in table:
+        for entries in row:
+            plus = tuple(i + offset for i, sign in entries if sign == 1)
+            minus = tuple(i + offset for i, sign in entries if sign == -1)
+            if len(plus) != 2 or len(minus) != 2:
+                raise AssertionError(f"cell {entries} is not two plus and two minus slots")
+            cells.append(plus + minus)
+    return cells
+
+
+# per cell of the cubic matrices: the A cell's slots, then the B cell's slots
+_CUBIC_CELLS = tuple(
+    a + b for a, b in zip(_compile_cells(s4data.A_ENTRIES, 0), _compile_cells(s4data.B_ENTRIES, 12))
+)
+
+
+def cubic_matrices(c):
+    """The 3x3 matrices A + B and A - B (det d1 and d2), flat row-major, for S4 coefficients c."""
+    plus, minus = [], []
+    for ap1, ap2, am1, am2, bp1, bp2, bm1, bm2 in _CUBIC_CELLS:
+        a = c[ap1] + c[ap2] - c[am1] - c[am2]
+        b = c[bp1] + c[bp2] - c[bm1] - c[bm2]
+        plus.append(a + b)
+        minus.append(a - b)
+    return plus, minus
+
+
+def det3(m) -> int:
+    """Determinant of a flat row-major 3x3 matrix, by cofactor expansion."""
+    a, b, c, d, e, f, g, h, i = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _quartet_sums(c):
+    """u1, u2, u3, v1, v2, v3: the sums of the six blocks of four coefficient slots."""
+    return (
+        c[0] + c[1] + c[2] + c[3], c[4] + c[5] + c[6] + c[7], c[8] + c[9] + c[10] + c[11],
+        c[12] + c[13] + c[14] + c[15], c[16] + c[17] + c[18] + c[19],
+        c[20] + c[21] + c[22] + c[23],
+    )
 
 
 @dataclass(frozen=True)
@@ -162,17 +209,15 @@ def s4_factors(e: RingElement) -> FactorProfile:
     if e.group.kind != "S4":
         raise ValueError("factor profile is defined for S4 elements only")
     c = e.coeffs
-    u1, u2, u3 = sum(c[0:4]), sum(c[4:8]), sum(c[8:12])
-    v1, v2, v3 = sum(c[12:16]), sum(c[16:20]), sum(c[20:24])
+    u1, u2, u3, v1, v2, v3 = _quartet_sums(c)
     u = u1 + u2 + u3
     v = v1 + v2 + v3
     l1 = u + v
     l2 = u - v
     q1 = quadratic_form(u1, u2, u3) - quadratic_form(v1, v2, v3)
-    mat_a = [[_eval_form(c, s4data.A_ENTRIES[i][j]) for j in range(3)] for i in range(3)]
-    mat_b = [[_eval_form(c, s4data.B_ENTRIES[i][j], 12) for j in range(3)] for i in range(3)]
-    d1 = det_int([[mat_a[i][j] + mat_b[i][j] for j in range(3)] for i in range(3)])
-    d2 = det_int([[mat_a[i][j] - mat_b[i][j] for j in range(3)] for i in range(3)])
+    m1, m2 = cubic_matrices(c)
+    d1 = det3(m1)
+    d2 = det3(m2)
     forms_a = [sum(c[i] for i in idx) for idx in s4data.A_FORMS]
     forms_b = [sum(c[i + 12] for i in idx) for idx in s4data.B_FORMS]
     w = (
@@ -195,42 +240,18 @@ def s4_det_fast(e: RingElement) -> int:
     if e.group.kind != "S4":
         raise ValueError("fast path is defined for S4 elements only")
     c = e.coeffs
-    u1, u2, u3 = sum(c[0:4]), sum(c[4:8]), sum(c[8:12])
-    v1, v2, v3 = sum(c[12:16]), sum(c[16:20]), sum(c[20:24])
-    l1 = u1 + u2 + u3 + v1 + v2 + v3
-    l2 = u1 + u2 + u3 - v1 - v2 - v3
+    u1, u2, u3, v1, v2, v3 = _quartet_sums(c)
+    u = u1 + u2 + u3
+    v = v1 + v2 + v3
+    l1 = u + v
+    l2 = u - v
     if l1 == 0 or l2 == 0:
         return 0
     q1 = quadratic_form(u1, u2, u3) - quadratic_form(v1, v2, v3)
     if q1 == 0:
         return 0
-    ae, be = s4data.A_ENTRIES, s4data.B_ENTRIES
-    d1_rows = [
-        [_eval_form(c, ae[i][j]) + _eval_form(c, be[i][j], 12) for j in range(3)]
-        for i in range(3)
-    ]
-    d2_rows = [
-        [_eval_form(c, ae[i][j]) - _eval_form(c, be[i][j], 12) for j in range(3)]
-        for i in range(3)
-    ]
-    d1 = det_int(d1_rows)
-    d2 = det_int(d2_rows)
-    return l1 * l2 * q1 * q1 * d1 ** 3 * d2 ** 3
-
-
-def s4_cubic_matrices(e: RingElement):
-    """The two 3x3 integer matrices whose determinants are d1 and d2."""
-    c = e.coeffs
-    ae, be = s4data.A_ENTRIES, s4data.B_ENTRIES
-    m1 = [
-        [_eval_form(c, ae[i][j]) + _eval_form(c, be[i][j], 12) for j in range(3)]
-        for i in range(3)
-    ]
-    m2 = [
-        [_eval_form(c, ae[i][j]) - _eval_form(c, be[i][j], 12) for j in range(3)]
-        for i in range(3)
-    ]
-    return m1, m2
+    m1, m2 = cubic_matrices(c)
+    return l1 * l2 * q1 * q1 * det3(m1) ** 3 * det3(m2) ** 3
 
 
 # ---------------------------------------------------------------------------

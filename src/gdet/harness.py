@@ -45,6 +45,12 @@ class ScanConfig:
             raise ValueError(f"unknown scan mode: {self.mode!r}")
         if self.mode == "random" and self.count <= 0:
             raise ValueError("random mode needs a positive vector count")
+        # vector j is seeded with (seed << 32) + j: the index must fit in 32 bits, and
+        # Random seeds on |x|, so a negative seed would replay a non-negative one
+        if self.mode == "random" and self.count >= 1 << 32:
+            raise ValueError(f"random mode draws fewer than 2**32 vectors, got {self.count}")
+        if self.seed < 0:
+            raise ValueError(f"scan seed must be non-negative, got {self.seed}")
 
     def as_dict(self):
         d = {
@@ -112,9 +118,30 @@ def _evaluator(g):
     return lambda coeffs: detcalc.det_int(detcalc.group_matrix(g, coeffs))
 
 
-def _random_vector(seed, index, n, lo, hi):
-    rng = random.Random((seed << 32) + index)
-    return tuple(rng.randint(lo, hi) for _ in range(n))
+def _random_vectors(seed, start, stop, n, lo, hi):
+    """Vectors start..stop-1 of a random scan, n entries each, in [lo, hi].
+
+    Vector j is the stream of `Random((seed << 32) + j).randint(lo, hi)`,
+    drawn the way CPython's randint draws it (randrange ->
+    _randbelow_with_getrandbits): getrandbits(k) for k = width.bit_length(),
+    redrawn while it is not below the width.  One generator is reseeded per
+    vector instead of built per vector, and randint's argument checks are
+    skipped.
+    """
+    rng = random.Random()
+    reseed, getrandbits = rng.seed, rng.getrandbits
+    width = hi - lo + 1
+    k = width.bit_length()
+    slots = range(n)
+    for j in range(start, stop):
+        reseed((seed << 32) + j)
+        coeffs = []
+        for _ in slots:
+            r = getrandbits(k)
+            while r >= width:
+                r = getrandbits(k)
+            coeffs.append(lo + r)
+        yield tuple(coeffs)
 
 
 def _scan_shard(payload):
@@ -125,9 +152,7 @@ def _scan_shard(payload):
     evaluate = _evaluator(g)
     report = ScanReport(config=cfg.as_dict())
     if cfg.mode == "random":
-        vectors = (
-            _random_vector(cfg.seed, j, g.order, cfg.lo, cfg.hi) for j in range(start, stop)
-        )
+        vectors = _random_vectors(cfg.seed, start, stop, g.order, cfg.lo, cfg.hi)
     else:
         support = cfg.support if cfg.support is not None else tuple(range(g.order))
         width = cfg.hi - cfg.lo + 1
@@ -142,19 +167,20 @@ def _scan_shard(payload):
         vectors = (from_index(j) for j in range(start, stop))
     for coeffs in vectors:
         value = evaluate(coeffs)
-        report.total += 1
         if cfg.full:
             report.records.append({"coeffs": list(coeffs), "det": value})
-        if value == 0:
-            report.zeros += 1
-            report.value_counts[0] += 1
-            continue
         report.value_counts[value] += 1
+        if value == 0:
+            continue
         report.residue_mod24[value % 24] += 1
-        report.v2_hist[detcalc.valuation(value, 2)] += 1
-        report.v3_hist[detcalc.valuation(value, 3)] += 1
-        if not classify.member(rule, value).member:
+        # every decider reports the 2- and 3-adic valuations it used
+        verdict = classify.member(rule, value)
+        report.v2_hist[verdict.reason["v2"]] += 1
+        report.v3_hist[verdict.reason["v3"]] += 1
+        if not verdict.member:
             report.violations.append({"coeffs": list(coeffs), "value": value})
+    report.total = stop - start
+    report.zeros = report.value_counts[0]
     return report
 
 
@@ -182,14 +208,14 @@ def scan(cfg: ScanConfig) -> ScanReport:
         (cfg_dict, start, min(start + SHARD_SIZE, size))
         for start in range(0, size, SHARD_SIZE)
     ] or [(cfg_dict, 0, 0)]
-    workers = int(os.environ.get("GDET_THREADS", "1") or "1")
+    workers = min(int(os.environ.get("GDET_THREADS", "1") or "1"), os.cpu_count() or 1)
     if workers > 1 and len(shards) > 1:
         import multiprocessing
 
         with multiprocessing.Pool(min(workers, len(shards))) as pool:
             partials = pool.map(_scan_shard, shards)
     else:
-        partials = [_scan_shard(s) for s in shards]
+        partials = map(_scan_shard, shards)
     report = ScanReport(config=cfg.as_dict())
     for partial in partials:
         report.merge(partial)

@@ -1,8 +1,10 @@
 """Exact determinants: elimination, the factored S4 form, representations."""
 
 import random
+import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gdet import (
     EisensteinInt,
@@ -18,7 +20,7 @@ from gdet import (
     s4_factors,
     valuation,
 )
-from gdet.detcalc import RepTable, quadratic_form, s4_cubic_matrices
+from gdet.detcalc import RepTable, cubic_matrices, det3, quadratic_form
 
 
 def test_det_int_small_cases():
@@ -42,6 +44,13 @@ def test_det_int_matches_cofactor_expansion_3x3():
         (a, b, c), (d, e, f), (g, h, i) = m
         cofactor = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
         assert det_int(m) == cofactor
+
+
+def test_det3_matches_elimination():
+    rng = random.Random(6)
+    for _ in range(200):
+        m = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
+        assert det3([x for row in m for x in row]) == det_int(m)
 
 
 def test_det_int_rejects_non_square():
@@ -106,6 +115,47 @@ def test_fast_equals_exact_on_random_box(s4):
         assert s4_det_fast(e) == det_exact(s4, e)
 
 
+@st.composite
+def s4_vectors(draw):
+    """S4 coefficient vectors: free ones, and ones built to end the fast path
+    at l1 = 0, at l2 = 0 or at q1 = 0 (with l1 and l2 nonzero)."""
+    c = draw(st.lists(st.integers(-6, 6), min_size=24, max_size=24))
+    exit_at = draw(st.sampled_from(["none", "l1", "l2", "q1"]))
+    if exit_at == "l1":
+        c[0] -= sum(c)
+    elif exit_at == "l2":
+        c[0] -= sum(c[:12]) - sum(c[12:])
+    elif exit_at == "q1":
+        # q1 = Q(u) - Q(v) and Q is unchanged when t is added to u1, u2, u3;
+        # v = u + t then leaves l2 = -3t and l1 = 2u + 3t nonzero
+        t = draw(st.sampled_from([-2, -1, 1, 2]))
+        for block in range(3):
+            u_i = sum(c[4 * block:4 * block + 4])
+            v_i = sum(c[12 + 4 * block:16 + 4 * block])
+            c[12 + 4 * block] += u_i + t - v_i
+        if 2 * sum(c[:12]) + 3 * t == 0:
+            c[0] += 1
+            c[12] += 1
+    return exit_at, c
+
+
+@settings(max_examples=200, deadline=None)
+@given(s4_vectors())
+def test_fast_equals_exact_property(s4, case):
+    exit_at, coeffs = case
+    e = ring_element(s4, coeffs)
+    fast = s4_det_fast(e)
+    assert fast == det_exact(s4, e)
+    p = s4_factors(e)
+    assert p.det == fast
+    if exit_at == "l1":
+        assert p.l1 == 0
+    elif exit_at == "l2":
+        assert p.l2 == 0
+    elif exit_at == "q1":
+        assert p.q1 == 0 and p.l1 != 0 and p.l2 != 0
+
+
 def test_congruences_hold_on_profiles(s4):
     rng = random.Random(31)
     for _ in range(300):
@@ -144,10 +194,10 @@ def test_cubic_matrices_match_displayed(family_id):
     from gdet import family
 
     elem, _ = family(family_id, 1)
-    m1, m2 = s4_cubic_matrices(elem)
+    m1, m2 = cubic_matrices(elem.coeffs)
     want1, want2 = DISPLAYED[family_id]
-    assert m1 == want1
-    assert m2 == want2
+    assert [m1[0:3], m1[3:6], m1[6:9]] == want1
+    assert [m2[0:3], m2[3:6], m2[6:9]] == want2
 
 
 # -- Eisenstein integers and the quadratic factor
@@ -186,6 +236,25 @@ def test_valuation():
     assert valuation(-54, 3) == 3
     assert valuation(7, 2) == 0
     assert valuation(0, 2) is None
+
+
+@pytest.mark.parametrize("p", [1, 0, -2])
+def test_valuation_rejects_base_below_two(p):
+    # p = 1 used to loop forever and p = 0 to divide by zero; run it on a
+    # daemon thread so a regression fails here instead of hanging the suite
+    outcome = []
+
+    def call():
+        try:
+            valuation(8, p)
+        except ValueError as exc:
+            outcome.append(exc)
+
+    worker = threading.Thread(target=call, daemon=True)
+    worker.start()
+    worker.join(timeout=5)
+    assert not worker.is_alive(), "valuation did not return"
+    assert len(outcome) == 1
 
 
 # -- representation tables

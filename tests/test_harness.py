@@ -1,11 +1,15 @@
 """Scan harness: exhaustive oracles, reproducibility, persistence."""
 
+import hashlib
 import json
+import multiprocessing
+import random
 
 import pytest
 
-from gdet import ScanConfig, lambda_scan, scan, write_report
-from gdet.harness import _scan_shard
+from gdet import ScanConfig, harness, lambda_scan, scan, write_report
+from gdet.cli import run
+from gdet.harness import _random_vectors, _scan_shard
 
 
 def test_z4_exhaustive_no_violations():
@@ -93,6 +97,83 @@ def test_config_validation():
         ScanConfig(group="Z4", lo=-1, hi=1, mode="random", count=0)
     with pytest.raises(ValueError):
         ScanConfig(group="Z4", lo=-1, hi=1, mode="sideways")
+
+
+def test_config_rejects_negative_seed():
+    # Random seeds on |x|: seed -1 would replay vector 0 of seed 1
+    with pytest.raises(ValueError):
+        ScanConfig(group="S4", lo=-3, hi=3, mode="random", count=10, seed=-1)
+
+
+def test_config_rejects_count_beyond_index_domain():
+    # (seed << 32) + j overlaps the next seed once j reaches 2**32
+    with pytest.raises(ValueError):
+        ScanConfig(group="S4", lo=-3, hi=3, mode="random", count=2**32, seed=0)
+    ScanConfig(group="S4", lo=-3, hi=3, mode="random", count=2**32 - 1, seed=0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--random", "10", "--seed", "-1"],
+    ["--random", str(2**32)],
+])
+def test_cli_rejects_scan_outside_seed_domain(capsys, argv):
+    assert run(["scan", "--group", "S4", "--range=-3:3", *argv]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lo, hi", [(5, 5), (0, 1), (-3, 3), (-4, 3), (-100, 100)])
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**31 - 1])
+def test_random_vectors_follow_randint_stream(lo, hi, seed):
+    got = list(_random_vectors(seed, 0, 40, 24, lo, hi))
+    for j, vector in enumerate(got):
+        rng = random.Random((seed << 32) + j)
+        assert vector == tuple(rng.randint(lo, hi) for _ in range(24))
+
+
+# sha256 of the .jsonl and .csv that `scan --group S4 --range=-3:3 --random 2000
+# --seed 42 --out` wrote when each vector was drawn by Random(...).randint itself
+GOLDEN_S42 = {
+    "jsonl": "07c5089c7225bd42329284f5f536cb8aec1dfaf2e46bb04fc4e47aa4db201174",
+    "csv": "0d5b0fa645e003eda4edafc46f018cb04430d49fe33735948481d927b206f3c3",
+}
+
+
+def test_scan_report_bytes_are_pinned(tmp_path):
+    out = tmp_path / "s42"
+    argv = ["scan", "--group", "S4", "--range=-3:3", "--random", "2000", "--seed", "42"]
+    assert run([*argv, "--out", str(out)]) == 0
+    for ext, digest in GOLDEN_S42.items():
+        path = tmp_path / f"s42.{ext}"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, ext
+
+
+@pytest.mark.parametrize("cpus, want", [(2, [2]), (None, [])])
+def test_threads_capped_at_cpu_count(monkeypatch, cpus, want):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for multiprocessing.Pool: records the process count, maps in-process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    cfg = dict(group="S4", lo=-3, hi=3, mode="random", count=50, seed=3)
+    serial = scan(ScanConfig(**cfg))
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    monkeypatch.setattr(harness, "SHARD_SIZE", 10)
+    monkeypatch.setenv("GDET_THREADS", "64")
+    assert scan(ScanConfig(**cfg)).to_json() == serial.to_json()
+    assert sizes == want
 
 
 def test_persistence_formats(tmp_path):
