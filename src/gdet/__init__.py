@@ -17,7 +17,6 @@ from .groups import (
     symmetric_group4,
     word_to_element,
     parse_gen_word,
-    normalize_gen_word,
 )
 from .ring import (
     RingElement,
@@ -71,7 +70,7 @@ __version__ = "0.1.0"
 __all__ = [
     "GroupTable", "build_group", "check_group_laws", "cyclic_group",
     "dihedral_group", "klein_group", "alternating_group4", "symmetric_group4",
-    "word_to_element", "parse_gen_word", "normalize_gen_word",
+    "word_to_element", "parse_gen_word",
     "RingElement", "ParseError", "convolve", "identity_element", "parse_expr",
     "ring_element", "element_from_json",
     "EisensteinInt", "FactorProfile", "RepTable", "default_rep_table",

@@ -8,28 +8,13 @@ attainable values.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import count
 
 from .detcalc import valuation
+from .groups import _is_prime, resolve_name
 
 RULE_KINDS = ("Zp", "Z2p", "Z9", "Z4", "Klein4", "D8", "S3", "A4", "S4")
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 @dataclass(frozen=True)
@@ -54,35 +39,11 @@ class GroupRule:
 
 
 def parse_rule(text: str) -> GroupRule:
-    """Parse a rule name: S4, A4, D8, S3, K4/Klein4, Z4, Z9, Zp:<p>, Z2p:<p>.
-
-    Cyclic shorthands Z<n> and Zn:<n> resolve to whichever cyclic rule is
-    known for that order (prime, 4, 9, or twice an odd prime).
-    """
-    text = text.strip()
-    if text in ("K4", "Klein4"):
-        return GroupRule("Klein4")
-    if text in ("Z4", "Z9", "D8", "S3", "A4", "S4"):
-        return GroupRule(text)
-    m = re.fullmatch(r"Zp:(\d+)", text)
-    if m:
-        return GroupRule("Zp", int(m.group(1)))
-    m = re.fullmatch(r"Z2p:(\d+)", text)
-    if m:
-        return GroupRule("Z2p", int(m.group(1)))
-    m = re.fullmatch(r"Z(\d+)", text) or re.fullmatch(r"Zn:(\d+)", text)
-    if m:
-        n = int(m.group(1))
-        if n == 4:
-            return GroupRule("Z4")
-        if n == 9:
-            return GroupRule("Z9")
-        if _is_prime(n):
-            return GroupRule("Zp", n)
-        if n % 2 == 0 and _is_prime(n // 2) and n // 2 >= 3:
-            return GroupRule("Z2p", n // 2)
-        raise ValueError(f"no closed-form rule is known for Z{n}")
-    raise ValueError(f"unknown membership rule: {text!r}")
+    """The membership rule a group or rule name stands for (see `groups.resolve_name`)."""
+    rule = resolve_name(text)[1]
+    if rule is None:
+        raise ValueError(f"no closed-form rule is known for {text.strip()}")
+    return GroupRule(*rule)
 
 
 @dataclass(frozen=True)
@@ -173,14 +134,5 @@ def lambda_of(rule: GroupRule) -> int:
     raise AssertionError("unreachable")
 
 
-def rule_for_group_kind(kind: str) -> GroupRule:
-    """The membership rule matching a buildable group kind, if one is known."""
-    kind = kind.strip()
-    if kind == "D8":
-        return GroupRule("D8")
-    if kind in ("D6", "D:6", "S3"):
-        return GroupRule("S3")
-    m = re.fullmatch(r"D:?(\d+)", kind)
-    if m:
-        raise ValueError(f"no closed-form rule for dihedral order {m.group(1)}")
-    return parse_rule(kind)
+# the scan set-up of bench/run.py still calls this name
+rule_for_group_kind = parse_rule

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import s4data
 
@@ -142,19 +142,6 @@ def parse_gen_word(text: str) -> list[tuple[str, int]]:
     return word
 
 
-def normalize_gen_word(word) -> list[tuple[str, int]]:
-    """Reduce exponents mod 4 (x) / mod 2 (y), merging adjacent equal letters."""
-    out: list[tuple[str, int]] = []
-    for letter, exp in word:
-        if out and out[-1][0] == letter:
-            letter, prev = out.pop()
-            exp += prev
-        exp %= 4 if letter == "x" else 2
-        if exp:
-            out.append((letter, exp))
-    return out
-
-
 def word_to_element(g: GroupTable, word) -> int:
     """Evaluate a generator word (string or (letter, exp) list) to an element index."""
     if g.kind != "S4":
@@ -264,25 +251,79 @@ def alternating_group4() -> GroupTable:
     return _table_from_perms("A4", perms[:12], names[:12])
 
 
-def build_group(kind: str) -> GroupTable:
-    """Build a group from its CLI name.
+# ---------------------------------------------------------------------------
+# names
 
-    Understood names: "S4", "A4", "K4", "D8", "Zn:<n>", "D:<2n>", and the
-    shorthand "Z<n>" for cyclic groups.
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def _cyclic_rule(n: int):
+    if n in (4, 9):
+        return (f"Z{n}", None)
+    if _is_prime(n):
+        return ("Zp", n)
+    if n % 2 == 0 and n // 2 >= 3 and _is_prime(n // 2):
+        return ("Z2p", n // 2)
+    return None
+
+
+_ALIASES = {"Klein4": "K4", "D8": "D:8"}
+_FIXED_NAMES = {
+    "S4": (symmetric_group4, ("S4", None)),
+    "A4": (alternating_group4, ("A4", None)),
+    "K4": (klein_group, ("Klein4", None)),
+    "S3": (None, ("S3", None)),
+}
+_PARAMETRIC_NAME = re.compile(r"(Z|Zn:|D:|Zp:|Z2p:)(\d+)")
+
+
+def resolve_name(name: str):
+    """Resolve a group or rule name to (table builder or None, rule spec or None).
+
+    The rule spec is a (kind, p) pair for `classify.GroupRule`.  Names:
+    "S4", "A4", "K4"/"Klein4", "D8"/"D:8", "D:<2n>", cyclic "Z<n>"/"Zn:<n>",
+    and the rule-only names "S3", "Zp:<p>" and "Z2p:<p>".  D:6 carries the S3
+    rule, D:8 the D8 rule, and a cyclic name the rule known for its order
+    (prime, 4, 9, or twice an odd prime), if any.  Orders and primes are
+    checked by the builder and the rule, not here.
     """
-    kind = kind.strip()
-    if kind == "S4":
-        return symmetric_group4()
-    if kind == "A4":
-        return alternating_group4()
-    if kind == "K4":
-        return klein_group()
-    if kind == "D8":
-        return dihedral_group(8)
-    m = re.fullmatch(r"Z(\d+)", kind) or re.fullmatch(r"Zn:(\d+)", kind)
-    if m:
-        return cyclic_group(int(m.group(1)))
-    m = re.fullmatch(r"D:(\d+)", kind)
-    if m:
-        return dihedral_group(int(m.group(1)))
-    raise ValueError(f"unknown group kind: {kind!r}")
+    text = name.strip()
+    text = _ALIASES.get(text, text)
+    if text in _FIXED_NAMES:
+        return _FIXED_NAMES[text]
+    m = _PARAMETRIC_NAME.fullmatch(text)
+    if not m:
+        raise ValueError(f"unknown group name: {name!r}")
+    prefix, n = m.group(1), int(m.group(2))
+    if prefix == "Zp:":
+        return None, ("Zp", n)
+    if prefix == "Z2p:":
+        return None, ("Z2p", n)
+    if prefix == "D:":
+        return partial(dihedral_group, n), {6: ("S3", None), 8: ("D8", None)}.get(n)
+    return partial(cyclic_group, n), _cyclic_rule(n)
+
+
+def build_group(kind: str) -> GroupTable:
+    """Build the group table a name stands for (see `resolve_name`)."""
+    builder, rule = resolve_name(kind)
+    if builder is None:
+        rule_kind, p = rule
+        table = "D:6" if rule_kind == "S3" else f"Z{p if rule_kind == 'Zp' else 2 * p}"
+        raise ValueError(
+            f"{kind.strip()!r} names a membership rule without a group table; use {table}"
+        )
+    return builder()

@@ -36,7 +36,6 @@ class ScanConfig:
     seed: int = 0
     out: str | None = None
     full: bool = False
-    support: tuple[int, ...] | None = None  # slots allowed nonzero (exhaustive)
 
     def __post_init__(self):
         if self.lo > self.hi:
@@ -63,8 +62,6 @@ class ScanConfig:
         if self.mode == "random":
             d["count"] = self.count
             d["seed"] = self.seed
-        if self.support is not None:
-            d["support"] = list(self.support)
         return d
 
 
@@ -145,21 +142,19 @@ def _random_vectors(seed, start, stop, n, lo, hi):
 
 
 def _scan_shard(payload):
-    cfg_dict, start, stop = payload
-    cfg = ScanConfig(**cfg_dict)
+    cfg, start, stop = payload
     g = build_group(cfg.group)
-    rule = classify.rule_for_group_kind(cfg.group)
+    rule = classify.parse_rule(cfg.group)
     evaluate = _evaluator(g)
     report = ScanReport(config=cfg.as_dict())
     if cfg.mode == "random":
         vectors = _random_vectors(cfg.seed, start, stop, g.order, cfg.lo, cfg.hi)
     else:
-        support = cfg.support if cfg.support is not None else tuple(range(g.order))
         width = cfg.hi - cfg.lo + 1
 
         def from_index(j):
             coeffs = [0] * g.order
-            for slot in reversed(support):
+            for slot in reversed(range(g.order)):
                 j, r = divmod(j, width)
                 coeffs[slot] = cfg.lo + r
             return tuple(coeffs)
@@ -187,8 +182,7 @@ def _scan_shard(payload):
 def _space_size(cfg: ScanConfig, order: int) -> int:
     if cfg.mode == "random":
         return cfg.count
-    slots = len(cfg.support) if cfg.support is not None else order
-    size = (cfg.hi - cfg.lo + 1) ** slots
+    size = (cfg.hi - cfg.lo + 1) ** order
     if size > EXHAUSTIVE_LIMIT:
         raise ValueError(f"exhaustive scan of {size} vectors exceeds limit {EXHAUSTIVE_LIMIT}")
     return size
@@ -197,17 +191,12 @@ def _space_size(cfg: ScanConfig, order: int) -> int:
 def scan(cfg: ScanConfig) -> ScanReport:
     """Run a scan, optionally in parallel, and persist it if an output is set."""
     g = build_group(cfg.group)
-    classify.rule_for_group_kind(cfg.group)  # fail early if no decider exists
+    classify.parse_rule(cfg.group)  # fail early if no decider exists
     size = _space_size(cfg, g.order)
-    cfg_dict = {
-        "group": cfg.group, "lo": cfg.lo, "hi": cfg.hi, "mode": cfg.mode,
-        "count": cfg.count, "seed": cfg.seed, "out": None, "full": cfg.full,
-        "support": cfg.support,
-    }
     shards = [
-        (cfg_dict, start, min(start + SHARD_SIZE, size))
+        (cfg, start, min(start + SHARD_SIZE, size))
         for start in range(0, size, SHARD_SIZE)
-    ] or [(cfg_dict, 0, 0)]
+    ] or [(cfg, 0, 0)]
     workers = min(int(os.environ.get("GDET_THREADS", "1") or "1"), os.cpu_count() or 1)
     if workers > 1 and len(shards) > 1:
         import multiprocessing

@@ -52,7 +52,12 @@ class RingElement:
 
 
 def ring_element(group: GroupTable, coeffs) -> RingElement:
-    return RingElement(group, tuple(int(c) for c in coeffs))
+    """An element from its coefficients, which must be ints (not bools, floats or strings)."""
+    coeffs = tuple(coeffs)
+    for c in coeffs:
+        if type(c) is not int:
+            raise ValueError(f"coefficients must be integers, got {c!r}")
+    return RingElement(group, coeffs)
 
 
 def identity_element(group: GroupTable) -> RingElement:

@@ -16,6 +16,7 @@ from enum import Enum
 from functools import lru_cache
 
 from . import s4data
+from .detcalc import EisensteinInt
 
 NVARS = 24
 
@@ -180,18 +181,6 @@ class SparsePoly:
 
     def __repr__(self):
         return f"SparsePoly({len(self.terms)} terms, degree {self.degree()})"
-
-
-def poly_add(p: SparsePoly, q: SparsePoly) -> SparsePoly:
-    return p + q
-
-
-def poly_mul(p: SparsePoly, q: SparsePoly) -> SparsePoly:
-    return p * q
-
-
-def poly_mod(p: SparsePoly, m: int) -> SparsePoly:
-    return p.reduce_mod(m)
 
 
 def symbolic_det(entries) -> SparsePoly:
@@ -379,29 +368,17 @@ def symbolic_rep_det3(rho_table) -> SparsePoly:
 def symbolic_rep_det2(rho_table):
     """det(sum x_g * rho(g)) for the 2x2 Eisenstein table, as (re, omega) parts.
 
-    Entries p + q*w multiply by (p1, q1)*(p2, q2) =
-    (p1 p2 - q1 q2, p1 q2 + q1 p2 - q1 q2), using w^2 = -1 - w.
+    Entries are EisensteinInt values with SparsePoly parts.
     """
     entries = []
     for i in range(2):
         row = []
         for j in range(2):
-            re = SparsePoly.linear(
-                [(g, rho_table[g][i][j].x) for g in range(24) if rho_table[g][i][j].x]
-            )
-            om = SparsePoly.linear(
-                [(g, rho_table[g][i][j].y) for g in range(24) if rho_table[g][i][j].y]
-            )
-            row.append((re, om))
+            cells = [rho_table[g][i][j] for g in range(24)]
+            row.append(EisensteinInt(
+                SparsePoly.linear([(g, c.x) for g, c in enumerate(cells) if c.x]),
+                SparsePoly.linear([(g, c.y) for g, c in enumerate(cells) if c.y]),
+            ))
         entries.append(row)
-
-    def emul(a, b):
-        (p1, q1), (p2, q2) = a, b
-        qq = q1 * q2
-        return (p1 * p2 - qq, p1 * q2 + q1 * p2 - qq)
-
-    def esub(a, b):
-        return (a[0] - b[0], a[1] - b[1])
-
-    det = esub(emul(entries[0][0], entries[1][1]), emul(entries[0][1], entries[1][0]))
-    return det
+    det = entries[0][0] * entries[1][1] - entries[0][1] * entries[1][0]
+    return det.x, det.y

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from gdet import classify
 from gdet.cli import run
 
 
@@ -164,3 +165,69 @@ def test_det_malformed_json_is_error(capsys):
 
 def test_det_missing_file_is_error(capsys):
     assert run(["det", "--group", "S4", "--coeffs", "no/such/file.json"]) == 2
+
+
+@pytest.mark.parametrize("coeffs", ["[1.7, 2, 0, 0]", '["3", true, 0, 0]'])
+def test_det_rejects_non_integer_coeffs(capsys, coeffs):
+    assert run(["det", "--group", "Z4", "--coeffs", coeffs]) == 2
+    assert "integers" in capture(capsys)[1]
+
+
+def test_det_accepts_big_integer_coeffs(capsys):
+    assert run(["det", "--group", "Z4", "--coeffs", f"[{2**70}, 0, 0, 0]"]) == 0
+    assert capture(capsys)[0].strip() == str(2**280)
+
+
+# Every README group name and alias: (name, order, has a table, rule it decides with).
+REGISTRY = [
+    ("S4", 24, True, "S4"),
+    ("A4", 12, True, "A4"),
+    ("K4", 4, True, "Klein4"),
+    ("Klein4", 4, True, "Klein4"),
+    ("D8", 8, True, "D8"),
+    ("D:8", 8, True, "D8"),
+    ("D:6", 6, True, "S3"),
+    ("D:10", 10, True, None),
+    ("Z4", 4, True, "Z4"),
+    ("Zn:4", 4, True, "Z4"),
+    ("Z9", 9, True, "Z9"),
+    ("Z7", 7, True, "Zp:7"),
+    ("Zn:7", 7, True, "Zp:7"),
+    ("Z14", 14, True, "Z2p:7"),
+    ("Z15", 15, True, None),
+    ("Zp:7", 7, False, "Zp:7"),
+    ("Z2p:7", 14, False, "Z2p:7"),
+    ("S3", 6, False, "S3"),
+]
+
+
+@pytest.mark.parametrize("name,order,has_table,rule", REGISTRY)
+def test_group_name_registry(capsys, monkeypatch, name, order, has_table, rule):
+    table_code = 0 if has_table else 2
+    identity = json.dumps([1] + [0] * (order - 1))
+    assert run(["det", "--group", name, "--coeffs", identity]) == table_code
+    assert run(["lambda", "--group", name, "--scan-range=0:2", "--support", "0,1"]) == table_code
+    if not has_table:
+        assert "without a group table; use " in capture(capsys)[1]
+
+    rule_code = 0 if rule is not None else 2
+    assert run(["lambda", "--group", name]) == rule_code
+    capture(capsys)
+    assert run(["member", "--group", name, "1"]) == rule_code
+    if rule is not None:
+        assert json.loads(capture(capsys)[0])["rule"] == rule
+
+    # scan needs both, and decides with the rule member reports
+    decided = set()
+    real_member = classify.member
+
+    def recording_member(r, m):
+        decided.add(r.name)
+        return real_member(r, m)
+
+    monkeypatch.setattr(classify, "member", recording_member)
+    monkeypatch.delenv("GDET_THREADS", raising=False)
+    code = run(["scan", "--group", name, "--range=-3:3", "--random", "20", "--json"])
+    assert code == (0 if has_table and rule is not None else 2)
+    if code == 0:
+        assert decided == {rule}

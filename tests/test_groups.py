@@ -8,7 +8,6 @@ from gdet import (
     cyclic_group,
     dihedral_group,
     klein_group,
-    normalize_gen_word,
     parse_gen_word,
     word_to_element,
 )
@@ -74,13 +73,6 @@ def test_cycle_names_agree_with_multiplication(s4):
         for j in range(24):
             composed = tuple(perms[i][perms[j][t]] for t in range(4))
             assert s4.mul[i][j] == index[composed]
-
-
-def test_normalize_gen_word():
-    assert normalize_gen_word(parse_gen_word("x^5")) == [("x", 1)]
-    assert normalize_gen_word(parse_gen_word("y^2")) == []
-    assert normalize_gen_word(parse_gen_word("x^2 x^2")) == []
-    assert normalize_gen_word(parse_gen_word("x^-1")) == [("x", 3)]
 
 
 def test_word_parse_errors():

@@ -62,8 +62,7 @@ def test_different_seeds_differ():
 
 def test_merge_is_shard_independent():
     # one shard vs many shards must agree record for record
-    cfg = dict(group="Z4", lo=-2, hi=2, mode="exhaustive", count=0, seed=0,
-               out=None, full=False, support=None)
+    cfg = ScanConfig(group="Z4", lo=-2, hi=2, mode="exhaustive")
     whole = _scan_shard((cfg, 0, 625))
     parts = [_scan_shard((cfg, a, min(a + 100, 625))) for a in range(0, 625, 100)]
     merged = parts[0]

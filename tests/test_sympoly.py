@@ -15,7 +15,7 @@ from gdet import (
     s4_factors,
     symbolic_det,
 )
-from gdet.sympoly import poly_add, poly_mod, poly_mul, symbolic_rep_det3
+from gdet.sympoly import symbolic_rep_det3
 
 
 def a(i):
@@ -28,9 +28,9 @@ def b(i):
 
 def test_add_and_mul_neutral_elements():
     p = a(1) * a(2) - 3 * b(4)
-    assert poly_add(p, SparsePoly.zero()) == p
-    assert poly_mul(p, SparsePoly.const(1)) == p
-    assert poly_mul(p, SparsePoly.zero()).is_zero()
+    assert p + SparsePoly.zero() == p
+    assert p * SparsePoly.const(1) == p
+    assert (p * SparsePoly.zero()).is_zero()
 
 
 def test_difference_of_squares():
@@ -47,11 +47,11 @@ def test_zero_coefficients_are_dropped():
 
 def test_modulus_reduction_and_mismatch():
     p = 5 * a(1) + 4 * a(2)
-    q = poly_mod(p, 4)
+    q = p.reduce_mod(4)
     assert q.coefficient([1] + [0] * 23) == 1
     assert len(q) == 1  # the 4*a2 term vanishes mod 4
     with pytest.raises(ValueError):
-        poly_mul(poly_mod(p, 4), poly_mod(p, 3))
+        p.reduce_mod(4) * p.reduce_mod(3)
     with pytest.raises(ValueError):
         p.reduce_mod(0)
 
