@@ -77,6 +77,8 @@ def valuation(m: int, p: int):
         raise ValueError(f"valuation needs a base p >= 2, got {p}")
     if m == 0:
         return None
+    if p == 2:
+        return (m & -m).bit_length() - 1
     v = 0
     while m % p == 0:
         m //= p

@@ -232,8 +232,15 @@ def write_report(report: ScanReport, path: str) -> None:
 
 def lambda_scan(group: str, lo: int, hi: int, support=None):
     """Smallest |determinant| >= 2 over an exhaustive box, or None if absent."""
+    if lo > hi:
+        raise ValueError(f"empty entry range [{lo}, {hi}]")
     g = build_group(group)
     support = tuple(support) if support is not None else tuple(range(g.order))
+    for slot in support:
+        if not 0 <= slot < g.order:
+            raise ValueError(f"support index {slot} is outside 0..{g.order - 1}")
+    if len(set(support)) != len(support):
+        raise ValueError(f"support repeats an index: {list(support)}")
     width = hi - lo + 1
     if width ** len(support) > EXHAUSTIVE_LIMIT:
         raise ValueError("lambda scan range too large")

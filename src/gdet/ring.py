@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from .groups import GroupTable, S4_ALPHA_INDEX, S4_BETA_INDEX
 
 MAX_EXPONENT = 4096
+# a power may not produce coefficients longer than this many bits
+MAX_COEFF_BITS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,12 @@ def element_power(a: RingElement, e: int) -> RingElement:
         raise ValueError("negative exponents are not supported")
     if e > MAX_EXPONENT:
         raise ValueError(f"exponent overflow: {e} > {MAX_EXPONENT}")
+    # |coefficients of a^e| <= ||a||_1^e, and ceil(log2 n) == (n - 1).bit_length()
+    bits = e * (sum(map(abs, a.coeffs)) - 1).bit_length()
+    if bits > MAX_COEFF_BITS:
+        raise ValueError(
+            f"power too large: coefficients of up to {bits} bits exceed the budget of {MAX_COEFF_BITS}"
+        )
     result = identity_element(a.group)
     base = a
     while e:

@@ -1,15 +1,18 @@
 """Sparse multivariate polynomials over the 24 S4 coefficient variables.
 
-Variables 0..11 are a1..a12 and 12..23 are b1..b12.  Monomials are
-fixed-length exponent tuples; coefficients are exact integers, optionally
-reduced into [0, m) for a fixed modulus.  This is enough to state the
-quadratic and cubic factors symbolically and to verify, as exact polynomial
-identities, the congruences that the membership classification rests on.
+Variables 0..11 are a1..a12 and 12..23 are b1..b12.  A monomial is one packed
+int: the exponent of variable i sits in the 4-bit field at bits 4i..4i+3, so
+the product of two monomials is the sum of their keys.  A field would carry
+into the next only at exponent 16, so every product is guarded to total
+degree at most 15 and raises beyond it; no exponent is ever wrapped.
+Coefficients are exact integers, optionally reduced into [0, m) for a fixed
+modulus.  This is enough to state the quadratic and cubic factors
+symbolically and to verify, as exact polynomial identities, the congruences
+that the membership classification rests on.
 """
 
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -19,8 +22,32 @@ from . import s4data
 from .detcalc import EisensteinInt
 
 NVARS = 24
+FIELD_BITS = 4
+MAX_DEGREE = (1 << FIELD_BITS) - 1  # a field's largest exponent and bit mask; the product bound
 
-_ZERO_MONO = (0,) * NVARS
+# masks for summing the 24 exponent fields: nibbles into bytes, then bytes into 16-bit words
+_NIBBLES_LOW = int("0f" * (NVARS // 2), 16)
+_BYTES_LOW = int("00ff" * (NVARS // 4), 16)
+
+
+def pack_monomial(exponents) -> int:
+    """The key of the monomial with these 24 exponents, each in 0..15."""
+    exponents = tuple(exponents)
+    if len(exponents) != NVARS:
+        raise ValueError(f"need {NVARS} exponents, got {len(exponents)}")
+    key = 0
+    for i, e in enumerate(exponents):
+        if not 0 <= e <= MAX_DEGREE:
+            raise ValueError(f"exponent {e} of variable {i} is outside 0..{MAX_DEGREE}")
+        key |= e << (FIELD_BITS * i)
+    return key
+
+
+def _mono_degree(key: int) -> int:
+    """Total degree: the sum of the 24 fields (at most 360, so the words never carry)."""
+    key = (key & _NIBBLES_LOW) + ((key >> 4) & _NIBBLES_LOW)
+    key = (key & _BYTES_LOW) + ((key >> 8) & _BYTES_LOW)
+    return key % 0xFFFF
 
 
 def _join_modulus(m1, m2):
@@ -34,7 +61,7 @@ def _join_modulus(m1, m2):
 
 
 class SparsePoly:
-    """Map from exponent tuple to nonzero coefficient; no zero terms stored."""
+    """Map from packed monomial to nonzero coefficient; no zero terms stored."""
 
     __slots__ = ("terms", "modulus")
 
@@ -60,35 +87,50 @@ class SparsePoly:
 
     @staticmethod
     def const(c, modulus=None):
-        return SparsePoly({_ZERO_MONO: c}, modulus)
+        return SparsePoly({0: c}, modulus)
 
     @staticmethod
     def var(i, modulus=None):
-        mono = tuple(1 if j == i else 0 for j in range(NVARS))
-        return SparsePoly({mono: 1}, modulus)
+        return SparsePoly.linear([(i, 1)], modulus)
 
     @staticmethod
     def linear(entries, modulus=None):
         """Linear form from (variable index, coefficient) pairs."""
         terms = {}
         for i, c in entries:
-            mono = tuple(1 if j == i else 0 for j in range(NVARS))
+            if not 0 <= i < NVARS:
+                raise ValueError(f"variable index {i} is outside 0..{NVARS - 1}")
+            mono = 1 << (FIELD_BITS * i)
             terms[mono] = terms.get(mono, 0) + c
         return SparsePoly(terms, modulus)
 
     # -- ring operations
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """self + sign*other in one pass over other's terms."""
         if isinstance(other, int):
             other = SparsePoly.const(other, self.modulus)
         mod = _join_modulus(self.modulus, other.modulus)
-        out = dict(self.terms)
+        # when only other carries the modulus, self's coefficients still need reducing
+        out = dict(self.terms if mod == self.modulus else SparsePoly(self.terms, mod).terms)
+        get = out.get
         for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return SparsePoly(out, mod)
+            c = get(m, 0) + sign * c
+            if mod is not None:
+                c %= mod
+            if c:
+                out[m] = c
+            else:
+                out.pop(m, None)
+        result = SparsePoly(None, mod)
+        result.terms = out  # already reduced and free of zeros
+        return result
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self):
         return SparsePoly({m: -c for m, c in self.terms.items()}, self.modulus)
@@ -97,12 +139,15 @@ class SparsePoly:
         if isinstance(other, int):
             return SparsePoly({m: c * other for m, c in self.terms.items()}, self.modulus)
         mod = _join_modulus(self.modulus, other.modulus)
+        degree = self.degree() + other.degree()
+        if degree > MAX_DEGREE:
+            raise ValueError(f"product of degree {degree} exceeds the packed-monomial bound {MAX_DEGREE}")
         out: dict = {}
         get = out.get
-        add = operator.add
+        right = list(other.terms.items())
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                key = tuple(map(add, m1, m2))
+            for m2, c2 in right:
+                key = m1 + m2
                 out[key] = get(key, 0) + c1 * c2
         return SparsePoly(out, mod)
 
@@ -119,7 +164,7 @@ class SparsePoly:
     def reduce_mod(self, m: int) -> SparsePoly:
         if m <= 0:
             raise ValueError("modulus must be positive")
-        return SparsePoly(dict(self.terms), m)
+        return SparsePoly(self.terms, m)
 
     # -- queries
 
@@ -140,13 +185,14 @@ class SparsePoly:
         return hash((self.modulus, frozenset(self.terms.items())))
 
     def degree(self):
-        return max((sum(m) for m in self.terms), default=0)
+        return max(map(_mono_degree, self.terms), default=0)
 
     def is_homogeneous(self, d: int) -> bool:
-        return all(sum(m) == d for m in self.terms)
+        return all(_mono_degree(m) == d for m in self.terms)
 
     def coefficient(self, mono) -> int:
-        return self.terms.get(tuple(mono), 0)
+        """Coefficient of the monomial given by its 24 exponents."""
+        return self.terms.get(pack_monomial(mono), 0)
 
     def evaluate(self, point) -> int:
         if len(point) != NVARS:
@@ -154,9 +200,13 @@ class SparsePoly:
         total = 0
         for mono, c in self.terms.items():
             prod = c
-            for i, e in enumerate(mono):
+            i = 0
+            while mono:
+                e = mono & MAX_DEGREE
                 if e:
                     prod *= point[i] ** e
+                mono >>= FIELD_BITS
+                i += 1
             total += prod
         if self.modulus is not None:
             total %= self.modulus
@@ -164,12 +214,14 @@ class SparsePoly:
 
     def negate_vars(self, indices) -> SparsePoly:
         """Substitute x_i -> -x_i for every i in indices."""
-        idx = set(indices)
+        # a term changes sign when the exponents of the negated variables have an
+        # odd sum, that is when an odd number of their fields have the low bit set
+        low_bits = 0
+        for i in set(indices):
+            low_bits |= 1 << (FIELD_BITS * i)
         out = {}
         for mono, c in self.terms.items():
-            if sum(mono[i] for i in idx) % 2:
-                c = -c
-            out[mono] = c
+            out[mono] = -c if (mono & low_bits).bit_count() & 1 else c
         return SparsePoly(out, self.modulus)
 
     def divide_exact(self, n: int):

@@ -1,6 +1,7 @@
 """CLI dispatch, exit codes, and JSON output schemas."""
 
 import json
+import threading
 
 import pytest
 
@@ -81,6 +82,19 @@ def test_lambda_scan_mode(capsys):
     assert payload["lambda"] == 3 and payload["source"] == "scan"
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--scan-range=0:2", "--support", "0,9"], "support index 9 is outside 0..3"),
+    (["--scan-range=0:2", "--support=-1"], "support index -1 is outside 0..3"),
+    (["--scan-range=0:2", "--support", "0,0"], "support repeats an index"),
+    (["--scan-range=2:0"], "empty entry range"),
+    (["--scan-range=1:0"], "empty entry range"),
+])
+def test_lambda_scan_rejects_bad_input(capsys, args, message):
+    assert run(["lambda", "--group", "Z4"] + args) == 2
+    out, err = capture(capsys)
+    assert out == "" and message in err
+
+
 def test_witness_member(capsys):
     assert run(["witness", "1280"]) == 0
     payload = json.loads(capture(capsys)[0])
@@ -151,6 +165,21 @@ def test_parse_json(capsys):
     assert run(["parse", "--expr", "2*y", "--json"]) == 0
     payload = json.loads(capture(capsys)[0])
     assert payload["schema"] == "gdet-parse/1" and payload["coeffs"][20] == 2
+
+
+def test_parse_rejects_nested_power_fast(capsys):
+    # the outer power would give coefficients of about 2.6e7 bits: run it on a
+    # daemon thread so that a regression fails here instead of hanging the suite
+    outcome = []
+    worker = threading.Thread(
+        target=lambda: outcome.append(run(["parse", "--expr", "((1+x+y)^4096)^4096"])),
+        daemon=True,
+    )
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive(), "parse did not return"
+    assert outcome == [2]
+    assert "power too large" in capture(capsys)[1]
 
 
 def test_parse_syntax_error(capsys):

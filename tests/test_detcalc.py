@@ -238,6 +238,24 @@ def test_valuation():
     assert valuation(0, 2) is None
 
 
+def _valuation_by_division(m, p):
+    v = 0
+    while m % p == 0:
+        m //= p
+        v += 1
+    return v
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.integers(-(1 << 64), 1 << 64).filter(bool),
+    st.builds(lambda odd, v, sign: sign * (2 * odd + 1) << v,
+              st.integers(0, 1 << 20), st.integers(13, 43), st.sampled_from([1, -1])),
+))
+def test_two_adic_valuation_matches_division(m):
+    assert valuation(m, 2) == _valuation_by_division(m, 2)
+
+
 @pytest.mark.parametrize("p", [1, 0, -2])
 def test_valuation_rejects_base_below_two(p):
     # p = 1 used to loop forever and p = 0 to divide by zero; run it on a

@@ -14,6 +14,7 @@ from gdet import (
     parse_expr,
     ring_element,
 )
+from gdet.ring import MAX_COEFF_BITS
 
 
 def test_convolve_identity_is_neutral(s4):
@@ -130,6 +131,17 @@ def test_parse_errors_carry_position(s4, bad):
 def test_parse_exponent_overflow(s4):
     with pytest.raises(ParseError):
         parse_expr("x^99999", s4)
+
+
+def test_power_coefficient_budget(s4):
+    # ||65535 + x||_1 = 2^16 gives at most 16 * 4096 = 2^16 bits: exactly the budget
+    assert MAX_COEFF_BITS == 1 << 16
+    top = parse_expr("(65535+x)^4096", s4)
+    assert max(abs(c) for c in top.coeffs).bit_length() == MAX_COEFF_BITS
+    with pytest.raises(ValueError, match="power too large"):
+        parse_expr("(65536+x)^4096", s4)
+    # a unit base stays small at any exponent
+    assert parse_expr("(-x)^4096", s4).coeffs == parse_expr("1", s4).coeffs
 
 
 def test_parse_requires_s4():

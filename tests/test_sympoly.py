@@ -1,8 +1,10 @@
 """Sparse polynomial engine and the congruence identity suite."""
 
 import random
+from operator import add
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gdet import (
     IdentityId,
@@ -15,7 +17,7 @@ from gdet import (
     s4_factors,
     symbolic_det,
 )
-from gdet.sympoly import symbolic_rep_det3
+from gdet.sympoly import pack_monomial, symbolic_rep_det3
 
 
 def a(i):
@@ -178,3 +180,111 @@ def test_divide_exact_reports_residuals():
     assert quotient is None and len(bad) == 1
     quotient, bad = (4 * a(1) + 8 * a(2)).divide_exact(4)
     assert not bad and quotient == a(1) + 2 * a(2)
+
+
+# -- packed monomials against a tuple-keyed reference
+
+
+def _ref_combine(p, q, sign, mod):
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = out.get(m, 0) + sign * c
+    return _ref_reduce(out, mod)
+
+
+def _ref_mul(p, q, mod):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            key = tuple(map(add, m1, m2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return _ref_reduce(out, mod)
+
+
+def _ref_negate(p, idx):
+    return {m: -c if sum(m[i] for i in idx) % 2 else c for m, c in p.items()}
+
+
+def _ref_reduce(p, mod):
+    if mod is not None:
+        p = {m: c % mod for m, c in p.items()}
+    return {m: c for m, c in p.items() if c}
+
+
+def _ref_power_product(mono, point):
+    prod = 1
+    for x, e in zip(point, mono):
+        prod *= x ** e
+    return prod
+
+
+def _packed(p, mod=None):
+    return SparsePoly({pack_monomial(m): c for m, c in p.items()}, mod)
+
+
+def _exponents(pairs):
+    mono = [0] * 24
+    for i, e in pairs:
+        mono[i] += e
+    return tuple(mono)
+
+
+# up to two variables at exponent <= 3 each, so any product has degree <= 12
+_monos = st.lists(st.tuples(st.integers(0, 23), st.integers(1, 3)), max_size=2).map(_exponents)
+_polys = st.dictionaries(_monos, st.integers(-6, 6), max_size=6)
+_moduli = st.sampled_from([None, 4, 7])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polys, _polys, _moduli, _moduli, st.sets(st.integers(0, 23), max_size=6),
+       st.lists(st.integers(-3, 3), min_size=24, max_size=24))
+def test_packed_engine_matches_tuple_reference(p, q, mod_p, mod_q, idx, point):
+    if mod_p is not None and mod_q is not None and mod_p != mod_q:
+        mod_q = mod_p
+    mod = mod_p if mod_p is not None else mod_q
+    pp, qq = _packed(p, mod_p), _packed(q, mod_q)
+    p, q = _ref_reduce(p, mod_p), _ref_reduce(q, mod_q)
+    assert pp + qq == _packed(_ref_combine(p, q, 1, mod), mod)
+    assert pp - qq == _packed(_ref_combine(p, q, -1, mod), mod)
+    assert pp * qq == _packed(_ref_mul(p, q, mod), mod)
+    assert pp.negate_vars(idx) == _packed(_ref_reduce(_ref_negate(p, idx), mod_p), mod_p)
+    value = sum(c * _ref_power_product(m, point) for m, c in p.items())
+    assert pp.evaluate(point) == (value if mod_p is None else value % mod_p)
+    assert pp.degree() == max((sum(m) for m in p), default=0)
+
+
+def test_product_beyond_degree_15_raises():
+    x = SparsePoly.var(0)
+    with pytest.raises(ValueError, match="bound 15"):
+        x ** 16
+    degree8 = (a(1) * a(2) + b(12)) ** 4
+    assert degree8.degree() == 8
+    with pytest.raises(ValueError, match="bound 15"):
+        degree8 * (b(3) ** 8)
+    # degree 15 is the largest product that fits, in the first and in the last field
+    top = b(12) ** 15
+    assert top.coefficient([0] * 23 + [15]) == 1 and len(top) == 1
+    assert (x ** 7 * x ** 8).coefficient([15] + [0] * 23) == 1
+
+
+def test_packing_rejects_exponents_outside_a_field():
+    for bad in ([16] + [0] * 23, [0] * 23 + [-1], [1] * 23):
+        with pytest.raises(ValueError):
+            pack_monomial(bad)
+    with pytest.raises(ValueError):
+        SparsePoly.var(24)
+
+
+def test_full_monomial_round_trips():
+    exponents = [15] * 24
+    p = SparsePoly({pack_monomial(exponents): -7})
+    assert p.coefficient(exponents) == -7
+    assert p.coefficient([15] * 23 + [14]) == 0
+    assert p.degree() == 360 and p.is_homogeneous(360)
+    point = [i - 11 for i in range(24)]  # includes 0 at slot 11
+    assert p.evaluate(point) == 0
+    point[11] = 2
+    expected = -7
+    for x in point:
+        expected *= x ** 15
+    assert p.evaluate(point) == expected
