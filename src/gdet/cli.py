@@ -9,6 +9,7 @@ identity, scan violations), 2 usage or input error.  Every subcommand takes
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -21,8 +22,28 @@ EXIT_NO = 1
 EXIT_ERROR = 2
 
 
+@contextlib.contextmanager
+def _exact_ints():
+    """Let integers of any length print, then restore the caller's digit limit.
+
+    CPython refuses to convert an int of more than `sys.get_int_max_str_digits()`
+    digits to text.  Only output is converted under this context; input
+    parsing keeps the limit.  Interpreters without the limit skip it.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+    with _exact_ints():
+        print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
 def _load_element(args, group):
@@ -43,7 +64,7 @@ def _cmd_det(args) -> int:
         value = profile.det
     else:
         profile = None
-        value = detcalc.det_exact(group, elem)
+        value = detcalc.kernel_for(group)(elem.coeffs)
     if args.json:
         out = {"schema": "gdet-det/1", "group": group.kind,
                "coeffs": list(elem.coeffs), "det": value}
@@ -51,7 +72,8 @@ def _cmd_det(args) -> int:
             out["factors"] = profile.as_dict()
         _emit(out)
     else:
-        print(value)
+        with _exact_ints():
+            print(value)
         if args.factors and profile is not None:
             _emit(profile.as_dict())
     return EXIT_OK
@@ -81,7 +103,8 @@ def _cmd_lambda(args) -> int:
         _emit({"schema": "gdet-lambda/1", "group": args.group,
                "lambda": value, "source": source})
     else:
-        print(value if value is not None else "none found")
+        with _exact_ints():
+            print(value if value is not None else "none found")
     return EXIT_OK if value is not None else EXIT_NO
 
 
@@ -140,15 +163,16 @@ def _cmd_scan(args) -> int:
     else:
         cfg = harness.ScanConfig(group=args.group, lo=lo, hi=hi, mode="exhaustive",
                                  out=args.out, full=args.full)
-    report = harness.scan(cfg)
-    if args.json:
-        print(report.to_json())
-    else:
-        print(f"evaluated {report.total} vectors, {report.zeros} zeros, "
-              f"{len(report.value_counts)} distinct values, "
-              f"{len(report.violations)} violations")
-        for violation in report.violations[:10]:
-            print(f"VIOLATION det={violation['value']} coeffs={violation['coeffs']}")
+    with _exact_ints():  # the report files are output too
+        report = harness.scan(cfg)
+        if args.json:
+            print(report.to_json())
+        else:
+            print(f"evaluated {report.total} vectors, {report.zeros} zeros, "
+                  f"{len(report.value_counts)} distinct values, "
+                  f"{len(report.violations)} violations")
+            for violation in report.violations[:10]:
+                print(f"VIOLATION det={violation['value']} coeffs={violation['coeffs']}")
     return EXIT_NO if report.violations else EXIT_OK
 
 
@@ -158,7 +182,8 @@ def _cmd_parse(args) -> int:
     if args.json:
         _emit({"schema": "gdet-parse/1", "group": "S4", "coeffs": list(elem.coeffs)})
     else:
-        print(json.dumps(list(elem.coeffs)))
+        with _exact_ints():
+            print(json.dumps(list(elem.coeffs)))
     return EXIT_OK
 
 

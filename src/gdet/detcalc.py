@@ -8,7 +8,9 @@ works for any group table, and the factored S4 evaluation
 through the five irreducible factors.  The two routes are independent and
 tested against each other; `s4_factors` also reports every intermediate
 quantity used by the congruence analysis (quartet sums, u, v, w, the
-six-term forms A_i and B_i, and 2-/3-adic valuations).
+six-term forms A_i and B_i, and 2-/3-adic valuations).  `kernel_for` gives
+the compiled block kernel of any table group (`gdet.kernels`), which scans
+and `gdet det` use; elimination stays its oracle.
 """
 
 from __future__ import annotations
@@ -254,6 +256,23 @@ def s4_det_fast(e: RingElement) -> int:
         return 0
     m1, m2 = cubic_matrices(c)
     return l1 * l2 * q1 * q1 * det3(m1) ** 3 * det3(m2) ** 3
+
+
+# ---------------------------------------------------------------------------
+# compiled block kernels
+
+
+def kernel_for(g: GroupTable):
+    """An exact coeffs -> int group determinant for any table `build_group` returns.
+
+    It is compiled on first use for each table kind and cached; see
+    `gdet.kernels`.  S4 goes through `s4_det_fast`; `group_matrix` with
+    `det_int` stays the oracle.  The caller passes exactly `g.order` integer
+    coefficients.
+    """
+    from . import kernels  # imported on first use, so importing gdet does not compile it
+
+    return kernels.kernel(g.kind)
 
 
 # ---------------------------------------------------------------------------

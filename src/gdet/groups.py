@@ -280,12 +280,11 @@ def _cyclic_rule(n: int):
     return None
 
 
-_ALIASES = {"Klein4": "K4", "D8": "D:8"}
+_ALIASES = {"Klein4": "K4", "D8": "D:8", "S3": "D:6"}
 _FIXED_NAMES = {
     "S4": (symmetric_group4, ("S4", None)),
     "A4": (alternating_group4, ("A4", None)),
     "K4": (klein_group, ("Klein4", None)),
-    "S3": (None, ("S3", None)),
 }
 _PARAMETRIC_NAME = re.compile(r"(Z|Zn:|D:|Zp:|Z2p:)(\d+)")
 
@@ -294,11 +293,11 @@ def resolve_name(name: str):
     """Resolve a group or rule name to (table builder or None, rule spec or None).
 
     The rule spec is a (kind, p) pair for `classify.GroupRule`.  Names:
-    "S4", "A4", "K4"/"Klein4", "D8"/"D:8", "D:<2n>", cyclic "Z<n>"/"Zn:<n>",
-    and the rule-only names "S3", "Zp:<p>" and "Z2p:<p>".  D:6 carries the S3
-    rule, D:8 the D8 rule, and a cyclic name the rule known for its order
-    (prime, 4, 9, or twice an odd prime), if any.  Orders and primes are
-    checked by the builder and the rule, not here.
+    "S4", "A4", "K4"/"Klein4", "S3"/"D:6", "D8"/"D:8", "D:<2n>", cyclic
+    "Z<n>"/"Zn:<n>", and the rule-only names "Zp:<p>" and "Z2p:<p>".  D:6
+    carries the S3 rule, D:8 the D8 rule, and a cyclic name the rule known
+    for its order (prime, 4, 9, or twice an odd prime), if any.  Orders and
+    primes are checked by the builder and the rule, not here.
     """
     text = name.strip()
     text = _ALIASES.get(text, text)
@@ -322,7 +321,7 @@ def build_group(kind: str) -> GroupTable:
     builder, rule = resolve_name(kind)
     if builder is None:
         rule_kind, p = rule
-        table = "D:6" if rule_kind == "S3" else f"Z{p if rule_kind == 'Zp' else 2 * p}"
+        table = f"Z{p if rule_kind == 'Zp' else 2 * p}"
         raise ValueError(
             f"{kind.strip()!r} names a membership rule without a group table; use {table}"
         )

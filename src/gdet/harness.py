@@ -9,6 +9,7 @@ shards can run in parallel (GDET_THREADS) without changing the output.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
@@ -18,7 +19,6 @@ from dataclasses import dataclass, field
 
 from . import classify, detcalc
 from .groups import build_group
-from .ring import RingElement
 
 EXHAUSTIVE_LIMIT = 10**7
 RNG_ALGO = "py-mt19937-pervec-v1"  # vector j drawn from Random((seed << 32) + j)
@@ -109,12 +109,6 @@ class ScanReport:
         return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def _evaluator(g):
-    if g.kind == "S4":
-        return lambda coeffs: detcalc.s4_det_fast(RingElement(g, coeffs))
-    return lambda coeffs: detcalc.det_int(detcalc.group_matrix(g, coeffs))
-
-
 def _random_vectors(seed, start, stop, n, lo, hi):
     """Vectors start..stop-1 of a random scan, n entries each, in [lo, hi].
 
@@ -145,7 +139,7 @@ def _scan_shard(payload):
     cfg, start, stop = payload
     g = build_group(cfg.group)
     rule = classify.parse_rule(cfg.group)
-    evaluate = _evaluator(g)
+    evaluate = detcalc.kernel_for(g)
     report = ScanReport(config=cfg.as_dict())
     if cfg.mode == "random":
         vectors = _random_vectors(cfg.seed, start, stop, g.order, cfg.lo, cfg.hi)
@@ -214,20 +208,35 @@ def scan(cfg: ScanConfig) -> ScanReport:
 
 
 def write_report(report: ScanReport, path: str) -> None:
-    """Persist a report as JSON-lines plus a CSV value summary."""
+    """Persist a report as JSON-lines plus a CSV value summary.
+
+    Both files are written to temporary files in the target directory and
+    then renamed over the targets, so a write that fails leaves any earlier
+    report whole and no temporary file behind.
+    """
     base = path[: -len(".jsonl")] if path.endswith(".jsonl") else path
-    jsonl = base + ".jsonl"
-    with open(jsonl, "w") as fh:
-        header = {"format": "gdet-scan", "version": FORMAT_VERSION, "config": report.config}
-        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-        for record in report.records:
-            fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
-        fh.write(report.to_json() + "\n")
-    with open(base + ".csv", "w") as fh:
-        fh.write(f"# gdet-scan-summary v{FORMAT_VERSION}\n")
-        fh.write("value,multiplicity\n")
-        for v in sorted(report.value_counts):
-            fh.write(f"{v},{report.value_counts[v]}\n")
+    targets = (base + ".jsonl", base + ".csv")
+    temps = [f"{target}.{os.getpid()}.{os.urandom(4).hex()}.tmp" for target in targets]
+    try:
+        # "x" never clobbers a file, and the umask applies as it did for the targets
+        with open(temps[0], "x") as fh:
+            header = {"format": "gdet-scan", "version": FORMAT_VERSION, "config": report.config}
+            fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+            for record in report.records:
+                fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+            fh.write(report.to_json() + "\n")
+        with open(temps[1], "x") as fh:
+            fh.write(f"# gdet-scan-summary v{FORMAT_VERSION}\n")
+            fh.write("value,multiplicity\n")
+            for v in sorted(report.value_counts):
+                fh.write(f"{v},{report.value_counts[v]}\n")
+        for tmp, target in zip(temps, targets):
+            os.replace(tmp, target)
+    except BaseException:
+        for tmp in temps:
+            with contextlib.suppress(FileNotFoundError):  # not made yet, or renamed
+                os.remove(tmp)
+        raise
 
 
 def lambda_scan(group: str, lo: int, hi: int, support=None):
@@ -244,7 +253,7 @@ def lambda_scan(group: str, lo: int, hi: int, support=None):
     width = hi - lo + 1
     if width ** len(support) > EXHAUSTIVE_LIMIT:
         raise ValueError("lambda scan range too large")
-    evaluate = _evaluator(g)
+    evaluate = detcalc.kernel_for(g)
     best = None
     base = [0] * g.order
     for combo in itertools.product(range(lo, hi + 1), repeat=len(support)):

@@ -1,11 +1,13 @@
 """CLI dispatch, exit codes, and JSON output schemas."""
 
+import contextlib
 import json
+import sys
 import threading
 
 import pytest
 
-from gdet import classify
+from gdet import classify, det_exact, parse_expr, symmetric_group4, word_to_element
 from gdet.cli import run
 
 
@@ -226,7 +228,7 @@ REGISTRY = [
     ("Z15", 15, True, None),
     ("Zp:7", 7, False, "Zp:7"),
     ("Z2p:7", 14, False, "Z2p:7"),
-    ("S3", 6, False, "S3"),
+    ("S3", 6, True, "S3"),
 ]
 
 
@@ -260,3 +262,53 @@ def test_group_name_registry(capsys, monkeypatch, name, order, has_table, rule):
     assert code == (0 if has_table and rule is not None else 2)
     if code == 0:
         assert decided == {rule}
+
+
+
+@contextlib.contextmanager
+def any_int_length():
+    """Lift CPython's int/str digit limit inside the test, to read and build the answers."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_parse_prints_integers_beyond_the_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    assert run(["parse", "--expr", "(15+x)^4096"]) == 0
+    assert sys.get_int_max_str_digits() == limit  # restored for in-process callers
+    # x = (1234) has order 4, so the binomial terms of x^k land in the slot of x^(k mod 4)
+    g = symmetric_group4()
+    want = [0] * 24
+    term = 15 ** 4096
+    for k in range(4097):
+        want[word_to_element(g, f"x^{k % 4}")] += term
+        term = term * (4096 - k) // ((k + 1) * 15)
+    with any_int_length():
+        assert len(str(want[0])) > 4300
+        assert capture(capsys)[0].strip() == json.dumps(want)
+
+
+def test_det_prints_integers_beyond_the_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    assert run(["det", "--group", "S4", "--expr", "(3+x+y)^400"]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    want = det_exact(symmetric_group4(), parse_expr("(3+x+y)^400", symmetric_group4()))
+    with any_int_length():
+        assert len(str(want)) > 4300
+        assert capture(capsys)[0].strip() == str(want)
+
+
+def test_scan_writes_integers_beyond_the_digit_limit(capsys, tmp_path):
+    limit = sys.get_int_max_str_digits()
+    argv = ["scan", "--group", "Z4", f"--range=0:{10**2000}", "--random", "3", "--seed", "1"]
+    assert run([*argv, "--json", "--out", str(tmp_path / "big")]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    with any_int_length():
+        report = json.loads(capture(capsys)[0])
+        assert max(len(str(v)) for v, _ in report["distinct_values"]) > 4300
+        last = (tmp_path / "big.jsonl").read_text().splitlines()[-1]
+        assert json.loads(last) == report

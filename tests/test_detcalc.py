@@ -1,7 +1,9 @@
 """Exact determinants: elimination, the factored S4 form, representations."""
 
 import random
+import re
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 from gdet import (
     EisensteinInt,
     build_group,
+    convolve,
     default_rep_table,
     det_exact,
     det_int,
+    group_matrix,
     identity_element,
     rep_factor_check,
     rep_is_homomorphism,
@@ -20,7 +24,7 @@ from gdet import (
     s4_factors,
     valuation,
 )
-from gdet.detcalc import RepTable, cubic_matrices, det3, quadratic_form
+from gdet.detcalc import RepTable, cubic_matrices, det3, kernel_for, quadratic_form
 
 
 def test_det_int_small_cases():
@@ -309,3 +313,83 @@ def test_rep_factor_check_detects_sign_flip():
     broken = RepTable(rho1=t.rho1, rho2=tuple(rho2), rho3=t.rho3)
     assert not rep_is_homomorphism(broken)
     assert not rep_factor_check(broken)
+
+
+# ---------------------------------------------------------------------------
+# compiled block kernels, against elimination of the full group matrix
+
+KERNEL_GROUPS = (
+    [f"Z{n}" for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 18)]
+    + [f"D:{2 * n}" for n in (2, 3, 4, 5, 6, 9)]
+    + ["K4", "A4"]
+)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A table and a vector for it, entries up to 10^6, sometimes with a block forced to 0."""
+    g = build_group(draw(st.sampled_from(KERNEL_GROUPS)))
+    bound = draw(st.sampled_from([2, 10**6]))
+    coeffs = draw(st.lists(st.integers(-bound, bound), min_size=g.order, max_size=g.order))
+    shape = draw(st.sampled_from(["free", "sum zero", "constant"]))
+    if shape == "sum zero":  # the trivial character vanishes
+        coeffs[-1] -= sum(coeffs)
+    elif shape == "constant":  # every nontrivial block vanishes
+        coeffs = [coeffs[0]] * g.order
+    return g, coeffs
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_cases())
+def test_kernel_equals_elimination(case):
+    g, coeffs = case
+    assert kernel_for(g)(tuple(coeffs)) == det_int(group_matrix(g, coeffs))
+
+
+@pytest.mark.parametrize("name, coeffs", [
+    ("Z9", [1, 0, 0, 1, 0, 0, 1, 0, 0]),           # Phi_9 itself: only the 6x6 block is 0
+    ("Z4", [1, 0, 1, 0]),                          # 1 + x^2: only the Phi_4 block is 0
+    ("D:6", [1, 1, 1, 0, 0, 0]),                   # 1 + r + r^2: only the 2x2 block is 0
+    ("D8", [1, 0, 0, 0, 1, 0, 0, 0]),              # 1 + s: the r -> 1, s -> -1 character is 0
+    ("K4", [1, 1, 0, 0]),                          # two characters are 0
+    ("A4", [1, 1, 1, 1] + [0] * 8),                # Klein sum: only the 3-dimensional block is 0
+])
+def test_kernel_zero_block(name, coeffs):
+    g = build_group(name)
+    assert kernel_for(g)(tuple(coeffs)) == 0 == det_int(group_matrix(g, coeffs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(KERNEL_GROUPS + ["S4"]), st.data())
+def test_kernel_is_multiplicative(name, data):
+    """D(a*b) = D(a) * D(b) for the convolution product of the group ring."""
+    g = build_group(name)
+    vectors = st.lists(st.integers(-5, 5), min_size=g.order, max_size=g.order)
+    a, b = ring_element(g, data.draw(vectors)), ring_element(g, data.draw(vectors))
+    kernel = kernel_for(g)
+    assert kernel(convolve(a, b).coeffs) == kernel(a.coeffs) * kernel(b.coeffs)
+
+
+def _readme_table_names():
+    """Every name and alias of a table group in the README's group-name table, expanded."""
+    names = []
+    for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines():
+        cols = [col.strip() for col in line.strip().strip("|").split("|")]
+        if len(cols) != 4 or not cols[2].startswith("yes"):
+            continue
+        for name in re.findall(r"`([^`]+)`", cols[0] + " " + cols[1]):
+            if name == "D:<2n>":
+                names += [f"D:{order}" for order in range(4, 65, 2)]
+            else:
+                names += [name.replace("<n>", str(n)) for n in range(1, 65)] if "<n>" in name else [name]
+    return names
+
+
+def test_every_readme_table_gets_a_kernel():
+    names = _readme_table_names()
+    assert {"S4", "A4", "K4", "Klein4", "S3", "D8", "D:8", "D:64", "Z1", "Z64", "Zn:64"} <= set(names)
+    rng = random.Random(6)
+    for name in names:
+        g = build_group(name)
+        coeffs = tuple(rng.randint(-1, 1) for _ in range(g.order))
+        assert kernel_for(g)(coeffs) == det_int(group_matrix(g, coeffs)), name

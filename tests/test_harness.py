@@ -230,3 +230,30 @@ def test_lambda_scan_singleton_support_finds_nothing():
 def test_lambda_scan_range_too_large():
     with pytest.raises(ValueError):
         lambda_scan("S4", -1, 1)
+
+
+class _Unprintable(int):
+    """An int whose CSV formatting fails, so a write breaks after the JSONL file is done."""
+
+    def __format__(self, spec):
+        raise OSError("disk full")
+
+
+@pytest.mark.parametrize("stage", ["jsonl", "csv"])
+def test_failed_report_write_keeps_earlier_report(tmp_path, monkeypatch, stage):
+    out = tmp_path / "scan.jsonl"
+    scan(ScanConfig(group="Z4", lo=-1, hi=1, mode="exhaustive", out=str(out)))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert set(before) == {"scan.jsonl", "scan.csv"}
+
+    report = scan(ScanConfig(group="K4", lo=-2, hi=2, mode="exhaustive"))
+    if stage == "jsonl":  # fails after the header line is written
+        def broken():
+            raise OSError("disk full")
+
+        monkeypatch.setattr(report, "to_json", broken)
+    else:
+        report.value_counts[_Unprintable(7)] += 1
+    with pytest.raises(OSError, match="disk full"):
+        write_report(report, str(out))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
