@@ -135,41 +135,77 @@ def _random_vectors(seed, start, stop, n, lo, hi):
         yield tuple(coeffs)
 
 
+def _box_vectors(lo, hi, n, start, stop):
+    """Vectors start..stop-1 of the box [lo, hi]^n, in index order: the last slot runs fastest.
+
+    The walk starts at vector `start` itself, with no vector before it
+    generated: after it come, for each slot k from the last to the first,
+    start's values before k, a larger value in slot k and every value after k.
+    """
+    values = range(lo, hi + 1)
+    digits = []
+    j = start
+    for _ in range(n):
+        j, r = divmod(j, len(values))
+        digits.append(r)
+    digits.reverse()
+    runs = (
+        itertools.product(
+            *[(values[d],) for d in digits[:k]],
+            values[digits[k] + (k < n - 1):],
+            *[values] * (n - 1 - k),
+        )
+        for k in reversed(range(n))
+    )
+    return itertools.islice(itertools.chain.from_iterable(runs), stop - start)
+
+
+def _shard_vectors(cfg, n, start, stop):
+    if cfg.mode == "random":
+        return _random_vectors(cfg.seed, start, stop, n, cfg.lo, cfg.hi)
+    return _box_vectors(cfg.lo, cfg.hi, n, start, stop)
+
+
 def _scan_shard(payload):
+    """The report of vectors start..stop-1.
+
+    The loop over vectors only evaluates and counts; every other statistic
+    is a function of the value, so each distinct value is classified once.
+    Only when some value is rejected are the vectors walked again, to list
+    the violations in index order.
+    """
     cfg, start, stop = payload
     g = build_group(cfg.group)
     rule = classify.parse_rule(cfg.group)
     evaluate = detcalc.kernel_for(g)
     report = ScanReport(config=cfg.as_dict())
-    if cfg.mode == "random":
-        vectors = _random_vectors(cfg.seed, start, stop, g.order, cfg.lo, cfg.hi)
+    counts = report.value_counts
+    if cfg.full:
+        records = report.records
+        for coeffs in _shard_vectors(cfg, g.order, start, stop):
+            value = evaluate(coeffs)
+            records.append({"coeffs": list(coeffs), "det": value})
+            counts[value] += 1
     else:
-        width = cfg.hi - cfg.lo + 1
-
-        def from_index(j):
-            coeffs = [0] * g.order
-            for slot in reversed(range(g.order)):
-                j, r = divmod(j, width)
-                coeffs[slot] = cfg.lo + r
-            return tuple(coeffs)
-
-        vectors = (from_index(j) for j in range(start, stop))
-    for coeffs in vectors:
-        value = evaluate(coeffs)
-        if cfg.full:
-            report.records.append({"coeffs": list(coeffs), "det": value})
-        report.value_counts[value] += 1
+        counts.update(map(evaluate, _shard_vectors(cfg, g.order, start, stop)))
+    rejected = set()
+    for value, n in counts.items():
         if value == 0:
             continue
-        report.residue_mod24[value % 24] += 1
+        report.residue_mod24[value % 24] += n
         # every decider reports the 2- and 3-adic valuations it used
         verdict = classify.member(rule, value)
-        report.v2_hist[verdict.reason["v2"]] += 1
-        report.v3_hist[verdict.reason["v3"]] += 1
+        report.v2_hist[verdict.reason["v2"]] += n
+        report.v3_hist[verdict.reason["v3"]] += n
         if not verdict.member:
-            report.violations.append({"coeffs": list(coeffs), "value": value})
+            rejected.add(value)
+    if rejected:
+        for coeffs in _shard_vectors(cfg, g.order, start, stop):
+            value = evaluate(coeffs)
+            if value in rejected:
+                report.violations.append({"coeffs": list(coeffs), "value": value})
     report.total = stop - start
-    report.zeros = report.value_counts[0]
+    report.zeros = counts[0]
     return report
 
 
@@ -254,12 +290,14 @@ def lambda_scan(group: str, lo: int, hi: int, support=None):
     if width ** len(support) > EXHAUSTIVE_LIMIT:
         raise ValueError("lambda scan range too large")
     evaluate = detcalc.kernel_for(g)
+    # one product over every slot, fixed at 0 off the support: the result is a
+    # minimum, so the walk order cannot change it
+    vectors = itertools.product(
+        *(range(lo, hi + 1) if slot in support else (0,) for slot in range(g.order))
+    )
     best = None
-    base = [0] * g.order
-    for combo in itertools.product(range(lo, hi + 1), repeat=len(support)):
-        for slot, val in zip(support, combo):
-            base[slot] = val
-        value = abs(evaluate(tuple(base)))
+    for coeffs in vectors:
+        value = abs(evaluate(coeffs))
         if value >= 2 and (best is None or value < best):
             best = value
             if best == 2:

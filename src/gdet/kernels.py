@@ -7,26 +7,31 @@ Every block below is written over Z, so the product is exact:
 
 - Z<n>: for each d | n, multiplication by f(x) = sum a_k x^k on Z[x]/Phi_d
   (the circulant determinant is the product of the resultants Res(Phi_d, f));
+  for a prime d >= 5 that determinant is taken as a norm from the real
+  subfield of Q(zeta_d), and for d = 9 as a norm through Q(zeta_3);
 - D:<2n>: each d | n acts on Z[x]/Phi_d with r as x and s as x -> x^-1;
 - K4: its four characters;
 - A4: the trivial character, an Eisenstein norm and a 3-dimensional block;
 - S4: the factored form `detcalc.s4_det_fast`.
 
-A block is compiled once into one tuple of signed coefficient slots per
-matrix cell: slot s reads c[s], slot order + s reads -c[s], and slot
-2 * order reads 0.  `detcalc.kernel_for` is the entry point.
+Each table kind is compiled once into one straight-line Python function:
+it unpacks the coefficients into c0, c1, ..., assigns one linear form per
+block cell, multiplies the 1x1 blocks, writes 2x2 and 3x3 determinants
+inline and returns 0 at the first zero block.  Only blocks of size 4 or
+more call `det_int`.  The source is built from this module's integer tables
+alone.  `detcalc.kernel_for` is the entry point.
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import count
 from math import isqrt
-from operator import itemgetter
 
 from . import detcalc
-from .detcalc import _CUBIC_CELLS, det3, det_int
-from .groups import symmetric_group4
+from .detcalc import _CUBIC_CELLS, det_int
+from .groups import _is_prime, symmetric_group4
 from .ring import RingElement
 
 
@@ -68,39 +73,49 @@ def _powers_mod(d: int):
     return out
 
 
-def _module_cells(order, d, actions):
-    """Cells of an element acting on Z[x]/Phi_d, flat row-major, as signed slot lists.
+def _module_cells(d, actions):
+    """Cells of an element acting on Z[x]/Phi_d, flat row-major, as linear forms.
 
     `actions` lists (slot, k, e, sign): the group element in `slot` maps x^j
-    to sign * x^(e * (k + j)).  A weight w in a cell repeats its slot |w| times.
+    to sign * x^(e * (k + j)).  A form maps a coefficient name to its weight.
     """
     powers = _powers_mod(d)
     size = len(powers[0])
     cells = []
     for i in range(size):
         for j in range(size):
-            slots = []
+            form = {}
             for slot, k, e, sign in actions:
                 w = sign * powers[e * (k + j) % d][i]
-                slots += [slot if w > 0 else order + slot] * abs(w)
-            cells.append(slots)
+                if w:
+                    form[f"c{slot}"] = form.get(f"c{slot}", 0) + w
+            cells.append(form)
     return cells
 
 
-def _det2(m) -> int:
-    return m[0] * m[3] - m[1] * m[2]
+def _period_cells(p, r):
+    """Multiplication by r[0] + sum_m r[m] * eta_m on the real subfield of Q(zeta_p), p an odd prime.
 
+    The basis is the Gaussian periods eta_m = zeta^m + zeta^-m, m = 1..h with
+    h = (p - 1) / 2, which multiply as eta_i eta_j = eta_(i+j) + eta_(i-j),
+    with eta_-m = eta_m and eta_0 = 2 = -2 * (eta_1 + ... + eta_h).  The
+    cells are linear forms over the names r[0..h], flat row-major.
+    """
+    h = (p - 1) // 2
 
-def _square_det(n_cells: int):
-    """The determinant of a flat row-major square matrix of n_cells cells; None for 1x1."""
-    size = isqrt(n_cells)
-    if size == 1:
-        return None
-    if size == 2:
-        return _det2
-    if size == 3:
-        return det3
-    return lambda m: det_int([m[i:i + size] for i in range(0, n_cells, size)])
+    def eta(m):
+        m %= p
+        return {k: -2 for k in range(1, h + 1)} if m == 0 else {min(m, p - m): 1}
+
+    cells = [[{} for _ in range(h)] for _ in range(h)]  # cells[k-1][j-1]: eta_k in alpha * eta_j
+    for j in range(1, h + 1):
+        cells[j - 1][j - 1][r[0]] = 1
+        for m in range(1, h + 1):
+            for part in (eta(m + j), eta(m - j)):
+                for k, w in part.items():
+                    cell = cells[k - 1][j - 1]
+                    cell[r[m]] = cell.get(r[m], 0) + w
+    return [cell for row in cells for cell in row]
 
 
 def _eis_mul(x1, y1, x2, y2):
@@ -129,6 +144,12 @@ def _phi9_norm(g) -> int:
     return x * x - x * y + y * y
 
 
+# A block is (how, forms, power): "det" is the determinant of a square matrix
+# of linear forms, flat row-major; "phi9" is `_phi9_norm` of the six
+# coefficients of an element of Z[x]/Phi_9; "real" is the norm of
+# f(x) = sum_j b_j x^j on Z[x]/Phi_p for a prime p >= 5, given b_0..b_(p-1).
+
+
 def _cyclic_blocks(n):
     """Blocks for `cyclic_group(n)`: slot k is g^k, which acts on each Z[x]/Phi_d as x^k."""
     actions = [(k, k, 1, 1) for k in range(n)]
@@ -136,11 +157,12 @@ def _cyclic_blocks(n):
     for d in range(1, n + 1):
         if n % d:
             continue
-        cells = _module_cells(n, d, actions)
-        if d == 9:  # a multiplication matrix: its first column is the element itself
-            blocks.append((cells[::6], _phi9_norm, 1))
+        if d >= 5 and _is_prime(d):  # x^d = 1 there, so slot k folds onto x^(k mod d)
+            blocks.append(("real", [{f"c{k}": 1 for k in range(j, n, d)} for j in range(d)], 1))
+        elif d == 9:  # a multiplication matrix: its first column is the element itself
+            blocks.append(("phi9", _module_cells(d, actions)[::6], 1))
         else:
-            blocks.append((cells, None, 1))
+            blocks.append(("det", _module_cells(d, actions), 1))
     return blocks
 
 
@@ -158,14 +180,14 @@ def _dihedral_blocks(order):
             continue
         for sign in (1, -1) if d <= 2 else (1,):
             actions = [(k, k, 1, 1) for k in range(n)] + [(n + k, k, -1, sign) for k in range(n)]
-            blocks.append((_module_cells(order, d, actions), None, 1 if d <= 2 else 2))
+            blocks.append(("det", _module_cells(d, actions), 1 if d <= 2 else 2))
     return blocks
 
 
 def _klein_blocks():
     """The four characters of K4, whose product is XOR of the indices."""
     return [
-        ([[s if bin(s & t).count("1") % 2 == 0 else 4 + s for s in range(4)]], None, 1)
+        ("det", [{f"c{s}": 1 if bin(s & t).count("1") % 2 == 0 else -1 for s in range(4)}], 1)
         for t in range(4)
     ]
 
@@ -179,50 +201,83 @@ def _a4_blocks():
     the 3-dimensional block is the A half of the S4 cubic matrices, cubed.
     """
     quartets = [(s, s // 4, 1, 1) for s in range(12)]
-    cubic = [(ap1, ap2, 12 + am1, 12 + am2) for ap1, ap2, am1, am2, *_ in _CUBIC_CELLS]
+    cubic = []
+    for ap1, ap2, am1, am2, *_ in _CUBIC_CELLS:
+        form = {}
+        for slot, w in ((ap1, 1), (ap2, 1), (am1, -1), (am2, -1)):
+            form[f"c{slot}"] = form.get(f"c{slot}", 0) + w
+        cubic.append(form)
     return [
-        (_module_cells(12, 1, quartets), None, 1),
-        (_module_cells(12, 3, quartets), None, 1),
-        (cubic, None, 3),
+        ("det", _module_cells(1, quartets), 1),
+        ("det", _module_cells(3, quartets), 1),
+        ("det", cubic, 3),
     ]
 
 
-def _compile(order, blocks):
-    """A coeffs -> int evaluator for blocks of (signed slot cells, determinant, power).
+def _render(form) -> str:
+    """Python source of a linear form {name: integer weight}."""
+    terms = [(name, w) for name, w in form.items() if w]
+    if not terms:
+        return "0"
+    out = ""
+    for name, w in terms:
+        out += (" - " if w < 0 else " + ") + (name if abs(w) == 1 else f"{abs(w)} * {name}")
+    return out[3:] if out.startswith(" + ") else "-" + out[3:]
 
-    A determinant of None is the plain determinant of the square block.
-    Every cell is read in one pass; then the 1x1 blocks multiply together,
-    and the product stops at the first zero.
-    """
-    zero = 2 * order
-    getters, linear, squares = [], [], []
-    for cells, det, power in blocks:
-        start = len(getters)
-        # itemgetter of one slot returns a bare item, so pad to two slots with the zero slot
-        getters += [itemgetter(*slots, *[zero] * (2 - len(slots))) for slots in cells]
-        det = det or _square_det(len(cells))
-        if det is None:
-            linear.append(start)
-        else:
-            squares.append((start, len(getters), det, power))
-    getters, linear, squares = tuple(getters), tuple(linear), tuple(squares)
 
-    def evaluate(c):
-        signed = (*c, *[-x for x in c], 0)
-        cells = [sum(get(signed)) for get in getters]
-        value = 1
-        for i in linear:
-            value *= cells[i]
-        if value == 0:
-            return 0
-        for start, stop, det, power in squares:
-            d = det(cells[start:stop])
-            if d == 0:
-                return 0
-            value *= d ** power
-        return value
+def _compile(kind, order, blocks):
+    """Compile blocks (see `_cyclic_blocks`) into one straight-line coeffs -> int function."""
+    lines = []
+    names = count()
 
-    return evaluate
+    def let(expr):
+        """A name for an expression: a new local unless it is already one name or number."""
+        if re.fullmatch(r"-?\w+", expr):
+            return expr
+        name = f"t{next(names)}"
+        lines.append(f"    {name} = {expr}")
+        return name
+
+    def square(cells):
+        """A name for the determinant of a square matrix of linear forms, flat row-major."""
+        m = [let(_render(form)) for form in cells]
+        if len(m) == 4:
+            return let(f"{m[0]} * {m[3]} - {m[1]} * {m[2]}")
+        if len(m) == 9:
+            a, b, c, d, e, f, g, h, i = m
+            return let(f"{a} * ({e} * {i} - {f} * {h}) - {b} * ({d} * {i} - {f} * {g})"
+                       f" + {c} * ({d} * {h} - {e} * {g})")
+        size = isqrt(len(m))
+        rows = ", ".join(f"({', '.join(m[i:i + size])},)" for i in range(0, len(m), size))
+        return let(f"det_int(({rows},))")
+
+    def determinant(how, forms):
+        if how == "det":
+            return square(forms)
+        b = [let(_render(form)) for form in forms]
+        if how == "phi9":
+            return let(f"_phi9_norm(({', '.join(b)},))")
+        # N(f(zeta)) is the norm from the real subfield of f(zeta) f(zeta^-1) = r0 + sum rm eta_m,
+        # where rm = sum_k b_k b_(k+m) are the cyclic autocorrelations
+        p = len(b)
+        r = [let(" + ".join(f"{b[k]} * {b[(k + m) % p]}" for k in range(p))) for m in range((p + 1) // 2)]
+        return square(_period_cells(p, r))
+
+    linear, larger = [], []
+    for block in blocks:
+        (linear if block[0] == "det" and len(block[1]) == 1 else larger).append(block)
+    lines.append(f"    value = {' * '.join(f'({_render(forms[0])})' for _, forms, _ in linear) or '1'}")
+    lines.append("    if not value:\n        return 0")
+    result = "value"
+    for how, forms, power in larger:
+        d = determinant(how, forms)
+        lines.append(f"    if not {d}:\n        return 0")
+        result += f" * {d}" if power == 1 else f" * {d} ** {power}"
+    head = ["def kernel(c):", f"    {''.join(f'c{s}, ' for s in range(order))}= c"]
+    src = "\n".join(head + lines + [f"    return {result}", ""])
+    namespace = {"det_int": det_int, "_phi9_norm": _phi9_norm}
+    exec(compile(src, f"<gdet kernel {kind}>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 _KIND = re.compile(r"([ZD])(\d+)")
@@ -235,13 +290,13 @@ def kernel(kind: str):
         g = symmetric_group4()
         return lambda c: detcalc.s4_det_fast(RingElement(g, c))
     if kind == "K4":
-        return _compile(4, _klein_blocks())
+        return _compile(kind, 4, _klein_blocks())
     if kind == "A4":
-        return _compile(12, _a4_blocks())
+        return _compile(kind, 12, _a4_blocks())
     m = _KIND.fullmatch(kind)
     if not m:
         raise ValueError(f"no determinant kernel for group kind {kind!r}")
     order = int(m.group(2))
     if m.group(1) == "Z":
-        return _compile(order, _cyclic_blocks(order))
-    return _compile(order, _dihedral_blocks(order))
+        return _compile(kind, order, _cyclic_blocks(order))
+    return _compile(kind, order, _dihedral_blocks(order))

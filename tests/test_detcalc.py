@@ -319,7 +319,7 @@ def test_rep_factor_check_detects_sign_flip():
 # compiled block kernels, against elimination of the full group matrix
 
 KERNEL_GROUPS = (
-    [f"Z{n}" for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 18)]
+    [f"Z{n}" for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16, 18)]
     + [f"D:{2 * n}" for n in (2, 3, 4, 5, 6, 9)]
     + ["K4", "A4"]
 )
@@ -353,10 +353,36 @@ def test_kernel_equals_elimination(case):
     ("D8", [1, 0, 0, 0, 1, 0, 0, 0]),              # 1 + s: the r -> 1, s -> -1 character is 0
     ("K4", [1, 1, 0, 0]),                          # two characters are 0
     ("A4", [1, 1, 1, 1] + [0] * 8),                # Klein sum: only the 3-dimensional block is 0
+    ("Z7", [1] * 7),                               # Phi_7 itself: only the Phi_7 block is 0
+    ("Z14", [1] * 7 + [0] * 7),                    # Phi_7 again: Phi_14 and both characters are not
 ])
 def test_kernel_zero_block(name, coeffs):
     g = build_group(name)
     assert kernel_for(g)(tuple(coeffs)) == 0 == det_int(group_matrix(g, coeffs))
+
+
+@pytest.mark.parametrize("name, eliminates", [("Z5", False), ("Z7", False), ("Z8", True)])
+def test_prime_cyclic_kernels_need_no_elimination(monkeypatch, name, eliminates):
+    """Phi_5 and Phi_7 go through the real subfield; Phi_8, a 4x4 block, is eliminated."""
+    g = build_group(name)
+    kernel = kernel_for(g)
+    calls = []
+
+    def counting(rows):
+        calls.append(rows)
+        return det_int(rows)
+
+    monkeypatch.setitem(kernel.__globals__, "det_int", counting)
+    rng = random.Random(5)
+    for _ in range(50):
+        coeffs = [rng.randint(-10**6, 10**6) for _ in range(g.order)]
+        assert kernel(tuple(coeffs)) == det_int(group_matrix(g, coeffs))
+    assert bool(calls) == eliminates
+
+
+def test_kernel_code_names_its_group():
+    assert kernel_for(build_group("Z9")).__code__.co_filename == "<gdet kernel Z9>"
+    assert kernel_for(build_group("S3")).__code__.co_filename == "<gdet kernel D6>"
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,15 +1,21 @@
 """Scan harness: exhaustive oracles, reproducibility, persistence."""
 
+import dataclasses
 import hashlib
+import itertools
 import json
 import multiprocessing
 import random
 
 import pytest
 
-from gdet import ScanConfig, harness, lambda_scan, scan, write_report
+from gdet import (
+    ScanConfig, build_group, classify, det_int, group_matrix, harness, lambda_scan, parse_rule,
+    scan, write_report,
+)
 from gdet.cli import run
-from gdet.harness import _random_vectors, _scan_shard
+from gdet.detcalc import kernel_for
+from gdet.harness import SHARD_SIZE, _random_vectors, _scan_shard
 
 
 def test_z4_exhaustive_no_violations():
@@ -71,6 +77,65 @@ def test_merge_is_shard_independent():
     assert merged.total == whole.total
     assert merged.value_counts == whole.value_counts
     assert merged.residue_mod24 == whole.residue_mod24
+
+
+def _box_vector(lo, hi, n, j):
+    """Vector j of the box [lo, hi]^n, read from the digits of j: the last slot runs fastest."""
+    coeffs = [0] * n
+    for slot in reversed(range(n)):
+        j, r = divmod(j, hi - lo + 1)
+        coeffs[slot] = lo + r
+    return coeffs
+
+
+@pytest.mark.parametrize("start, stop", [
+    (SHARD_SIZE - 37, SHARD_SIZE + 41),  # mid-box, across a shard boundary
+    (0, 60),
+    (5**7 - 45, 5**7),                   # up to the last vector
+])
+def test_exhaustive_shard_walks_index_order(start, stop):
+    cfg = ScanConfig(group="Z7", lo=-1, hi=3, mode="exhaustive", full=True)
+    g = build_group("Z7")
+    report = _scan_shard((cfg, start, stop))
+    assert report.total == stop - start
+    want = [_box_vector(-1, 3, 7, j) for j in range(start, stop)]
+    assert [record["coeffs"] for record in report.records] == want
+    assert [record["det"] for record in report.records] == [
+        det_int(group_matrix(g, coeffs)) for coeffs in want
+    ]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("full", [False, True])
+def test_violations_follow_index_order(monkeypatch, threads, full):
+    """Rejecting some values lists every vector that reaches them, in index order."""
+    member = classify.member
+
+    def picky(rule, m):
+        verdict = member(rule, m)
+        return dataclasses.replace(verdict, member=False) if m % 7 == 3 else verdict
+
+    if threads == "2":
+        # the workers must inherit the patched member, which only fork gives them
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs the fork start method")
+        monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("fork").Pool)
+    monkeypatch.setattr(classify, "member", picky)
+    monkeypatch.setattr(harness, "SHARD_SIZE", 4000)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setenv("GDET_THREADS", threads)
+    report = scan(ScanConfig(group="D:6", lo=-1, hi=3, mode="exhaustive", full=full))
+
+    evaluate, rule = kernel_for(build_group("D:6")), parse_rule("D:6")
+    want, records = [], []
+    for coeffs in itertools.product(range(-1, 4), repeat=6):
+        value = evaluate(coeffs)
+        records.append({"coeffs": list(coeffs), "det": value})
+        if value and not picky(rule, value).member:
+            want.append({"coeffs": list(coeffs), "value": value})
+    assert len(want) > 100
+    assert report.violations == want
+    assert report.records == (records if full else [])
 
 
 def test_distinct_values_monotone_under_range_inclusion():

@@ -1,8 +1,11 @@
 """Witness families, certificate synthesis, and verification."""
 
+import importlib
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gdet import (
     FAMILIES,
@@ -17,6 +20,7 @@ from gdet import (
     synthesize,
     verify_certificate,
 )
+from gdet.cli import run
 
 
 def test_twelve_families_exist():
@@ -211,3 +215,45 @@ def test_high_three_adic_valuations(s4):
             if member(GroupRule("S4"), target).member:
                 cert = synthesize(target)
                 assert verify_certificate(cert)
+
+
+def test_cli_witness_runs_one_elimination(monkeypatch, capsys):
+    """synthesize checks itself through the factored form; verify_certificate eliminates once."""
+    calls = []
+
+    def counting(g, e):
+        calls.append(e.coeffs)
+        return det_exact(g, e)
+
+    for module in ("gdet.detcalc", "gdet.witness"):
+        monkeypatch.setattr(importlib.import_module(module), "det_exact", counting)
+    synthesize(1280)
+    assert calls == []
+    assert run(["witness", "1280"]) == 0
+    assert json.loads(capsys.readouterr().out)["verified"] is True
+    assert len(calls) == 1
+
+
+@st.composite
+def s4_targets(draw):
+    """Integers with |m| <= 2^64, some built with v2 >= 13, v3 >= 5, or both."""
+    bound = 2**64
+    shape = draw(st.sampled_from(["any", "small", "v2>=13", "v3>=5", "both"]))
+    if shape == "any":
+        return draw(st.integers(-bound, bound))
+    if shape == "small":
+        return draw(st.integers(-5000, 5000))
+    v2 = draw(st.integers(13, 40)) if shape in ("v2>=13", "both") else 0
+    v3 = draw(st.integers(5, 15)) if shape in ("v3>=5", "both") else 0
+    scale = 2**v2 * 3**v3
+    return scale * draw(st.integers(-(bound // scale), bound // scale))
+
+
+@settings(max_examples=300, deadline=None)
+@given(s4_targets())
+def test_member_exactly_when_synthesize_verifies(m):
+    if member(GroupRule("S4"), m).member:
+        assert verify_certificate(synthesize(m))
+    else:
+        with pytest.raises(NotInSet):
+            synthesize(m)
