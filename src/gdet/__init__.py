@@ -46,7 +46,6 @@ from .sympoly import (
     IdentityReport,
     SparsePoly,
     build_symbolic,
-    check_all_identities,
     check_identity,
     cubic_corrections,
     symbolic_det,
@@ -77,7 +76,7 @@ __all__ = [
     "det_exact", "det_int", "group_matrix", "rep_factor_check",
     "rep_is_homomorphism", "s4_det_fast", "s4_factors", "valuation",
     "IdentityId", "IdentityReport", "SparsePoly", "build_symbolic",
-    "check_all_identities", "check_identity", "cubic_corrections", "symbolic_det",
+    "check_identity", "cubic_corrections", "symbolic_det",
     "GroupRule", "MembershipVerdict", "lambda_of", "member", "parse_rule",
     "FAMILIES", "FAMILY_IDS", "NotInSet", "SynthesisExhausted",
     "WitnessCertificate", "WitnessFamily", "family", "synthesize",

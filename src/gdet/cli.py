@@ -59,22 +59,18 @@ def _load_element(args, group):
 def _cmd_det(args) -> int:
     group = build_group(args.group)
     elem = _load_element(args, group)
-    if group.kind == "S4":
-        profile = detcalc.s4_factors(elem)
-        value = profile.det
-    else:
-        profile = None
-        value = detcalc.kernel_for(group)(elem.coeffs)
+    value = detcalc.kernel_for(group)(elem.coeffs)
+    profile = detcalc.s4_factors(elem) if args.factors else None
     if args.json:
         out = {"schema": "gdet-det/1", "group": group.kind,
                "coeffs": list(elem.coeffs), "det": value}
-        if args.factors and profile is not None:
+        if profile is not None:
             out["factors"] = profile.as_dict()
         _emit(out)
     else:
         with _exact_ints():
             print(value)
-        if args.factors and profile is not None:
+        if profile is not None:
             _emit(profile.as_dict())
     return EXIT_OK
 
@@ -207,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--coeffs", help="inline JSON or a path to a JSON file")
     src.add_argument("--expr", help="ring expression in x and y (S4 only)")
-    p.add_argument("--factors", action="store_true", help="also print the factor profile")
+    p.add_argument("--factors", action="store_true", help="also print the S4 factor profile")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_det)
 

@@ -1,16 +1,16 @@
 """Exact group-determinant evaluation.
 
 Two routes: fraction-free (Bareiss) elimination of the group matrix, which
-works for any group table, and the factored S4 evaluation
+works for any group table and is the oracle, and `kernel_for`, the compiled
+block kernel of any table group (`gdet.kernels`), which scans and `gdet det`
+use.  For S4 the kernel is the paper's factored form
 
     D = l1 * l2 * q1^2 * d1^3 * d2^3
 
 through the five irreducible factors.  The two routes are independent and
-tested against each other; `s4_factors` also reports every intermediate
-quantity used by the congruence analysis (quartet sums, u, v, w, the
-six-term forms A_i and B_i, and 2-/3-adic valuations).  `kernel_for` gives
-the compiled block kernel of any table group (`gdet.kernels`), which scans
-and `gdet det` use; elimination stays its oracle.
+are tested against each other.  `s4_factors` reports every factor and every
+intermediate quantity used by the congruence analysis (quartet sums, u, v,
+w, the six-term forms A_i and B_i, and 2-/3-adic valuations).
 """
 
 from __future__ import annotations
@@ -168,15 +168,6 @@ def det3(m) -> int:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def _quartet_sums(c):
-    """u1, u2, u3, v1, v2, v3: the sums of the six blocks of four coefficient slots."""
-    return (
-        c[0] + c[1] + c[2] + c[3], c[4] + c[5] + c[6] + c[7], c[8] + c[9] + c[10] + c[11],
-        c[12] + c[13] + c[14] + c[15], c[16] + c[17] + c[18] + c[19],
-        c[20] + c[21] + c[22] + c[23],
-    )
-
-
 @dataclass(frozen=True)
 class FactorProfile:
     """The five S4 factor values plus every intermediate of the analysis."""
@@ -213,7 +204,7 @@ def s4_factors(e: RingElement) -> FactorProfile:
     if e.group.kind != "S4":
         raise ValueError("factor profile is defined for S4 elements only")
     c = e.coeffs
-    u1, u2, u3, v1, v2, v3 = _quartet_sums(c)
+    u1, u2, u3, v1, v2, v3 = (sum(c[lo:lo + 4]) for lo in range(0, 24, 4))
     u = u1 + u2 + u3
     v = v1 + v2 + v3
     l1 = u + v
@@ -240,22 +231,10 @@ def s4_factors(e: RingElement) -> FactorProfile:
 
 
 def s4_det_fast(e: RingElement) -> int:
-    """Group determinant of an S4 element through the factored form."""
+    """Group determinant of an S4 element through its compiled block kernel."""
     if e.group.kind != "S4":
         raise ValueError("fast path is defined for S4 elements only")
-    c = e.coeffs
-    u1, u2, u3, v1, v2, v3 = _quartet_sums(c)
-    u = u1 + u2 + u3
-    v = v1 + v2 + v3
-    l1 = u + v
-    l2 = u - v
-    if l1 == 0 or l2 == 0:
-        return 0
-    q1 = quadratic_form(u1, u2, u3) - quadratic_form(v1, v2, v3)
-    if q1 == 0:
-        return 0
-    m1, m2 = cubic_matrices(c)
-    return l1 * l2 * q1 * q1 * det3(m1) ** 3 * det3(m2) ** 3
+    return kernel_for(e.group)(e.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +245,9 @@ def kernel_for(g: GroupTable):
     """An exact coeffs -> int group determinant for any table `build_group` returns.
 
     It is compiled on first use for each table kind and cached; see
-    `gdet.kernels`.  S4 goes through `s4_det_fast`; `group_matrix` with
-    `det_int` stays the oracle.  The caller passes exactly `g.order` integer
-    coefficients.
+    `gdet.kernels`.  This is the only fast evaluator, S4 included;
+    `group_matrix` with `det_int` stays its oracle.  The caller passes
+    exactly `g.order` integer coefficients.
     """
     from . import kernels  # imported on first use, so importing gdet does not compile it
 

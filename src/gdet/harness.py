@@ -88,9 +88,6 @@ class ScanReport:
         self.records += other.records
         return self
 
-    def distinct_values(self):
-        return sorted(self.value_counts)
-
     def as_dict(self):
         return {
             "format": "gdet-scan-report",

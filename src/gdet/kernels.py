@@ -12,7 +12,8 @@ Every block below is written over Z, so the product is exact:
 - D:<2n>: each d | n acts on Z[x]/Phi_d with r as x and s as x -> x^-1;
 - K4: its four characters;
 - A4: the trivial character, an Eisenstein norm and a 3-dimensional block;
-- S4: the factored form `detcalc.s4_det_fast`.
+- S4: the paper's factorization l1 * l2 * q1^2 * d1^3 * d2^3, with q1 the
+  2-dimensional block of S4 / K4 = D:6 and d1, d2 the cubic matrices.
 
 Each table kind is compiled once into one straight-line Python function:
 it unpacks the coefficients into c0, c1, ..., assigns one linear form per
@@ -29,10 +30,8 @@ from functools import lru_cache
 from itertools import count
 from math import isqrt
 
-from . import detcalc
 from .detcalc import _CUBIC_CELLS, det_int
-from .groups import _is_prime, symmetric_group4
-from .ring import RingElement
+from .groups import _is_prime
 
 
 def _divide_monic(num, den):
@@ -192,6 +191,18 @@ def _klein_blocks():
     ]
 
 
+def _cubic_cells(b_sign):
+    """The 3x3 matrix A + b_sign * B of the S4 cubic factors, flat row-major, as linear forms."""
+    cells = []
+    for ap1, ap2, am1, am2, bp1, bp2, bm1, bm2 in _CUBIC_CELLS:
+        form = {}
+        for slot, w in ((ap1, 1), (ap2, 1), (am1, -1), (am2, -1),
+                        (bp1, b_sign), (bp2, b_sign), (bm1, -b_sign), (bm2, -b_sign)):
+            form[f"c{slot}"] = form.get(f"c{slot}", 0) + w
+        cells.append(form)
+    return cells
+
+
 def _a4_blocks():
     """Blocks for `alternating_group4()`, the even half of the S4 order.
 
@@ -201,16 +212,29 @@ def _a4_blocks():
     the 3-dimensional block is the A half of the S4 cubic matrices, cubed.
     """
     quartets = [(s, s // 4, 1, 1) for s in range(12)]
-    cubic = []
-    for ap1, ap2, am1, am2, *_ in _CUBIC_CELLS:
-        form = {}
-        for slot, w in ((ap1, 1), (ap2, 1), (am1, -1), (am2, -1)):
-            form[f"c{slot}"] = form.get(f"c{slot}", 0) + w
-        cubic.append(form)
     return [
         ("det", _module_cells(1, quartets), 1),
         ("det", _module_cells(3, quartets), 1),
-        ("det", cubic, 3),
+        ("det", _cubic_cells(0), 3),
+    ]
+
+
+def _s4_blocks():
+    """Blocks for `symmetric_group4()`: D = l1 * l2 * q1^2 * d1^3 * d2^3.
+
+    l1 is the trivial and l2 the sign character (slots 12..23 are odd).  The
+    six quartets are the cosets of the Klein subgroup, and S4 / K4 = S3 = D:6
+    with even quartet q mapped to r^q and odd quartet q to s r^(q-3); its
+    2-dimensional block, occurring twice, is q1.  The 3-dimensional blocks
+    d1 and d2 are the S4 cubic matrices A + B and A - B, each cubed.
+    """
+    quartets = [(s, s // 4, 1, 1) if s < 12 else (s, s // 4 - 3, -1, 1) for s in range(24)]
+    return [
+        ("det", [{f"c{s}": 1 for s in range(24)}], 1),
+        ("det", [{f"c{s}": 1 if s < 12 else -1 for s in range(24)}], 1),
+        ("det", _module_cells(3, quartets), 2),
+        ("det", _cubic_cells(1), 3),
+        ("det", _cubic_cells(-1), 3),
     ]
 
 
@@ -287,8 +311,7 @@ _KIND = re.compile(r"([ZD])(\d+)")
 def kernel(kind: str):
     """The evaluator for a table kind (`GroupTable.kind`), built once."""
     if kind == "S4":
-        g = symmetric_group4()
-        return lambda c: detcalc.s4_det_fast(RingElement(g, c))
+        return _compile(kind, 24, _s4_blocks())
     if kind == "K4":
         return _compile(kind, 4, _klein_blocks())
     if kind == "A4":

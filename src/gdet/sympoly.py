@@ -5,10 +5,10 @@ int: the exponent of variable i sits in the 4-bit field at bits 4i..4i+3, so
 the product of two monomials is the sum of their keys.  A field would carry
 into the next only at exponent 16, so every product is guarded to total
 degree at most 15 and raises beyond it; no exponent is ever wrapped.
-Coefficients are exact integers, optionally reduced into [0, m) for a fixed
-modulus.  This is enough to state the quadratic and cubic factors
-symbolically and to verify, as exact polynomial identities, the congruences
-that the membership classification rests on.
+Coefficients are exact integers; `reduce_mod(m)` reduces them into [0, m).
+This is enough to state the quadratic and cubic factors symbolically and to
+verify, as exact polynomial identities, the congruences that the membership
+classification rests on.
 """
 
 from __future__ import annotations
@@ -50,51 +50,30 @@ def _mono_degree(key: int) -> int:
     return key % 0xFFFF
 
 
-def _join_modulus(m1, m2):
-    if m1 == m2:
-        return m1
-    if m1 is None:
-        return m2
-    if m2 is None:
-        return m1
-    raise ValueError(f"modulus mismatch: {m1} vs {m2}")
-
-
 class SparsePoly:
     """Map from packed monomial to nonzero coefficient; no zero terms stored."""
 
-    __slots__ = ("terms", "modulus")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms=None, modulus=None):
-        self.modulus = modulus
-        if terms is None:
-            self.terms = {}
-        else:
-            if modulus is None:
-                self.terms = {m: c for m, c in terms.items() if c}
-            else:
-                self.terms = {}
-                for m, c in terms.items():
-                    c %= modulus
-                    if c:
-                        self.terms[m] = c
+    def __init__(self, terms=None):
+        self.terms = {} if terms is None else {m: c for m, c in terms.items() if c}
 
     # -- constructors
 
     @staticmethod
-    def zero(modulus=None):
-        return SparsePoly({}, modulus)
+    def zero():
+        return SparsePoly()
 
     @staticmethod
-    def const(c, modulus=None):
-        return SparsePoly({0: c}, modulus)
+    def const(c):
+        return SparsePoly({0: c})
 
     @staticmethod
-    def var(i, modulus=None):
-        return SparsePoly.linear([(i, 1)], modulus)
+    def var(i):
+        return SparsePoly.linear([(i, 1)])
 
     @staticmethod
-    def linear(entries, modulus=None):
+    def linear(entries):
         """Linear form from (variable index, coefficient) pairs."""
         terms = {}
         for i, c in entries:
@@ -102,28 +81,24 @@ class SparsePoly:
                 raise ValueError(f"variable index {i} is outside 0..{NVARS - 1}")
             mono = 1 << (FIELD_BITS * i)
             terms[mono] = terms.get(mono, 0) + c
-        return SparsePoly(terms, modulus)
+        return SparsePoly(terms)
 
     # -- ring operations
 
     def _combine(self, other, sign):
         """self + sign*other in one pass over other's terms."""
         if isinstance(other, int):
-            other = SparsePoly.const(other, self.modulus)
-        mod = _join_modulus(self.modulus, other.modulus)
-        # when only other carries the modulus, self's coefficients still need reducing
-        out = dict(self.terms if mod == self.modulus else SparsePoly(self.terms, mod).terms)
+            other = SparsePoly.const(other)
+        out = dict(self.terms)
         get = out.get
         for m, c in other.terms.items():
             c = get(m, 0) + sign * c
-            if mod is not None:
-                c %= mod
             if c:
                 out[m] = c
             else:
                 out.pop(m, None)
-        result = SparsePoly(None, mod)
-        result.terms = out  # already reduced and free of zeros
+        result = SparsePoly()
+        result.terms = out  # already free of zeros
         return result
 
     def __add__(self, other):
@@ -133,12 +108,11 @@ class SparsePoly:
         return self._combine(other, -1)
 
     def __neg__(self):
-        return SparsePoly({m: -c for m, c in self.terms.items()}, self.modulus)
+        return SparsePoly({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return SparsePoly({m: c * other for m, c in self.terms.items()}, self.modulus)
-        mod = _join_modulus(self.modulus, other.modulus)
+            return SparsePoly({m: c * other for m, c in self.terms.items()})
         degree = self.degree() + other.degree()
         if degree > MAX_DEGREE:
             raise ValueError(f"product of degree {degree} exceeds the packed-monomial bound {MAX_DEGREE}")
@@ -149,22 +123,23 @@ class SparsePoly:
             for m2, c2 in right:
                 key = m1 + m2
                 out[key] = get(key, 0) + c1 * c2
-        return SparsePoly(out, mod)
+        return SparsePoly(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = SparsePoly.const(1, self.modulus)
+        result = SparsePoly.const(1)
         for _ in range(e):
             result = result * self
         return result
 
     def reduce_mod(self, m: int) -> SparsePoly:
+        """The coefficients reduced into [0, m), as a plain integer polynomial."""
         if m <= 0:
             raise ValueError("modulus must be positive")
-        return SparsePoly(self.terms, m)
+        return SparsePoly({mono: c % m for mono, c in self.terms.items()})
 
     # -- queries
 
@@ -175,14 +150,10 @@ class SparsePoly:
         return len(self.terms)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SparsePoly)
-            and self.modulus == other.modulus
-            and self.terms == other.terms
-        )
+        return isinstance(other, SparsePoly) and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.modulus, frozenset(self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
     def degree(self):
         return max(map(_mono_degree, self.terms), default=0)
@@ -208,8 +179,6 @@ class SparsePoly:
                 mono >>= FIELD_BITS
                 i += 1
             total += prod
-        if self.modulus is not None:
-            total %= self.modulus
         return total
 
     def negate_vars(self, indices) -> SparsePoly:
@@ -222,14 +191,14 @@ class SparsePoly:
         out = {}
         for mono, c in self.terms.items():
             out[mono] = -c if (mono & low_bits).bit_count() & 1 else c
-        return SparsePoly(out, self.modulus)
+        return SparsePoly(out)
 
     def divide_exact(self, n: int):
         """Divide every coefficient by n; returns (quotient, residual monomials)."""
         bad = [m for m, c in self.terms.items() if c % n]
         if bad:
             return None, bad
-        return SparsePoly({m: c // n for m, c in self.terms.items()}, self.modulus), []
+        return SparsePoly({m: c // n for m, c in self.terms.items()}), []
 
     def __repr__(self):
         return f"SparsePoly({len(self.terms)} terms, degree {self.degree()})"
@@ -382,11 +351,6 @@ def check_identity(id_: IdentityId, factors: SymbolicFactors | None = None) -> I
         residual_term_count=len(reduced),
         elapsed=time.perf_counter() - t0,
     )
-
-
-def check_all_identities(factors: SymbolicFactors | None = None) -> list[IdentityReport]:
-    f = factors or build_symbolic()
-    return [check_identity(id_, f) for id_ in IdentityId]
 
 
 def cubic_corrections(factors: SymbolicFactors | None = None):

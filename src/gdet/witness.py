@@ -5,8 +5,8 @@ determinant has a closed form in the parameter k.  Any member of the S4
 determinant set factors as a product of at most three family values (a
 2-power stripper, a 3-power stripper, and a residue family covering
 1, 5, 13, 17 mod 24), so synthesis is deterministic: pick the factors,
-convolve the patterns, and check the determinant through the factored form
-`s4_det_fast`, which shares no code with the families' closed forms.
+convolve the patterns, and check the determinant through `s4_det_fast`,
+the S4 block kernel, which shares no code with the families' closed forms.
 `verify_certificate` then verifies a certificate once by exact elimination.
 """
 

@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gdet import GroupRule, lambda_of, member, parse_rule
+from gdet import GroupRule, build_group, convolve, lambda_of, member, parse_rule, ring_element
+from gdet.detcalc import kernel_for
 
 
 def verdict(rule_name, m):
@@ -158,6 +160,25 @@ def test_witness_values_all_accepted():
     for fam in FAMILIES.values():
         for k in range(-6, 7):
             assert member(s4, fam.value(k)).member, (fam.id, k)
+
+
+@st.composite
+def s4_elements(draw):
+    """S4 coefficient vectors with small or large entries, sometimes a product of two."""
+    g = build_group("S4")
+    bound = draw(st.sampled_from([1, 3, 10**6]))
+    vectors = st.lists(st.integers(-bound, bound), min_size=24, max_size=24)
+    e = ring_element(g, draw(vectors))
+    if draw(st.booleans()):  # products carry higher 2- and 3-adic valuations
+        e = convolve(e, ring_element(g, draw(vectors)))
+    return e.coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(s4_elements())
+def test_every_nonzero_s4_determinant_is_a_member(coeffs):
+    value = kernel_for(build_group("S4"))(coeffs)
+    assert value == 0 or member(parse_rule("S4"), value).member
 
 
 # -- lambda

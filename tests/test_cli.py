@@ -53,6 +53,12 @@ def test_det_non_s4_group(capsys):
     assert out.strip() == "0"  # (1 + g) has determinant 0 over Z4
 
 
+def test_det_factors_on_non_s4_group_is_error(capsys):
+    assert run(["det", "--group", "Z4", "--coeffs", "[1,2,0,0]", "--factors"]) == 2
+    out, err = capture(capsys)
+    assert out == "" and "S4 elements only" in err
+
+
 def test_det_requires_one_source():
     with pytest.raises(SystemExit):
         run(["det", "--group", "S4"])

@@ -321,7 +321,7 @@ def test_rep_factor_check_detects_sign_flip():
 KERNEL_GROUPS = (
     [f"Z{n}" for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16, 18)]
     + [f"D:{2 * n}" for n in (2, 3, 4, 5, 6, 9)]
-    + ["K4", "A4"]
+    + ["K4", "A4", "S4"]
 )
 
 
@@ -355,6 +355,9 @@ def test_kernel_equals_elimination(case):
     ("A4", [1, 1, 1, 1] + [0] * 8),                # Klein sum: only the 3-dimensional block is 0
     ("Z7", [1] * 7),                               # Phi_7 itself: only the Phi_7 block is 0
     ("Z14", [1] * 7 + [0] * 7),                    # Phi_7 again: Phi_14 and both characters are not
+    ("S4", [int(s in (15, 19, 23)) for s in range(24)]),     # only q1 is 0
+    ("S4", [int(s in (5, 10, 11, 19)) for s in range(24)]),  # only d1 is 0
+    ("S4", [int(s in (3, 8, 9, 12)) for s in range(24)]),    # only d2 is 0
 ])
 def test_kernel_zero_block(name, coeffs):
     g = build_group(name)
@@ -383,10 +386,11 @@ def test_prime_cyclic_kernels_need_no_elimination(monkeypatch, name, eliminates)
 def test_kernel_code_names_its_group():
     assert kernel_for(build_group("Z9")).__code__.co_filename == "<gdet kernel Z9>"
     assert kernel_for(build_group("S3")).__code__.co_filename == "<gdet kernel D6>"
+    assert kernel_for(build_group("S4")).__code__.co_filename == "<gdet kernel S4>"
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(KERNEL_GROUPS + ["S4"]), st.data())
+@given(st.sampled_from(KERNEL_GROUPS), st.data())
 def test_kernel_is_multiplicative(name, data):
     """D(a*b) = D(a) * D(b) for the convolution product of the group ring."""
     g = build_group(name)

@@ -53,8 +53,6 @@ def test_modulus_reduction_and_mismatch():
     assert q.coefficient([1] + [0] * 23) == 1
     assert len(q) == 1  # the 4*a2 term vanishes mod 4
     with pytest.raises(ValueError):
-        p.reduce_mod(4) * p.reduce_mod(3)
-    with pytest.raises(ValueError):
         p.reduce_mod(0)
 
 
@@ -185,27 +183,27 @@ def test_divide_exact_reports_residuals():
 # -- packed monomials against a tuple-keyed reference
 
 
-def _ref_combine(p, q, sign, mod):
+def _ref_combine(p, q, sign):
     out = dict(p)
     for m, c in q.items():
         out[m] = out.get(m, 0) + sign * c
-    return _ref_reduce(out, mod)
+    return _ref_reduce(out)
 
 
-def _ref_mul(p, q, mod):
+def _ref_mul(p, q):
     out = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
             key = tuple(map(add, m1, m2))
             out[key] = out.get(key, 0) + c1 * c2
-    return _ref_reduce(out, mod)
+    return _ref_reduce(out)
 
 
 def _ref_negate(p, idx):
     return {m: -c if sum(m[i] for i in idx) % 2 else c for m, c in p.items()}
 
 
-def _ref_reduce(p, mod):
+def _ref_reduce(p, mod=None):
     if mod is not None:
         p = {m: c % mod for m, c in p.items()}
     return {m: c for m, c in p.items() if c}
@@ -218,8 +216,8 @@ def _ref_power_product(mono, point):
     return prod
 
 
-def _packed(p, mod=None):
-    return SparsePoly({pack_monomial(m): c for m, c in p.items()}, mod)
+def _packed(p):
+    return SparsePoly({pack_monomial(m): c for m, c in p.items()})
 
 
 def _exponents(pairs):
@@ -232,24 +230,22 @@ def _exponents(pairs):
 # up to two variables at exponent <= 3 each, so any product has degree <= 12
 _monos = st.lists(st.tuples(st.integers(0, 23), st.integers(1, 3)), max_size=2).map(_exponents)
 _polys = st.dictionaries(_monos, st.integers(-6, 6), max_size=6)
-_moduli = st.sampled_from([None, 4, 7])
 
 
 @settings(max_examples=300, deadline=None)
-@given(_polys, _polys, _moduli, _moduli, st.sets(st.integers(0, 23), max_size=6),
+@given(_polys, _polys, st.sets(st.integers(0, 23), max_size=6),
        st.lists(st.integers(-3, 3), min_size=24, max_size=24))
-def test_packed_engine_matches_tuple_reference(p, q, mod_p, mod_q, idx, point):
-    if mod_p is not None and mod_q is not None and mod_p != mod_q:
-        mod_q = mod_p
-    mod = mod_p if mod_p is not None else mod_q
-    pp, qq = _packed(p, mod_p), _packed(q, mod_q)
-    p, q = _ref_reduce(p, mod_p), _ref_reduce(q, mod_q)
-    assert pp + qq == _packed(_ref_combine(p, q, 1, mod), mod)
-    assert pp - qq == _packed(_ref_combine(p, q, -1, mod), mod)
-    assert pp * qq == _packed(_ref_mul(p, q, mod), mod)
-    assert pp.negate_vars(idx) == _packed(_ref_reduce(_ref_negate(p, idx), mod_p), mod_p)
+def test_packed_engine_matches_tuple_reference(p, q, idx, point):
+    pp, qq = _packed(p), _packed(q)
+    p, q = _ref_reduce(p), _ref_reduce(q)
+    assert pp + qq == _packed(_ref_combine(p, q, 1))
+    assert pp - qq == _packed(_ref_combine(p, q, -1))
+    assert pp * qq == _packed(_ref_mul(p, q))
+    assert pp.negate_vars(idx) == _packed(_ref_negate(p, idx))
+    for mod in (4, 7):
+        assert pp.reduce_mod(mod) == _packed(_ref_reduce(p, mod))
     value = sum(c * _ref_power_product(m, point) for m, c in p.items())
-    assert pp.evaluate(point) == (value if mod_p is None else value % mod_p)
+    assert pp.evaluate(point) == value
     assert pp.degree() == max((sum(m) for m in p), default=0)
 
 
