@@ -14,6 +14,9 @@ from dataclasses import dataclass
 from .groups import GroupTable, S4_ALPHA_INDEX, S4_BETA_INDEX
 
 MAX_EXPONENT = 4096
+# parentheses and unary minus signs open at once; each level costs the
+# recursive-descent parser a few Python stack frames
+MAX_NESTING = 100
 # a power may not produce coefficients longer than this many bits
 MAX_COEFF_BITS = 1 << 16
 
@@ -163,6 +166,7 @@ class _Parser:
         self.group = group
         self.i = 0
         self.end = end
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -174,6 +178,15 @@ class _Parser:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
+
+    def nested(self, parse):
+        """The result of parse() one nesting level deeper, within MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels", self.pos())
+        self.depth += 1
+        result = parse()
+        self.depth -= 1
+        return result
 
     def expr(self):
         left = self.term()
@@ -209,7 +222,7 @@ class _Parser:
             raise ParseError("unexpected end of expression", self.pos())
         if tok == "-":
             self.take()
-            return -self.atom()
+            return -self.nested(self.atom)
         if isinstance(tok, int):
             self.take()
             return scalar_element(self.group, tok)
@@ -221,7 +234,7 @@ class _Parser:
             return basis_element(self.group, S4_BETA_INDEX)
         if tok == "(":
             _, open_pos = self.take()
-            inner = self.expr()
+            inner = self.nested(self.expr)
             if self.peek() != ")":
                 raise ParseError("unbalanced parenthesis", open_pos)
             self.take()
@@ -247,6 +260,12 @@ def parse_expr(text: str, group: GroupTable) -> RingElement:
 # JSON / array input
 
 
+def _array(obj, key):
+    if not isinstance(obj[key], list):
+        raise ValueError(f"{key!r} must be an array of integers, got {type(obj[key]).__name__}")
+    return obj[key]
+
+
 def element_from_json(obj, group: GroupTable) -> RingElement:
     """Build an element from a flat coefficient list or an {"a":…, "b":…} object."""
     if isinstance(obj, list):
@@ -256,9 +275,9 @@ def element_from_json(obj, group: GroupTable) -> RingElement:
         if kind != group.kind:
             raise ValueError(f"element is for group {kind!r}, expected {group.kind!r}")
         if "coeffs" in obj:
-            return ring_element(group, obj["coeffs"])
+            return ring_element(group, _array(obj, "coeffs"))
         if group.kind == "S4" and "a" in obj and "b" in obj:
-            a, b = obj["a"], obj["b"]
+            a, b = _array(obj, "a"), _array(obj, "b")
             if len(a) != 12 or len(b) != 12:
                 raise ValueError("S4 element needs 12 'a' and 12 'b' coefficients")
             return ring_element(group, list(a) + list(b))

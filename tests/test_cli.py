@@ -9,6 +9,7 @@ import pytest
 
 from gdet import classify, det_exact, parse_expr, symmetric_group4, word_to_element
 from gdet.cli import run
+from gdet.ring import MAX_NESTING
 
 
 def capture(capsys):
@@ -194,6 +195,34 @@ def test_parse_syntax_error(capsys):
     assert run(["parse", "--expr", "x y"]) == 2
     _, err = capture(capsys)
     assert "position" in err
+
+
+@pytest.mark.parametrize("expr", [
+    "(" * 2000 + "x" + ")" * 2000,
+    "-" * 2000 + "x",
+    "(-" * 300 + "x" + ")" * 300,
+    "-" * (MAX_NESTING + 1) + "x",
+])
+def test_parse_rejects_deep_nesting(capsys, expr):
+    assert run(["parse", f"--expr={expr}"]) == 2
+    assert f"nested deeper than {MAX_NESTING} levels" in capture(capsys)[1]
+
+
+def test_parse_accepts_nesting_up_to_the_bound(capsys):
+    for expr in ["(" * MAX_NESTING + "x" + ")" * MAX_NESTING, "-" * MAX_NESTING + "x",
+                 "(-" * (MAX_NESTING // 2) + "x" + ")" * (MAX_NESTING // 2)]:
+        assert run(["parse", f"--expr={expr}"]) == 0
+        assert json.loads(capture(capsys)[0]) == [int(i == 12) for i in range(24)]  # x is slot 12
+
+
+@pytest.mark.parametrize("group, coeffs", [
+    ("S4", '{"a": 5, "b": 6}'),
+    ("S4", '{"a": null, "b": null}'),
+    ("Z4", '{"coeffs": 5}'),
+])
+def test_det_rejects_json_without_arrays(capsys, group, coeffs):
+    assert run(["det", "--group", group, "--coeffs", coeffs]) == 2
+    assert "must be an array of integers" in capture(capsys)[1]
 
 
 def test_det_malformed_json_is_error(capsys):

@@ -319,8 +319,8 @@ def test_rep_factor_check_detects_sign_flip():
 # compiled block kernels, against elimination of the full group matrix
 
 KERNEL_GROUPS = (
-    [f"Z{n}" for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16, 18)]
-    + [f"D:{2 * n}" for n in (2, 3, 4, 5, 6, 9)]
+    [f"Z{n}" for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 18)]
+    + [f"D:{2 * n}" for n in (2, 3, 4, 5, 6, 7, 8, 9)]
     + ["K4", "A4", "S4"]
 )
 
@@ -358,15 +358,20 @@ def test_kernel_equals_elimination(case):
     ("S4", [int(s in (15, 19, 23)) for s in range(24)]),     # only q1 is 0
     ("S4", [int(s in (5, 10, 11, 19)) for s in range(24)]),  # only d1 is 0
     ("S4", [int(s in (3, 8, 9, 12)) for s in range(24)]),    # only d2 is 0
+    ("D:10", [1, 1, 1, 1, 0, 0, 0, 0, 0, 1]),      # 1 + r + r^2 + r^3 + s r^4: only Phi_5 is 0
+    ("Z12", [1, 0, -1, 0, 1] + [0] * 7),           # Phi_12 itself: only the Phi_12 block is 0
 ])
 def test_kernel_zero_block(name, coeffs):
     g = build_group(name)
     assert kernel_for(g)(tuple(coeffs)) == 0 == det_int(group_matrix(g, coeffs))
 
 
-@pytest.mark.parametrize("name, eliminates", [("Z5", False), ("Z7", False), ("Z8", True)])
+@pytest.mark.parametrize("name, eliminates", [
+    ("Z5", False), ("Z7", False), ("Z8", False), ("Z9", False), ("Z12", False),
+    ("D:10", False), ("D:14", False), ("Z15", True), ("Z16", True),
+])
 def test_prime_cyclic_kernels_need_no_elimination(monkeypatch, name, eliminates):
-    """Phi_5 and Phi_7 go through the real subfield; Phi_8, a 4x4 block, is eliminated."""
+    """A Phi_d block is a phi(d)/2-square norm: only phi(d) >= 8 (Phi_15, Phi_16) is eliminated."""
     g = build_group(name)
     kernel = kernel_for(g)
     calls = []

@@ -171,6 +171,9 @@ def test_element_from_ab_object(s4):
         {"group": "S4"},
         [1, 2, 3],
         "nope",
+        {"group": "S4", "a": 5, "b": 6},
+        {"a": None, "b": None},
+        {"coeffs": 5},
     ],
 )
 def test_element_from_json_rejects(s4, obj):
