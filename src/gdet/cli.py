@@ -85,10 +85,12 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_lambda(args) -> int:
-    if args.scan_range:
+    if args.support is not None and args.scan_range is None:
+        raise ValueError("--support needs --scan-range")
+    if args.scan_range is not None:
         lo, hi = _parse_range(args.scan_range)
         support = None
-        if args.support:
+        if args.support is not None:
             support = tuple(int(s) for s in args.support.split(","))
         value = harness.lambda_scan(args.group, lo, hi, support=support)
         source = "scan"
@@ -151,6 +153,8 @@ def _cmd_verify_identities(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    if args.full and args.out is None:
+        raise ValueError("--full needs --out")  # the records are only ever written to a file
     lo, hi = _parse_range(args.range)
     if args.random is not None:
         cfg = harness.ScanConfig(group=args.group, lo=lo, hi=hi, mode="random",
@@ -189,6 +193,28 @@ def _parse_range(text):
         return int(lo), int(hi)
     except ValueError:
         raise ValueError(f"bad range {text!r}, expected LO:HI") from None
+
+
+# options whose value may start with "-", such as an expression "-x" or a range
+# "-1:1", which argparse would otherwise take for an option
+_DASH_VALUE_OPTIONS = frozenset({"--expr", "--range", "--scan-range", "--support"})
+
+
+def _join_dash_values(argv):
+    """Rewrite `OPTION VALUE` as `OPTION=VALUE` for the options above.
+
+    An option with no token after it is left alone, so argparse still reports
+    the missing value.
+    """
+    out = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token in _DASH_VALUE_OPTIONS:
+            value = next(tokens, None)
+            if value is not None:
+                token = f"{token}={value}"
+        out.append(token)
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ValueError, ParseError, OSError, json.JSONDecodeError) as exc:

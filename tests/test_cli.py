@@ -164,6 +164,54 @@ def test_scan_bad_range(capsys):
     assert run(["scan", "--group", "Z4", "--range", "oops", "--exhaustive"]) == 2
 
 
+@pytest.mark.parametrize("joined", [False, True], ids=["separate", "equals"])
+@pytest.mark.parametrize("head, option, value, expected", [
+    (["parse"], "--expr", "-x", json.dumps([-int(i == 12) for i in range(24)])),
+    (["det", "--group", "S4"], "--expr", "-(x)", "1"),
+    (["scan", "--group", "Z4", "--exhaustive"], "--range", "-1:1",
+     "evaluated 81 vectors, 33 zeros, 9 distinct values, 0 violations"),
+    (["lambda", "--group", "Z4"], "--scan-range", "-1:1", "3"),
+    (["lambda", "--group", "Z4", "--scan-range=-1:1"], "--support", "0,1,2", "3"),
+], ids=["parse-expr", "det-expr", "scan-range", "lambda-scan-range", "lambda-support"])
+def test_option_values_may_start_with_a_dash(capsys, head, option, value, expected, joined):
+    argv = head + ([f"{option}={value}"] if joined else [option, value])
+    assert run(argv) == 0
+    assert capture(capsys)[0].strip() == expected
+
+
+def test_dash_support_reaches_the_range_check(capsys):
+    # "-1,0" is read as the value of --support, not as an unknown option
+    assert run(["lambda", "--group", "Z4", "--scan-range", "0:2", "--support", "-1,0"]) == 2
+    assert "support index -1 is outside 0..3" in capture(capsys)[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "--expr"],
+    ["det", "--group", "S4", "--expr"],
+    ["scan", "--group", "Z4", "--exhaustive", "--range"],
+    ["lambda", "--group", "Z4", "--scan-range"],
+    ["lambda", "--group", "Z4", "--scan-range", "0:1", "--support"],
+])
+def test_option_without_value_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "expected one argument" in capture(capsys)[1]
+
+
+def test_support_without_scan_range_is_error(capsys):
+    assert run(["lambda", "--group", "S4", "--support", "0,1"]) == 2
+    out, err = capture(capsys)
+    assert out == "" and "--support needs --scan-range" in err
+
+
+def test_scan_full_without_out_is_error(capsys):
+    argv = ["scan", "--group", "S4", "--range=-1:1", "--random", "5", "--full"]
+    assert run(argv) == 2
+    out, err = capture(capsys)
+    assert out == "" and "--full needs --out" in err
+
+
 def test_parse_roundtrip(capsys):
     assert run(["parse", "--expr", "x*y - y*x"]) == 0
     coeffs = json.loads(capture(capsys)[0])

@@ -1,5 +1,6 @@
 """Sparse polynomial engine and the congruence identity suite."""
 
+import hashlib
 import random
 from operator import add
 
@@ -17,7 +18,7 @@ from gdet import (
     s4_factors,
     symbolic_det,
 )
-from gdet.sympoly import pack_monomial, symbolic_rep_det3
+from gdet.sympoly import _grade, _mono_degree, _residual, pack_monomial, symbolic_rep_det3
 
 
 def a(i):
@@ -135,6 +136,25 @@ def test_identity_holds(identity):
     assert report.residual_term_count == 0
 
 
+def _digest(p):
+    h = hashlib.sha256()
+    for key, c in sorted(p.terms.items()):
+        h.update(f"{key}:{c};".encode())
+    return h.hexdigest()
+
+
+def test_prod_mod4_products_are_pinned():
+    # the two largest products of the suite, term for term as the flat
+    # (ungraded) multiplication gave them
+    f = build_symbolic()
+    product = f.d1 * f.d2
+    assert len(product) == 168692
+    assert _digest(product) == "f1a2cf25f33174097955461ab66b5bc7222b1e627a8ab42266f1f27d949e53bf"
+    residual, modulus = _residual(IdentityId.PROD_MOD4, f)
+    assert modulus == 4 and len(residual) == 167820
+    assert _digest(residual) == "b47180181eb470efd0c023ca97b183b098c809413c6d49fee491077a61e7fc68"
+
+
 def test_identity_perturbation_fails():
     f = build_symbolic()
     import dataclasses
@@ -247,6 +267,55 @@ def test_packed_engine_matches_tuple_reference(p, q, idx, point):
     value = sum(c * _ref_power_product(m, point) for m, c in p.items())
     assert pp.evaluate(point) == value
     assert pp.degree() == max((sum(m) for m in p), default=0)
+
+
+# two variables per quartet, at its first and its last field, so that few
+# distinct monomials exist and +-1 terms often cancel inside one output block
+_POOL = [v for lo in range(0, 24, 4) for v in (lo, lo + 3)]
+
+
+def _pool_factor(pool):
+    return st.tuples(st.sampled_from(pool), st.integers(1, 3))
+
+
+def _pool_mono(pool):
+    """A monomial with one factor from pool and at most one more from _POOL."""
+    return st.builds(lambda first, rest: _exponents([first] + rest),
+                     _pool_factor(pool), st.lists(_pool_factor(_POOL), max_size=1))
+
+
+_signs = st.sampled_from([-1, 1])
+# one term in each of the six quartets, then a few more anywhere
+_spanning_polys = st.builds(
+    lambda spine, extra: dict(list(spine) + extra),
+    st.tuples(*[st.tuples(_pool_mono(_POOL[2 * k:2 * k + 2]), _signs) for k in range(6)]),
+    st.lists(st.tuples(_pool_mono(_POOL), _signs), max_size=6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spanning_polys, _spanning_polys)
+def test_graded_product_matches_tuple_reference(p, q):
+    pp, qq = _packed(p), _packed(q)
+    product = pp * qq
+    assert product == _packed(_ref_mul(p, q))
+    assert all(product.terms.values())
+
+
+def test_grade_is_additive_up_to_degree_15():
+    for i in range(24):
+        assert _grade(1 << (4 * i)) == 1 << (16 * (i // 4))  # one 16-bit field per quartet
+    # quartet degree 15 in the first quartet (a1..a4) and in the last (b9..b12)
+    for lo, shift in ((0, 0), (20, 80)):
+        m1 = pack_monomial(_exponents([(lo, 7), (lo + 1, 3)]))
+        m2 = pack_monomial(_exponents([(lo, 2), (lo + 3, 3)]))
+        assert _grade(m1 + m2) == _grade(m1) + _grade(m2) == 15 << shift
+        assert _mono_degree(m1 + m2) == 15
+    # every quartet at once
+    m1 = pack_monomial(_exponents([(0, 1), (5, 2), (10, 1), (15, 2), (16, 1), (23, 1)]))
+    m2 = pack_monomial(_exponents([(23, 7)]))
+    assert _grade(m1 + m2) == _grade(m1) + _grade(m2)
+    assert [(_grade(m1 + m2) >> (16 * k)) & 0xFFFF for k in range(6)] == [1, 2, 1, 2, 1, 8]
 
 
 def test_product_beyond_degree_15_raises():
