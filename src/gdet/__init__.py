@@ -28,7 +28,6 @@ from .ring import (
     element_from_json,
 )
 from .detcalc import (
-    EisensteinInt,
     FactorProfile,
     RepTable,
     default_rep_table,
@@ -72,7 +71,7 @@ __all__ = [
     "word_to_element", "parse_gen_word",
     "RingElement", "ParseError", "convolve", "identity_element", "parse_expr",
     "ring_element", "element_from_json",
-    "EisensteinInt", "FactorProfile", "RepTable", "default_rep_table",
+    "FactorProfile", "RepTable", "default_rep_table",
     "det_exact", "det_int", "group_matrix", "rep_factor_check",
     "rep_is_homomorphism", "s4_det_fast", "s4_factors", "valuation",
     "IdentityId", "IdentityReport", "SparsePoly", "build_symbolic",

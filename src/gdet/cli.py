@@ -4,12 +4,14 @@ Subcommands: det, member, lambda, witness, verify-identities, scan, parse.
 Exit codes: 0 success / membership yes, 1 domain no (non-member, failed
 identity, scan violations), 2 usage or input error.  Every subcommand takes
 --json for one-line machine-readable output with a stable schema tag.
+Options are accepted only under their full names, never abbreviated.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -221,10 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gdet",
         description="Integer group determinants for small finite groups.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("det", help="evaluate a group determinant")
+    p = command("det", help="evaluate a group determinant")
     p.add_argument("--group", default="S4")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--coeffs", help="inline JSON or a path to a JSON file")
@@ -233,28 +237,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_det)
 
-    p = sub.add_parser("member", help="decide membership in an attainable set")
+    p = command("member", help="decide membership in an attainable set")
     p.add_argument("--group", required=True, help="rule name, e.g. S4, A4, D8, Zp:7")
     p.add_argument("m", type=int)
     p.set_defaults(func=_cmd_member, json=True)
 
-    p = sub.add_parser("lambda", help="smallest non-trivial |determinant|")
+    p = command("lambda", help="smallest non-trivial |determinant|")
     p.add_argument("--group", required=True)
     p.add_argument("--scan-range", help="LO:HI for an exhaustive scan instead of the rule")
     p.add_argument("--support", help="comma-separated slots for the scan")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_lambda)
 
-    p = sub.add_parser("witness", help="synthesize an S4 witness certificate")
+    p = command("witness", help="synthesize an S4 witness certificate")
     p.add_argument("m", type=int)
     p.set_defaults(func=_cmd_witness, json=True)
 
-    p = sub.add_parser("verify-identities", help="check the factor congruence identities")
+    p = command("verify-identities", help="check the factor congruence identities")
     p.add_argument("--id", help="check a single identity by name")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify_identities)
 
-    p = sub.add_parser("scan", help="scan determinants against the decider")
+    p = command("scan", help="scan determinants against the decider")
     p.add_argument("--group", required=True)
     p.add_argument("--range", required=True, help="entry range LO:HI")
     mode = p.add_mutually_exclusive_group(required=True)
@@ -266,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("parse", help="parse a ring expression to canonical coefficients")
+    p = command("parse", help="parse a ring expression to canonical coefficients")
     p.add_argument("--expr", required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_parse)

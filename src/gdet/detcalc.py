@@ -19,7 +19,7 @@ from dataclasses import dataclass, asdict
 from functools import lru_cache
 
 from . import s4data
-from .groups import GroupTable, symmetric_group4
+from .groups import GroupTable, _s4_perms_and_names, symmetric_group4
 from .ring import RingElement
 
 
@@ -89,34 +89,7 @@ def valuation(m: int, p: int):
 
 
 # ---------------------------------------------------------------------------
-# Eisenstein integers (for the degree-2 factor)
-
-
-@dataclass(frozen=True)
-class EisensteinInt:
-    """x + y*w with w = exp(2*pi*i/3), so w^2 = -1 - w."""
-
-    x: int
-    y: int
-
-    def __add__(self, other):
-        return EisensteinInt(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other):
-        return EisensteinInt(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, other):
-        x1, y1, x2, y2 = self.x, self.y, other.x, other.y
-        return EisensteinInt(x1 * x2 - y1 * y2, x1 * y2 + y1 * x2 - y1 * y2)
-
-    def scale(self, n: int):
-        return EisensteinInt(n * self.x, n * self.y)
-
-    def norm(self) -> int:
-        return self.x * self.x - self.x * self.y + self.y * self.y
-
-
-EISENSTEIN_ZERO = EisensteinInt(0, 0)
+# the quadratic factor
 
 
 def quadratic_form(x: int, y: int, z: int) -> int:
@@ -255,29 +228,57 @@ def kernel_for(g: GroupTable):
 
 
 # ---------------------------------------------------------------------------
-# representation tables and the cross-check against the factor matrices
+# representations from the permutations, and the cross-check against the factor matrices
 
 
 @dataclass(frozen=True)
 class RepTable:
-    """Matrices of the degree-2 and the two degree-3 representations, per element."""
+    """Integer matrices of the degree-2 and the two degree-3 representations, per element."""
 
-    rho1: tuple  # 24 entries, each a 2x2 tuple of EisensteinInt
+    rho1: tuple  # 24 entries, each a 2x2 integer tuple
     rho2: tuple  # 24 entries, each a 3x3 integer tuple
     rho3: tuple
 
 
+def _sum_zero_action(p):
+    """Integer matrix of a permutation p of n points on the sum-zero lattice of Z^n.
+
+    Points are 0..n-1 and p sends i to p[i].  The basis is f_i = e_i - e_last
+    for i < last = n-1, and p sends f_i to f_p[i] - f_p[last], where f_last = 0;
+    column i holds that image.
+    """
+    last = len(p) - 1
+    return tuple(
+        tuple((p[i] == r) - (p[last] == r) for i in range(last)) for r in range(last)
+    )
+
+
+# the three ways to split the four points into two pairs: 12|34, 13|24, 14|23
+_PAIRINGS = tuple(
+    frozenset({frozenset({0, k}), frozenset({1, 2, 3} - {k})}) for k in (1, 2, 3)
+)
+
+
+def _pairing_perm(p):
+    """The permutation of `_PAIRINGS` induced by the permutation p of four points."""
+    return tuple(
+        _PAIRINGS.index(frozenset(frozenset(p[i] for i in pair) for pair in pairing))
+        for pairing in _PAIRINGS
+    )
+
+
 @lru_cache(maxsize=None)
 def default_rep_table() -> RepTable:
-    rho1 = tuple(
-        tuple(tuple(EisensteinInt(*p) for p in row) for row in s4data.rho1_of(i))
-        for i in range(24)
-    )
-    rho2 = s4data.RHO2
-    rho3 = tuple(
-        m if i < 12 else tuple(tuple(-x for x in row) for row in m)
-        for i, m in enumerate(rho2)
-    )
+    """The three representations, derived from the canonical S4 permutations.
+
+    rho2 is S4 on the sum-zero lattice of Z^4, rho1 is S4 on the sum-zero
+    lattice of the pairings (through S4 -> S3), and rho3 is sign * rho2; the
+    odd permutations are the canonical indices 12..23.
+    """
+    perms, _ = _s4_perms_and_names()
+    rho1 = tuple(_sum_zero_action(_pairing_perm(p)) for p in perms)
+    rho2 = tuple(_sum_zero_action(p) for p in perms)
+    rho3 = rho2[:12] + tuple(tuple(tuple(-x for x in row) for row in m) for m in rho2[12:])
     return RepTable(rho1=rho1, rho2=rho2, rho3=rho3)
 
 
@@ -288,42 +289,24 @@ def _mat_mul_int(a, b):
     )
 
 
-def _mat_mul_eis(a, b):
-    out = []
-    for i in range(2):
-        row = []
-        for j in range(2):
-            acc = EISENSTEIN_ZERO
-            for k in range(2):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def rep_is_homomorphism(tables: RepTable, g: GroupTable | None = None) -> bool:
     """Check rho(g)rho(h) = rho(gh) for all 576 pairs, for all three tables."""
     g = g or symmetric_group4()
     mul = g.mul
-    for i in range(24):
-        for j in range(24):
-            k = mul[i][j]
-            if _mat_mul_int(tables.rho2[i], tables.rho2[j]) != tuple(map(tuple, tables.rho2[k])):
-                return False
-            if _mat_mul_int(tables.rho3[i], tables.rho3[j]) != tuple(map(tuple, tables.rho3[k])):
-                return False
-            if _mat_mul_eis(tables.rho1[i], tables.rho1[j]) != tables.rho1[k]:
-                return False
+    for rho in (tables.rho1, tables.rho2, tables.rho3):
+        for i in range(24):
+            for j in range(24):
+                if _mat_mul_int(rho[i], rho[j]) != rho[mul[i][j]]:
+                    return False
     return True
 
 
 def rep_factor_check(tables: RepTable | None = None) -> bool:
-    """True iff the representation tables reproduce the q1/d1/d2 factor polynomials.
+    """True iff the representations reproduce the q1/d1/d2 factor polynomials.
 
-    The degree-3 tables must satisfy det(sum x_g rho2(g)) = d1 and
-    det(sum x_g rho3(g)) = d2 symbolically, and the degree-2 table must give
-    q1 over the Eisenstein integers; a False return means a transcription
-    error in one of the tables.
+    The tables must be homomorphisms, and det(sum x_g rho(g)) must equal q1,
+    d1 and d2 symbolically for rho1, rho2 and rho3; a False return means the
+    factor matrices and the representations disagree.
     """
     from . import sympoly
 
@@ -331,9 +314,8 @@ def rep_factor_check(tables: RepTable | None = None) -> bool:
     if not rep_is_homomorphism(tables):
         return False
     named = sympoly.build_symbolic()
-    if sympoly.symbolic_rep_det3(tables.rho2) != named.d1:
-        return False
-    if sympoly.symbolic_rep_det3(tables.rho3) != named.d2:
-        return False
-    re_part, omega_part = sympoly.symbolic_rep_det2(tables.rho1)
-    return omega_part.is_zero() and re_part == named.q1
+    return (
+        sympoly.symbolic_rep_det(tables.rho1) == named.q1
+        and sympoly.symbolic_rep_det(tables.rho2) == named.d1
+        and sympoly.symbolic_rep_det(tables.rho3) == named.d2
+    )

@@ -1,4 +1,4 @@
-"""Canonical S4 data: element order, generator words, representation tables.
+"""Canonical S4 data: element order, generator words, the cubic-factor matrices.
 
 Everything here is keyed by the canonical element index 0..23: the twelve
 even permutations first (coefficient slots a1..a12), then the twelve odd
@@ -68,59 +68,6 @@ ODD_NAMES = (
     "(1324)",
     "(1423)",
 )
-
-# Degree-3 representation (from permuting the basis of the sum-zero subspace
-# of Z^4), one 3x3 integer matrix per canonical index.
-RHO2 = (
-    # even permutations
-    ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-    ((-1, 0, 0), (0, -1, 0), (0, 0, 1)),
-    ((-1, 0, 0), (0, 1, 0), (0, 0, -1)),
-    ((1, 0, 0), (0, -1, 0), (0, 0, -1)),
-    ((0, 0, -1), (1, 0, 0), (0, -1, 0)),
-    ((0, 0, 1), (-1, 0, 0), (0, -1, 0)),
-    ((0, 0, -1), (-1, 0, 0), (0, 1, 0)),
-    ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
-    ((0, 1, 0), (0, 0, -1), (-1, 0, 0)),
-    ((0, 1, 0), (0, 0, 1), (1, 0, 0)),
-    ((0, -1, 0), (0, 0, 1), (-1, 0, 0)),
-    ((0, -1, 0), (0, 0, -1), (1, 0, 0)),
-    # odd permutations
-    ((0, -1, 0), (1, 0, 0), (0, 0, -1)),
-    ((0, 1, 0), (-1, 0, 0), (0, 0, -1)),
-    ((0, -1, 0), (-1, 0, 0), (0, 0, 1)),
-    ((0, 1, 0), (1, 0, 0), (0, 0, 1)),
-    ((0, 0, -1), (0, 1, 0), (-1, 0, 0)),
-    ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
-    ((0, 0, 1), (0, -1, 0), (-1, 0, 0)),
-    ((0, 0, -1), (0, -1, 0), (1, 0, 0)),
-    ((1, 0, 0), (0, 0, 1), (0, 1, 0)),
-    ((1, 0, 0), (0, 0, -1), (0, -1, 0)),
-    ((-1, 0, 0), (0, 0, 1), (0, -1, 0)),
-    ((-1, 0, 0), (0, 0, -1), (0, 1, 0)),
-)
-
-# Degree-2 representation over the Eisenstein integers.  Entries are (x, y)
-# pairs meaning x + y*w with w = exp(2*pi*i/3), so w^2 = -1 - w.  The 24
-# elements fall into six cosets of four, in canonical-index order.
-_E0 = (0, 0)
-_E1 = (1, 0)
-_EW = (0, 1)       # w
-_EW2 = (-1, -1)    # w^2
-RHO1 = (
-    ((_E1, _E0), (_E0, _E1)),      # indices 0..3
-    ((_EW, _E0), (_E0, _EW2)),     # indices 4..7
-    ((_EW2, _E0), (_E0, _EW)),     # indices 8..11
-    ((_E0, _E1), (_E1, _E0)),      # indices 12..15
-    ((_E0, _EW), (_EW2, _E0)),     # indices 16..19
-    ((_E0, _EW2), (_EW, _E0)),     # indices 20..23
-)
-
-
-def rho1_of(index):
-    """2x2 Eisenstein matrix of the degree-2 representation at an element index."""
-    return RHO1[index // 4]
-
 
 # Cubic-factor matrices: d1 = det(A + B), d2 = det(A - B).  Each entry is a
 # signed sum of four coefficients, stored as (slot, sign) pairs; A slots are

@@ -28,7 +28,6 @@ from enum import Enum
 from functools import lru_cache
 
 from . import s4data
-from .detcalc import EisensteinInt
 
 NVARS = 24
 FIELD_BITS = 4
@@ -139,14 +138,15 @@ class SparsePoly:
     def __mul__(self, other):
         if isinstance(other, int):
             return SparsePoly({m: c * other for m, c in self.terms.items()})
-        degree = self.degree() + other.degree()
+        left, right = _by_grade(self.terms), _by_grade(other.terms)
+        # a grade's fields sum to the degree of its terms, as in _mono_degree
+        degree = sum(max((g % 0xFFFF for g in side), default=0) for side in (left, right))
         if degree > MAX_DEGREE:
             raise ValueError(f"product of degree {degree} exceeds the packed-monomial bound {MAX_DEGREE}")
         # the pairs of operand groups whose grades sum to each output grade
         blocks: dict = {}
-        right = _by_grade(other.terms).items()
-        for g1, left_terms in _by_grade(self.terms).items():
-            for g2, right_terms in right:
+        for g1, left_terms in left.items():
+            for g2, right_terms in right.items():
                 blocks.setdefault(g1 + g2, []).append((left_terms, right_terms))
         out: dict = {}
         for pairs in blocks.values():
@@ -406,33 +406,11 @@ def cubic_corrections(factors: SymbolicFactors | None = None):
 # symbolic determinants straight from the representation tables
 
 
-def symbolic_rep_det3(rho_table) -> SparsePoly:
-    """det(sum over g of x_g * rho(g)) for a 3x3 integer representation table."""
-    entries = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            row.append(SparsePoly.linear(
-                [(g, rho_table[g][i][j]) for g in range(24) if rho_table[g][i][j]]
-            ))
-        entries.append(row)
-    return symbolic_det(entries)
-
-
-def symbolic_rep_det2(rho_table):
-    """det(sum x_g * rho(g)) for the 2x2 Eisenstein table, as (re, omega) parts.
-
-    Entries are EisensteinInt values with SparsePoly parts.
-    """
-    entries = []
-    for i in range(2):
-        row = []
-        for j in range(2):
-            cells = [rho_table[g][i][j] for g in range(24)]
-            row.append(EisensteinInt(
-                SparsePoly.linear([(g, c.x) for g, c in enumerate(cells) if c.x]),
-                SparsePoly.linear([(g, c.y) for g, c in enumerate(cells) if c.y]),
-            ))
-        entries.append(row)
-    det = entries[0][0] * entries[1][1] - entries[0][1] * entries[1][0]
-    return det.x, det.y
+def symbolic_rep_det(rho_table) -> SparsePoly:
+    """det(sum over g of x_g * rho(g)) for a table of 24 square integer matrices."""
+    n = len(rho_table[0])
+    return symbolic_det([
+        [SparsePoly.linear([(g, m[i][j]) for g, m in enumerate(rho_table) if m[i][j]])
+         for j in range(n)]
+        for i in range(n)
+    ])

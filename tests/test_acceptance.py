@@ -32,7 +32,7 @@ from gdet import (
     synthesize,
     verify_certificate,
 )
-from gdet.sympoly import symbolic_rep_det2, symbolic_rep_det3
+from gdet.sympoly import symbolic_rep_det
 
 S4_RULE = GroupRule("S4")
 
@@ -97,10 +97,9 @@ def test_criterion_4_representation_cross_check():
     tables = default_rep_table()
     factors = build_symbolic()
     ok = rep_is_homomorphism(tables)
-    ok = ok and symbolic_rep_det3(tables.rho2) == factors.d1
-    ok = ok and symbolic_rep_det3(tables.rho3) == factors.d2
-    re_part, omega_part = symbolic_rep_det2(tables.rho1)
-    ok = ok and omega_part.is_zero() and re_part == factors.q1
+    ok = ok and symbolic_rep_det(tables.rho1) == factors.q1
+    ok = ok and symbolic_rep_det(tables.rho2) == factors.d1
+    ok = ok and symbolic_rep_det(tables.rho3) == factors.d2
     _report(4, "rho tables: homomorphism on 576 pairs, det = q1/d1/d2 symbolically",
             ok, time.perf_counter() - start, 300.0)
 

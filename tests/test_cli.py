@@ -1,11 +1,13 @@
 """CLI dispatch, exit codes, and JSON output schemas."""
 
 import contextlib
+import io
 import json
 import sys
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gdet import classify, det_exact, parse_expr, symmetric_group4, word_to_element
 from gdet.cli import run
@@ -197,6 +199,23 @@ def test_option_without_value_is_usage_error(capsys, argv):
         run(argv)
     assert exc.value.code == 2
     assert "expected one argument" in capture(capsys)[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "--ex", "-x"],
+    ["parse", "--ex=-x"],
+    ["parse", "--ex", "x"],
+    ["det", "--group", "S4", "--coef", "[" + ",".join(["0"] * 24) + "]"],
+    ["scan", "--group", "Z4", "--rang=0:1", "--exhaustive"],
+    ["lambda", "--group", "Z4", "--scan=0:1"],
+    ["verify-identities", "--i", "L_MOD2"],
+])
+def test_abbreviated_option_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    out, err = capture(capsys)
+    assert out == "" and "error:" in err
 
 
 def test_support_without_scan_range_is_error(capsys):
@@ -395,3 +414,50 @@ def test_scan_writes_integers_beyond_the_digit_limit(capsys, tmp_path):
         assert max(len(str(v)) for v, _ in report["distinct_values"]) > 4300
         last = (tmp_path / "big.jsonl").read_text().splitlines()[-1]
         assert json.loads(last) == report
+
+
+# every --json command prints one JSON object that carries its schema tag, in
+# canonical form, so re-serializing it reproduces the line; scan prints its
+# report, whose tag is the `format` field it shares with the report files
+_TABLE_ORDERS = {"S4": 24, "A4": 12, "Z4": 4, "K4": 4, "D:6": 6, "Z7": 7}
+_RULES = ["S4", "A4", "D8", "K4", "Zp:7", "Z2p:5", "Z4", "Z9", "S3"]
+_WORDS = ["1", "x", "y", "x^2", "x*y", "y*x^3"]
+
+
+def _det_command(group):
+    n = _TABLE_ORDERS[group]
+    return st.lists(st.integers(-5, 5), min_size=n, max_size=n).map(
+        lambda c: ("gdet-det/1", ["det", "--group", group, "--coeffs", json.dumps(c), "--json"]))
+
+
+_JSON_COMMANDS = st.one_of(
+    st.sampled_from(sorted(_TABLE_ORDERS)).flatmap(_det_command),
+    st.builds(lambda group, m: ("gdet-member/1", ["member", "--group", group, str(m)]),
+              st.sampled_from(_RULES), st.integers(-10**6, 10**6)),
+    st.builds(lambda group: ("gdet-lambda/1", ["lambda", "--group", group, "--json"]),
+              st.sampled_from(_RULES)),
+    st.builds(lambda m: ("gdet-witness/1", ["witness", str(m)]), st.integers(-3000, 3000)),
+    st.builds(lambda group, lo, width, count, seed: (
+        "gdet-scan-report", ["scan", "--group", group, f"--range={lo}:{lo + width}",
+                             "--random", str(count), "--seed", str(seed), "--json"]),
+              st.sampled_from(sorted(_TABLE_ORDERS)), st.integers(-3, 1), st.integers(0, 3),
+              st.integers(1, 20), st.integers(0, 1000)),
+    st.lists(st.tuples(st.integers(-5, 5), st.sampled_from(_WORDS)), min_size=1, max_size=4).map(
+        lambda terms: ("gdet-parse/1", ["parse", "--expr",
+                                        " + ".join(f"({c})*{w}" for c, w in terms), "--json"])),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_JSON_COMMANDS)
+def test_json_output_is_one_tagged_canonical_object(command):
+    tag, argv = command
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1) and err.getvalue() == ""
+    line = out.getvalue()
+    assert line.endswith("\n") and line.count("\n") == 1
+    obj = json.loads(line)
+    assert obj.get("schema", obj.get("format")) == tag
+    assert json.dumps(obj, sort_keys=True, separators=(",", ":")) == line[:-1]

@@ -3,13 +3,13 @@
 import random
 import re
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gdet import (
-    EisensteinInt,
     build_group,
     convolve,
     default_rep_table,
@@ -204,35 +204,16 @@ def test_cubic_matrices_match_displayed(family_id):
     assert [m2[0:3], m2[3:6], m2[6:9]] == want2
 
 
-# -- Eisenstein integers and the quadratic factor
+# -- the quadratic factor
 
 
-def test_eisenstein_arithmetic():
-    w = EisensteinInt(0, 1)
-    w2 = w * w
-    assert w2 == EisensteinInt(-1, -1)
-    assert w * w2 == EisensteinInt(1, 0)  # w^3 = 1
-    assert (EisensteinInt(1, 0) + w + w2) == EisensteinInt(0, 0)
-    assert EisensteinInt(2, 3).norm() == 4 - 6 + 9
-
-
-def test_eisenstein_norm_nonnegative():
-    rng = random.Random(17)
-    for _ in range(500):
-        z = EisensteinInt(rng.randint(-50, 50), rng.randint(-50, 50))
-        assert z.norm() >= 0
-
-
-def test_q1_via_eisenstein_norm(s4):
+def test_q1_is_det_of_rho1(s4):
+    rho1 = default_rep_table().rho1
     rng = random.Random(41)
-    w = EisensteinInt(0, 1)
-    w2 = w * w
     for _ in range(200):
-        e = ring_element(s4, [rng.randint(-9, 9) for _ in range(24)])
-        p = s4_factors(e)
-        zu = EisensteinInt(p.u1, 0) + w.scale(p.u2) + w2.scale(p.u3)
-        zv = EisensteinInt(p.v1, 0) + w.scale(p.v2) + w2.scale(p.v3)
-        assert p.q1 == zu.norm() - zv.norm()
+        c = [rng.randint(-9, 9) for _ in range(24)]
+        m = [[sum(c[g] * rho1[g][i][j] for g in range(24)) for j in range(2)] for i in range(2)]
+        assert det_int(m) == s4_factors(ring_element(s4, c)).q1
 
 
 def test_valuation():
@@ -298,20 +279,35 @@ def test_rep_factor_check_accepts_correct_tables():
     assert rep_factor_check()
 
 
-def test_rep_factor_check_detects_swapped_entries():
+# swapping rho1 at (12) and (34), indices 20 and 21, would change nothing: both
+# act on the pairings as the same transposition, so rho1 swaps (134) and (143)
+@pytest.mark.parametrize("name, i, j", [("rho1", 4, 8), ("rho2", 20, 21), ("rho3", 20, 21)],
+                         ids=["rho1", "rho2", "rho3"])
+def test_rep_factor_check_detects_swapped_entries(name, i, j):
     t = default_rep_table()
-    rho2 = list(t.rho2)
-    rho2[20], rho2[21] = rho2[21], rho2[20]  # swap the (12) and (34) matrices
-    broken = RepTable(rho1=t.rho1, rho2=tuple(rho2), rho3=t.rho3)
+    rho = list(getattr(t, name))
+    rho[i], rho[j] = rho[j], rho[i]
+    broken = replace(t, **{name: tuple(rho)})
+    assert getattr(broken, name) != getattr(t, name)
     assert not rep_factor_check(broken)
 
 
-def test_rep_factor_check_detects_sign_flip():
+@pytest.mark.parametrize("name", ["rho1", "rho2", "rho3"])
+def test_rep_factor_check_detects_sign_flip(name):
     t = default_rep_table()
-    rho2 = list(t.rho2)
-    rho2[5] = tuple(tuple(-x for x in row) for row in rho2[5])
-    broken = RepTable(rho1=t.rho1, rho2=tuple(rho2), rho3=t.rho3)
+    rho = list(getattr(t, name))
+    rho[5] = tuple(tuple(-x for x in row) for row in rho[5])
+    broken = replace(t, **{name: tuple(rho)})
+    assert getattr(broken, name) != getattr(t, name)
     assert not rep_is_homomorphism(broken)
+    assert not rep_factor_check(broken)
+
+
+def test_rep_factor_check_detects_exchanged_cubic_tables():
+    # both are homomorphisms, so only the symbolic determinants tell them apart
+    t = default_rep_table()
+    broken = RepTable(rho1=t.rho1, rho2=t.rho3, rho3=t.rho2)
+    assert rep_is_homomorphism(broken)
     assert not rep_factor_check(broken)
 
 

@@ -18,7 +18,7 @@ from gdet import (
     s4_factors,
     symbolic_det,
 )
-from gdet.sympoly import _grade, _mono_degree, _residual, pack_monomial, symbolic_rep_det3
+from gdet.sympoly import _grade, _mono_degree, _residual, pack_monomial, symbolic_rep_det
 
 
 def a(i):
@@ -123,10 +123,12 @@ def test_symbolic_det_identity_matrix():
 
 
 def test_symbolic_det_matches_cubic_factor():
-    # building d1 straight from the representation table reproduces it
+    # the determinants straight from the representations reproduce q1, d1 and d2
     f = build_symbolic()
-    assert symbolic_rep_det3(default_rep_table().rho2) == f.d1
-    assert symbolic_rep_det3(default_rep_table().rho3) == f.d2
+    t = default_rep_table()
+    assert symbolic_rep_det(t.rho1) == f.q1
+    assert symbolic_rep_det(t.rho2) == f.d1
+    assert symbolic_rep_det(t.rho3) == f.d2
 
 
 @pytest.mark.parametrize("identity", list(IdentityId))
