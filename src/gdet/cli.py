@@ -240,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("member", help="decide membership in an attainable set")
     p.add_argument("--group", required=True, help="rule name, e.g. S4, A4, D8, Zp:7")
     p.add_argument("m", type=int)
-    p.set_defaults(func=_cmd_member, json=True)
+    p.add_argument("--json", action="store_true", help="accepted for uniformity; the output is JSON")
+    p.set_defaults(func=_cmd_member)
 
     p = command("lambda", help="smallest non-trivial |determinant|")
     p.add_argument("--group", required=True)
@@ -251,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("witness", help="synthesize an S4 witness certificate")
     p.add_argument("m", type=int)
-    p.set_defaults(func=_cmd_witness, json=True)
+    p.add_argument("--json", action="store_true", help="accepted for uniformity; the output is JSON")
+    p.set_defaults(func=_cmd_witness)
 
     p = command("verify-identities", help="check the factor congruence identities")
     p.add_argument("--id", help="check a single identity by name")

@@ -215,8 +215,22 @@ def _space_size(cfg: ScanConfig, order: int) -> int:
     return size
 
 
+def _worker_count() -> int:
+    """GDET_THREADS, a positive decimal integer (1 when unset or empty), capped at the CPU count."""
+    text = os.environ.get("GDET_THREADS", "")
+    if not text:
+        return 1
+    digits = text.lstrip("0")
+    if not (text.isascii() and text.isdigit()) or not digits:
+        raise ValueError(f"GDET_THREADS must be a positive integer, got {text!r}")
+    cpus = os.cpu_count() or 1
+    # more digits than the CPU count means larger; int() refuses past 4300 digits
+    return cpus if len(digits) > len(str(cpus)) else min(int(digits), cpus)
+
+
 def scan(cfg: ScanConfig) -> ScanReport:
     """Run a scan, optionally in parallel, and persist it if an output is set."""
+    workers = _worker_count()
     g = build_group(cfg.group)
     classify.parse_rule(cfg.group)  # fail early if no decider exists
     size = _space_size(cfg, g.order)
@@ -224,7 +238,6 @@ def scan(cfg: ScanConfig) -> ScanReport:
         (cfg, start, min(start + SHARD_SIZE, size))
         for start in range(0, size, SHARD_SIZE)
     ] or [(cfg, 0, 0)]
-    workers = min(int(os.environ.get("GDET_THREADS", "1") or "1"), os.cpu_count() or 1)
     if workers > 1 and len(shards) > 1:
         import multiprocessing
 

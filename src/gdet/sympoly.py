@@ -32,6 +32,7 @@ from . import s4data
 NVARS = 24
 FIELD_BITS = 4
 MAX_DEGREE = (1 << FIELD_BITS) - 1  # a field's largest exponent and bit mask; the product bound
+_B_VARS = range(12, NVARS)  # b1..b12
 
 # masks for summing the 24 exponent fields: nibbles into bytes, then bytes into 16-bit words
 _NIBBLES_LOW = int("0f" * (NVARS // 2), 16)
@@ -367,12 +368,16 @@ def _residual(id_: IdentityId, f: SymbolicFactors):
 
 
 def check_identity(id_: IdentityId, factors: SymbolicFactors | None = None) -> IdentityReport:
-    """Verify one congruence identity exactly over the integers, then reduce."""
+    """Verify one congruence identity exactly over the integers, then reduce.
+
+    PROD_MOD4 is first proved from D1_EXPANSION and the b -> -b symmetry
+    (`_prod_mod4_by_symmetry`); only when that proof does not apply is the
+    product `d1*d2` expanded, and then it alone decides.
+    """
     f = factors or build_symbolic()
     t0 = time.perf_counter()
     if id_ is IdentityId.D1_EXPANSION:
-        residual = f.d1 - f.l1 * (f.q1 + 2 * f.u * f.v + 2 * f.w)
-        quotient, bad = residual.divide_exact(4)
+        quotient, bad = _d1_quotient(f)
         holds = not bad and quotient.is_homogeneous(3)
         return IdentityReport(
             identity=id_,
@@ -381,6 +386,9 @@ def check_identity(id_: IdentityId, factors: SymbolicFactors | None = None) -> I
             elapsed=time.perf_counter() - t0,
             quotient=quotient,
         )
+    if id_ is IdentityId.PROD_MOD4 and _prod_mod4_by_symmetry(f):
+        return IdentityReport(identity=id_, holds=True, residual_term_count=0,
+                              elapsed=time.perf_counter() - t0)
     residual, modulus = _residual(id_, f)
     reduced = residual.reduce_mod(modulus)
     return IdentityReport(
@@ -391,15 +399,47 @@ def check_identity(id_: IdentityId, factors: SymbolicFactors | None = None) -> I
     )
 
 
+def _d1_quotient(f: SymbolicFactors):
+    """(C, residual monomials) of (d1 - l1*X) / 4 with X = q1 + 2*(uv + w): D1_EXPANSION."""
+    x = f.q1 + 2 * (f.u * f.v + f.w)
+    return (f.d1 - f.l1 * x).divide_exact(4)
+
+
+def _mirror(p: SparsePoly) -> SparsePoly:
+    """sigma: the substitution b -> -b of the twelve b variables."""
+    return p.negate_vars(_B_VARS)
+
+
+def _prod_mod4_by_symmetry(f: SymbolicFactors) -> bool:
+    """A proof of d1*d2 = l1*l2*q1^2 (mod 4) that never forms d1*d2.
+
+    It checks four exact identities: d1 - l1*X is divisible by 4, so
+    d1 = l1*X + 4*C with C integral; sigma(d1) = d2; sigma(l1) = l2; and
+    sigma(q1) = q1.  Then d2 = l2*sigma(X) + 4*sigma(C), and
+
+        d1*d2 - l1*l2*q1^2 = l1*l2*(X*sigma(X) - q1^2)
+                             + 4*(l1*X*sigma(C) + l2*sigma(X)*C + 4*C*sigma(C)).
+
+    With X = q1 + 2Y, X*sigma(X) = q1^2 + 2*q1*(Y + sigma(Y)) + 4*Y*sigma(Y),
+    and Y + sigma(Y) is twice the part of Y of even degree in b, so the whole
+    difference is 4 times an integer polynomial.  No condition on Y is needed.
+
+    The proof is sufficient, not necessary: False only means it does not
+    apply, and the caller must expand the product to decide.
+    """
+    _, bad = _d1_quotient(f)
+    return (not bad and _mirror(f.d1) == f.d2 and _mirror(f.l1) == f.l2
+            and _mirror(f.q1) == f.q1)
+
+
 def cubic_corrections(factors: SymbolicFactors | None = None):
-    """The cubic C with d1 = l1*(q1 + 2uv + 2w) + 4*C, and its b -> -b mirror."""
+    """The cubic C with d1 = l1*(q1 + 2uv + 2w) + 4*C, and its b -> -b mirror sigma(C)."""
     f = factors or build_symbolic()
     report = check_identity(IdentityId.D1_EXPANSION, f)
     if not report.holds:
         raise ArithmeticError("cubic correction is not divisible by 4")
     c_ab = report.quotient
-    c_a_negb = c_ab.negate_vars(range(12, 24))
-    return c_ab, c_a_negb
+    return c_ab, _mirror(c_ab)
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,20 @@ def test_witness_non_member(capsys):
     assert payload["member"] is False
 
 
+@pytest.mark.parametrize("argv", [
+    ["member", "--group", "S4", "5"],
+    ["member", "--group", "S4", "512"],
+    ["witness", "5"],
+    ["witness", "512"],
+])
+def test_json_flag_leaves_json_only_output_unchanged(capsys, argv):
+    code = run(argv)
+    plain = capture(capsys)
+    json.loads(plain[0])
+    assert run(argv + ["--json"]) == code
+    assert capture(capsys) == plain
+
+
 def test_verify_identities_all(capsys):
     assert run(["verify-identities"]) == 0
     out, _ = capture(capsys)

@@ -1,11 +1,13 @@
 """Scan harness: exhaustive oracles, reproducibility, persistence."""
 
+import contextlib
 import dataclasses
 import hashlib
 import itertools
 import json
 import multiprocessing
 import random
+import types
 
 import pytest
 
@@ -237,6 +239,31 @@ def test_threads_capped_at_cpu_count(monkeypatch, cpus, want):
     monkeypatch.setattr(harness, "SHARD_SIZE", 10)
     monkeypatch.setenv("GDET_THREADS", "64")
     assert scan(ScanConfig(**cfg)).to_json() == serial.to_json()
+    assert sizes == want
+
+
+@pytest.mark.parametrize("threads", ["0", "-3", "abc", "00", "+2", " 2", "1.5", "²"])
+def test_bad_thread_count_is_rejected(monkeypatch, capsys, threads):
+    monkeypatch.setenv("GDET_THREADS", threads)
+    with pytest.raises(ValueError, match="GDET_THREADS"):
+        scan(ScanConfig(group="Z4", lo=0, hi=1, mode="exhaustive"))
+    assert run(["scan", "--group", "Z4", "--range=0:1", "--exhaustive"]) == 2
+    assert "GDET_THREADS must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads, want", [("", []), ("1", []), ("02", [2]), ("9" * 5000, [2])])
+def test_thread_count_accepts_positive_decimals(monkeypatch, threads, want):
+    sizes = []
+
+    def recording_pool(processes):
+        sizes.append(processes)
+        return contextlib.nullcontext(types.SimpleNamespace(map=lambda fn, items: list(map(fn, items))))
+
+    monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "SHARD_SIZE", 10)
+    monkeypatch.setenv("GDET_THREADS", threads)
+    assert scan(ScanConfig(group="Z4", lo=0, hi=1, mode="exhaustive")).total == 16
     assert sizes == want
 
 

@@ -1,5 +1,6 @@
 """Sparse polynomial engine and the congruence identity suite."""
 
+import dataclasses
 import hashlib
 import random
 from operator import add
@@ -18,7 +19,15 @@ from gdet import (
     s4_factors,
     symbolic_det,
 )
-from gdet.sympoly import _grade, _mono_degree, _residual, pack_monomial, symbolic_rep_det
+from gdet import sympoly
+from gdet.sympoly import (
+    _grade,
+    _mono_degree,
+    _prod_mod4_by_symmetry,
+    _residual,
+    pack_monomial,
+    symbolic_rep_det,
+)
 
 
 def a(i):
@@ -155,6 +164,70 @@ def test_prod_mod4_products_are_pinned():
     residual, modulus = _residual(IdentityId.PROD_MOD4, f)
     assert modulus == 4 and len(residual) == 167820
     assert _digest(residual) == "b47180181eb470efd0c023ca97b183b098c809413c6d49fee491077a61e7fc68"
+    # the brute-force oracle for the proof that check_identity uses instead
+    assert residual.reduce_mod(4).is_zero()
+
+
+def test_prod_mod4_proof_applies_to_the_factors(monkeypatch):
+    f = build_symbolic()
+    assert _prod_mod4_by_symmetry(f)
+
+    def no_expansion(id_, factors):
+        raise AssertionError(f"{id_.name} expanded its residual")
+
+    monkeypatch.setattr(sympoly, "_residual", no_expansion)
+    report = check_identity(IdentityId.PROD_MOD4, f)
+    assert report.holds and report.residual_term_count == 0
+
+
+def _vanish_outside(p, keep):
+    """p with every variable outside keep set to 0, that is without the terms that contain one."""
+    mask = sum(0xF << (4 * i) for i in range(24) if i not in keep)
+    return SparsePoly({m: c for m, c in p.terms.items() if not m & mask})
+
+
+@pytest.fixture(scope="module")
+def small_factors():
+    """The factors with all but a1, a2, a5, a6, a9, a10 and b1, b2, b5, b6, b9, b10 set to 0.
+
+    Setting variables to 0 is a ring map that commutes with b -> -b, so these
+    factors keep every identity of the suite, and d1*d2 has 268 by 268 terms
+    where the full one has 1832 by 1832.
+    """
+    keep = {0, 1, 4, 5, 8, 9, 12, 13, 16, 17, 20, 21}
+    f = build_symbolic()
+    small = dataclasses.replace(
+        f, **{field.name: _vanish_outside(getattr(f, field.name), keep)
+              for field in dataclasses.fields(f)})
+    assert len(small.d1) == 268 and _prod_mod4_by_symmetry(small)
+    return small
+
+
+_A1B1 = a(1) * b(1)  # odd in b
+# each perturbation breaks at least one step of the PROD_MOD4 proof; d2=d1,
+# l2=l1, division and sigma(q1) break only the step they name, so the proof
+# without that step would wrongly accept them
+_PROD_MOD4_PERTURBATIONS = {
+    "d2=d1": lambda f: {"d2": f.d1},  # sigma(d1) = d2
+    "l2=l1": lambda f: {"l2": f.l1},  # sigma(l1) = l2
+    "q1+a1b1": lambda f: {"q1": f.q1 + _A1B1},
+    "w+a1^2": lambda f: {"w": f.w + a(1) * a(1)},  # w is not in the PROD_MOD4 residual
+    "d1+a1^3": lambda f: {"d1": f.d1 + a(1) ** 3},
+    "division": lambda f: {"d1": f.d1 + a(1) ** 3, "d2": f.d2 + a(1) ** 3},  # (d1 - l1*X) / 4
+    "sigma(q1)": lambda f: {"q1": f.q1 + _A1B1, "d1": f.d1 + f.l1 * _A1B1,
+                            "d2": f.d2 - f.l2 * _A1B1},  # sigma(q1) = q1
+}
+
+
+@pytest.mark.parametrize("case", list(_PROD_MOD4_PERTURBATIONS))
+def test_prod_mod4_falls_back_to_the_expansion(small_factors, case):
+    broken = dataclasses.replace(small_factors, **_PROD_MOD4_PERTURBATIONS[case](small_factors))
+    assert not _prod_mod4_by_symmetry(broken)
+    report = check_identity(IdentityId.PROD_MOD4, broken)
+    reduced = _residual(IdentityId.PROD_MOD4, broken)[0].reduce_mod(4)
+    assert (report.holds, report.residual_term_count) == (reduced.is_zero(), len(reduced))
+    # a step that fails is never a failure by itself: the expansion decides
+    assert report.holds == (case == "w+a1^2")
 
 
 def test_identity_perturbation_fails():
