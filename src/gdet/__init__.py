@@ -30,6 +30,7 @@ from .ring import (
 from .detcalc import (
     FactorProfile,
     RepTable,
+    cofactor_det,
     default_rep_table,
     det_exact,
     det_int,
@@ -47,7 +48,6 @@ from .sympoly import (
     build_symbolic,
     check_identity,
     cubic_corrections,
-    symbolic_det,
 )
 from .classify import GroupRule, MembershipVerdict, lambda_of, member, parse_rule
 from .witness import (
@@ -71,11 +71,11 @@ __all__ = [
     "word_to_element", "parse_gen_word",
     "RingElement", "ParseError", "convolve", "identity_element", "parse_expr",
     "ring_element", "element_from_json",
-    "FactorProfile", "RepTable", "default_rep_table",
+    "FactorProfile", "RepTable", "cofactor_det", "default_rep_table",
     "det_exact", "det_int", "group_matrix", "rep_factor_check",
     "rep_is_homomorphism", "s4_det_fast", "s4_factors", "valuation",
     "IdentityId", "IdentityReport", "SparsePoly", "build_symbolic",
-    "check_identity", "cubic_corrections", "symbolic_det",
+    "check_identity", "cubic_corrections",
     "GroupRule", "MembershipVerdict", "lambda_of", "member", "parse_rule",
     "FAMILIES", "FAMILY_IDS", "NotInSet", "SynthesisExhausted",
     "WitnessCertificate", "WitnessFamily", "family", "synthesize",

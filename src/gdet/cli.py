@@ -157,10 +157,12 @@ def _cmd_verify_identities(args) -> int:
 def _cmd_scan(args) -> int:
     if args.full and args.out is None:
         raise ValueError("--full needs --out")  # the records are only ever written to a file
+    if args.seed is not None and args.random is None:
+        raise ValueError("--seed needs --random")
     lo, hi = _parse_range(args.range)
     if args.random is not None:
         cfg = harness.ScanConfig(group=args.group, lo=lo, hi=hi, mode="random",
-                                 count=args.random, seed=args.seed,
+                                 count=args.random, seed=args.seed or 0,
                                  out=args.out, full=args.full)
     else:
         cfg = harness.ScanConfig(group=args.group, lo=lo, hi=hi, mode="exhaustive",
@@ -266,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--random", type=int, metavar="COUNT")
     mode.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="seed of a --random scan (default 0)")
     p.add_argument("--out", help="persist report as JSONL + CSV at this path")
     p.add_argument("--full", action="store_true", help="persist one record per vector")
     p.add_argument("--json", action="store_true")

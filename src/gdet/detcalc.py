@@ -8,15 +8,20 @@ use.  For S4 the kernel is the paper's factored form
     D = l1 * l2 * q1^2 * d1^3 * d2^3
 
 through the five irreducible factors.  The two routes are independent and
-are tested against each other.  `s4_factors` reports every factor and every
-intermediate quantity used by the congruence analysis (quartet sums, u, v,
-w, the six-term forms A_i and B_i, and 2-/3-adic valuations).
+are tested against each other.  `s4_forms` writes the factors and every
+intermediate of the congruence analysis (quartet sums, u, v, w and the
+six-term forms A_i and B_i) once, over any ring: `s4_factors` evaluates it
+on integers, with the 2-/3-adic valuations, and `sympoly.build_symbolic` on
+polynomial variables.  Bareiss elimination checks its values, and the
+representations computed from the permutations its polynomials
+(`rep_factor_check`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
 from functools import lru_cache
+from typing import Generic, TypeVar
 
 from . import s4data
 from .groups import GroupTable, _s4_perms_and_names, symmetric_group4
@@ -89,16 +94,25 @@ def valuation(m: int, p: int):
 
 
 # ---------------------------------------------------------------------------
-# the quadratic factor
+# the S4 factor forms, over any ring
 
 
-def quadratic_form(x: int, y: int, z: int) -> int:
+def quadratic_form(x, y, z):
     """x^2 + y^2 + z^2 - xy - yz - zx, the norm of x + y*w + z*w^2."""
     return x * x + y * y + z * z - x * y - y * z - z * x
 
 
-# ---------------------------------------------------------------------------
-# factored S4 evaluation
+def cofactor_det(m):
+    """Determinant of a flat row-major 1x1, 2x2 or 3x3 matrix over any ring, by cofactors."""
+    if len(m) == 9:
+        a, b, c, d, e, f, g, h, i = m
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if len(m) == 4:
+        a, b, c, d = m
+        return a * d - b * c
+    if len(m) == 1:
+        return m[0]
+    raise ValueError(f"a cofactor determinant takes 1, 4 or 9 entries, got {len(m)}")
 
 
 def _compile_cells(table, offset):
@@ -135,36 +149,67 @@ def cubic_matrices(c):
     return plus, minus
 
 
-def det3(m) -> int:
-    """Determinant of a flat row-major 3x3 matrix, by cofactor expansion."""
-    a, b, c, d, e, f, g, h, i = m
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+R = TypeVar("R")
 
 
 @dataclass(frozen=True)
-class FactorProfile:
-    """The five S4 factor values plus every intermediate of the analysis."""
+class S4Forms(Generic[R]):
+    """The five S4 factors and the auxiliary forms of the congruence analysis, in one ring.
 
-    l1: int
-    l2: int
-    q1: int
-    d1: int
-    d2: int
-    u1: int
-    u2: int
-    u3: int
-    v1: int
-    v2: int
-    v3: int
-    u: int
-    v: int
-    w: int
-    A1: int
-    A2: int
-    A3: int
-    B1: int
-    B2: int
-    B3: int
+    u1..u3 and v1..v3 are the sums of the six quartets a1-a4, ..., b9-b12;
+    u and v their totals; A_i and B_i the six-term forms of s4data, and
+    w = u1*B1 + u2*B2 + u3*B3 + v1*A1 + v2*A2 + v3*A3.
+    """
+
+    l1: R
+    l2: R
+    q1: R
+    d1: R
+    d2: R
+    u1: R
+    u2: R
+    u3: R
+    v1: R
+    v2: R
+    v3: R
+    u: R
+    v: R
+    w: R
+    A1: R
+    A2: R
+    A3: R
+    B1: R
+    B2: R
+    B3: R
+
+
+def s4_forms(c) -> dict:
+    """The `S4Forms` fields, by name, of 24 S4 coefficients c.
+
+    The entries may be of any ring with +, - and *, mixed with ints: integers
+    give the values of `s4_factors`, polynomial variables the polynomials of
+    `sympoly.build_symbolic`.
+    """
+    u1, u2, u3, v1, v2, v3 = (sum(c[lo:lo + 4]) for lo in range(0, 24, 4))
+    u = u1 + u2 + u3
+    v = v1 + v2 + v3
+    m1, m2 = cubic_matrices(c)
+    a1, a2, a3 = (sum(c[i] for i in idx) for idx in s4data.A_FORMS)
+    b1, b2, b3 = (sum(c[i + 12] for i in idx) for idx in s4data.B_FORMS)
+    return dict(
+        l1=u + v, l2=u - v,
+        q1=quadratic_form(u1, u2, u3) - quadratic_form(v1, v2, v3),
+        d1=cofactor_det(m1), d2=cofactor_det(m2),
+        u1=u1, u2=u2, u3=u3, v1=v1, v2=v2, v3=v3, u=u, v=v,
+        w=u1 * b1 + u2 * b2 + u3 * b3 + v1 * a1 + v2 * a2 + v3 * a3,
+        A1=a1, A2=a2, A3=a3, B1=b1, B2=b2, B3=b3,
+    )
+
+
+@dataclass(frozen=True)
+class FactorProfile(S4Forms[int]):
+    """The S4 forms of an integer element, its determinant and that value's 2-/3-adic valuations."""
+
     det: int
     val2: int | None
     val3: int | None
@@ -176,31 +221,9 @@ class FactorProfile:
 def s4_factors(e: RingElement) -> FactorProfile:
     if e.group.kind != "S4":
         raise ValueError("factor profile is defined for S4 elements only")
-    c = e.coeffs
-    u1, u2, u3, v1, v2, v3 = (sum(c[lo:lo + 4]) for lo in range(0, 24, 4))
-    u = u1 + u2 + u3
-    v = v1 + v2 + v3
-    l1 = u + v
-    l2 = u - v
-    q1 = quadratic_form(u1, u2, u3) - quadratic_form(v1, v2, v3)
-    m1, m2 = cubic_matrices(c)
-    d1 = det3(m1)
-    d2 = det3(m2)
-    forms_a = [sum(c[i] for i in idx) for idx in s4data.A_FORMS]
-    forms_b = [sum(c[i + 12] for i in idx) for idx in s4data.B_FORMS]
-    w = (
-        u1 * forms_b[0] + u2 * forms_b[1] + u3 * forms_b[2]
-        + v1 * forms_a[0] + v2 * forms_a[1] + v3 * forms_a[2]
-    )
-    det = l1 * l2 * q1 * q1 * d1 ** 3 * d2 ** 3
-    return FactorProfile(
-        l1=l1, l2=l2, q1=q1, d1=d1, d2=d2,
-        u1=u1, u2=u2, u3=u3, v1=v1, v2=v2, v3=v3,
-        u=u, v=v, w=w,
-        A1=forms_a[0], A2=forms_a[1], A3=forms_a[2],
-        B1=forms_b[0], B2=forms_b[1], B3=forms_b[2],
-        det=det, val2=valuation(det, 2), val3=valuation(det, 3),
-    )
+    f = s4_forms(e.coeffs)
+    det = f["l1"] * f["l2"] * f["q1"] ** 2 * f["d1"] ** 3 * f["d2"] ** 3
+    return FactorProfile(**f, det=det, val2=valuation(det, 2), val3=valuation(det, 3))
 
 
 def s4_det_fast(e: RingElement) -> int:

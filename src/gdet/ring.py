@@ -267,16 +267,26 @@ def _array(obj, key):
 
 
 def element_from_json(obj, group: GroupTable) -> RingElement:
-    """Build an element from a flat coefficient list or an {"a":…, "b":…} object."""
+    """Build an element from a flat coefficient list or an object.
+
+    An object holds "coeffs" alone or, for S4 only, "a" with "b", and may
+    name its "group"; any other key is an error.
+    """
     if isinstance(obj, list):
         return ring_element(group, obj)
     if isinstance(obj, dict):
         kind = obj.get("group", group.kind)
         if kind != group.kind:
             raise ValueError(f"element is for group {kind!r}, expected {group.kind!r}")
-        if "coeffs" in obj:
+        keys = obj.keys() - {"group"}
+        unknown = sorted(keys - {"coeffs", "a", "b"})
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r} in element object")
+        if "coeffs" in keys:
+            if keys != {"coeffs"}:
+                raise ValueError(f"key {min(keys - {'coeffs'})!r} conflicts with 'coeffs'")
             return ring_element(group, _array(obj, "coeffs"))
-        if group.kind == "S4" and "a" in obj and "b" in obj:
+        if group.kind == "S4" and keys == {"a", "b"}:
             a, b = _array(obj, "a"), _array(obj, "b")
             if len(a) != 12 or len(b) != 12:
                 raise ValueError("S4 element needs 12 'a' and 12 'b' coefficients")

@@ -8,16 +8,18 @@ degree at most 15 and raises beyond it; no exponent is ever wrapped.
 
 A product is accumulated one block at a time.  The grade of a monomial is the
 degrees of its six quartets of variables, a1-a4, a5-a8, a9-a12, b1-b4, b5-b8
-and b9-b12 (the Klein-coset quartets of `_quartets`), packed one per 16-bit
-field.  Grades add under multiplication, so each operand's terms are grouped
-by grade and every output grade is summed in its own small dict from the
-pairs of groups whose grades add up to it.  Those dicts stay in cache where
-one dict of the whole product would not.
+and b9-b12 (whose sums are the forms u1..u3 and v1..v3), packed one per
+16-bit field.  Grades add under multiplication, so each operand's terms are
+grouped by grade and every output grade is summed in its own small dict from
+the pairs of groups whose grades add up to it.  Those dicts stay in cache
+where one dict of the whole product would not.
 
 Coefficients are exact integers; `reduce_mod(m)` reduces them into [0, m).
-This is enough to state the quadratic and cubic factors symbolically and to
-verify, as exact polynomial identities, the congruences that the membership
-classification rests on.
+`build_symbolic` evaluates the S4 forms of `detcalc.s4_forms`, the one text
+that also gives the integer profile of `s4_factors`, on the 24 variables, and
+the identity suite verifies, as exact polynomial identities, the congruences
+that the membership classification rests on.  Bareiss elimination and the
+representations computed from the permutations check that text.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from . import s4data
+from .detcalc import S4Forms, cofactor_det, s4_forms
 
 NVARS = 24
 FIELD_BITS = 4
@@ -129,6 +131,8 @@ class SparsePoly:
 
     def __add__(self, other):
         return self._combine(other, 1)
+
+    __radd__ = __add__  # so that sum() can start from 0
 
     def __sub__(self, other):
         return self._combine(other, -1)
@@ -243,83 +247,29 @@ class SparsePoly:
         return f"SparsePoly({len(self.terms)} terms, degree {self.degree()})"
 
 
-def symbolic_det(entries) -> SparsePoly:
-    """Cofactor-expansion determinant of a 1x1, 2x2 or 3x3 polynomial matrix."""
-    n = len(entries)
-    if any(len(row) != n for row in entries):
-        raise ValueError("matrix is not square")
-    if n == 1:
-        return entries[0][0]
-    if n == 2:
-        return entries[0][0] * entries[1][1] - entries[0][1] * entries[1][0]
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = entries
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    raise ValueError("symbolic determinants only go up to 3x3")
-
-
 # ---------------------------------------------------------------------------
 # the named factor polynomials
 
 
 @dataclass(frozen=True)
-class SymbolicFactors:
-    l1: SparsePoly
-    l2: SparsePoly
-    q1: SparsePoly
-    d1: SparsePoly
-    d2: SparsePoly
-    u: SparsePoly
-    v: SparsePoly
-    w: SparsePoly
-    A1: SparsePoly
-    A2: SparsePoly
-    A3: SparsePoly
-    B1: SparsePoly
-    B2: SparsePoly
-    B3: SparsePoly
+class SymbolicFactors(S4Forms["SparsePoly"]):
+    """The S4 forms as polynomials in the 24 coefficient variables."""
 
+    @cached_property
+    def d1_quotient(self):
+        """(C, residual monomials) of (d1 - l1*X) / 4 with X = q1 + 2*(uv + w): D1_EXPANSION.
 
-def _quartets():
-    us = [SparsePoly.linear([(i, 1) for i in range(lo, lo + 4)]) for lo in (0, 4, 8)]
-    vs = [SparsePoly.linear([(i, 1) for i in range(lo, lo + 4)]) for lo in (12, 16, 20)]
-    return us, vs
-
-
-def _q_form(x, y, z):
-    return x * x + y * y + z * z - x * y - y * z - z * x
+        Computed once per factor set; a copy made with `dataclasses.replace`
+        computes its own.
+        """
+        x = self.q1 + 2 * (self.u * self.v + self.w)
+        return (self.d1 - self.l1 * x).divide_exact(4)
 
 
 @lru_cache(maxsize=None)
 def build_symbolic() -> SymbolicFactors:
-    """Construct l1, l2, q1, d1, d2 and the auxiliary forms as polynomials."""
-    us, vs = _quartets()
-    u = us[0] + us[1] + us[2]
-    v = vs[0] + vs[1] + vs[2]
-    l1 = u + v
-    l2 = u - v
-    q1 = _q_form(*us) - _q_form(*vs)
-    mat_a = [
-        [SparsePoly.linear(s4data.A_ENTRIES[i][j]) for j in range(3)]
-        for i in range(3)
-    ]
-    mat_b = [
-        [SparsePoly.linear([(i12 + 12, s) for i12, s in s4data.B_ENTRIES[i][j]]) for j in range(3)]
-        for i in range(3)
-    ]
-    d1 = symbolic_det([[mat_a[i][j] + mat_b[i][j] for j in range(3)] for i in range(3)])
-    d2 = symbolic_det([[mat_a[i][j] - mat_b[i][j] for j in range(3)] for i in range(3)])
-    forms_a = [SparsePoly.linear([(i, 1) for i in idx]) for idx in s4data.A_FORMS]
-    forms_b = [SparsePoly.linear([(i + 12, 1) for i in idx]) for idx in s4data.B_FORMS]
-    w = (
-        us[0] * forms_b[0] + us[1] * forms_b[1] + us[2] * forms_b[2]
-        + vs[0] * forms_a[0] + vs[1] * forms_a[1] + vs[2] * forms_a[2]
-    )
-    return SymbolicFactors(
-        l1=l1, l2=l2, q1=q1, d1=d1, d2=d2, u=u, v=v, w=w,
-        A1=forms_a[0], A2=forms_a[1], A3=forms_a[2],
-        B1=forms_b[0], B2=forms_b[1], B3=forms_b[2],
-    )
+    """The forms of `detcalc.s4_forms` on the 24 coefficient variables."""
+    return SymbolicFactors(**s4_forms([SparsePoly.var(i) for i in range(NVARS)]))
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +327,7 @@ def check_identity(id_: IdentityId, factors: SymbolicFactors | None = None) -> I
     f = factors or build_symbolic()
     t0 = time.perf_counter()
     if id_ is IdentityId.D1_EXPANSION:
-        quotient, bad = _d1_quotient(f)
+        quotient, bad = f.d1_quotient
         holds = not bad and quotient.is_homogeneous(3)
         return IdentityReport(
             identity=id_,
@@ -397,12 +347,6 @@ def check_identity(id_: IdentityId, factors: SymbolicFactors | None = None) -> I
         residual_term_count=len(reduced),
         elapsed=time.perf_counter() - t0,
     )
-
-
-def _d1_quotient(f: SymbolicFactors):
-    """(C, residual monomials) of (d1 - l1*X) / 4 with X = q1 + 2*(uv + w): D1_EXPANSION."""
-    x = f.q1 + 2 * (f.u * f.v + f.w)
-    return (f.d1 - f.l1 * x).divide_exact(4)
 
 
 def _mirror(p: SparsePoly) -> SparsePoly:
@@ -427,7 +371,7 @@ def _prod_mod4_by_symmetry(f: SymbolicFactors) -> bool:
     The proof is sufficient, not necessary: False only means it does not
     apply, and the caller must expand the product to decide.
     """
-    _, bad = _d1_quotient(f)
+    _, bad = f.d1_quotient
     return (not bad and _mirror(f.d1) == f.d2 and _mirror(f.l1) == f.l2
             and _mirror(f.q1) == f.q1)
 
@@ -449,8 +393,7 @@ def cubic_corrections(factors: SymbolicFactors | None = None):
 def symbolic_rep_det(rho_table) -> SparsePoly:
     """det(sum over g of x_g * rho(g)) for a table of 24 square integer matrices."""
     n = len(rho_table[0])
-    return symbolic_det([
-        [SparsePoly.linear([(g, m[i][j]) for g, m in enumerate(rho_table) if m[i][j]])
-         for j in range(n)]
-        for i in range(n)
+    return cofactor_det([
+        SparsePoly.linear([(g, m[i][j]) for g, m in enumerate(rho_table) if m[i][j]])
+        for i in range(n) for j in range(n)
     ])

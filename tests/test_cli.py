@@ -238,6 +238,21 @@ def test_support_without_scan_range_is_error(capsys):
     assert out == "" and "--support needs --scan-range" in err
 
 
+@pytest.mark.parametrize("seed", ["7", "-7", "0"])
+def test_seed_without_random_is_error(capsys, seed):
+    assert run(["scan", "--group", "Z4", "--range=0:1", "--exhaustive", "--seed", seed]) == 2
+    out, err = capture(capsys)
+    assert out == "" and "--seed needs --random" in err
+
+
+def test_random_scan_seed_defaults_to_zero(capsys):
+    argv = ["scan", "--group", "Z4", "--range=-1:1", "--random", "50", "--json"]
+    assert run(argv) == 0
+    default = capture(capsys)[0]
+    assert run(argv + ["--seed", "0"]) == 0
+    assert capture(capsys)[0] == default
+
+
 def test_scan_full_without_out_is_error(capsys):
     argv = ["scan", "--group", "S4", "--range=-1:1", "--random", "5", "--full"]
     assert run(argv) == 2

@@ -24,7 +24,7 @@ from gdet import (
     s4_factors,
     valuation,
 )
-from gdet.detcalc import RepTable, cubic_matrices, det3, kernel_for, quadratic_form
+from gdet.detcalc import RepTable, cofactor_det, cubic_matrices, kernel_for, quadratic_form
 
 
 def test_det_int_small_cases():
@@ -54,7 +54,9 @@ def test_det3_matches_elimination():
     rng = random.Random(6)
     for _ in range(200):
         m = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
-        assert det3([x for row in m for x in row]) == det_int(m)
+        assert cofactor_det([x for row in m for x in row]) == det_int(m)
+        assert cofactor_det(m[0][:2] + m[1][:2]) == det_int([row[:2] for row in m[:2]])
+        assert cofactor_det([m[0][0]]) == det_int([m[0][:1]])
 
 
 def test_det_int_rejects_non_square():

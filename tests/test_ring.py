@@ -174,6 +174,8 @@ def test_element_from_ab_object(s4):
         {"group": "S4", "a": 5, "b": 6},
         {"a": None, "b": None},
         {"coeffs": 5},
+        {"a": [0] * 12, "b": [0] * 12, "extra": 5},
+        {"coeffs": [0] * 24, "a": [1]},
     ],
 )
 def test_element_from_json_rejects(s4, obj):

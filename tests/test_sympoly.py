@@ -13,13 +13,14 @@ from gdet import (
     SparsePoly,
     build_symbolic,
     check_identity,
+    cofactor_det,
     cubic_corrections,
     default_rep_table,
     ring_element,
     s4_factors,
-    symbolic_det,
 )
 from gdet import sympoly
+from gdet.detcalc import S4Forms
 from gdet.sympoly import (
     _grade,
     _mono_degree,
@@ -107,28 +108,23 @@ def test_symbolic_point_examples():
 
 
 def test_symbolic_evaluation_matches_integer_profiles(s4):
+    # the polynomials and the integer profile are one text, s4_forms, in two rings
     f = build_symbolic()
     rng = random.Random(61)
     for _ in range(100):
         point = [rng.randint(-6, 6) for _ in range(24)]
         p = s4_factors(ring_element(s4, point))
-        assert f.l1.evaluate(point) == p.l1
-        assert f.l2.evaluate(point) == p.l2
-        assert f.q1.evaluate(point) == p.q1
-        assert f.d1.evaluate(point) == p.d1
-        assert f.d2.evaluate(point) == p.d2
-        assert f.u.evaluate(point) == p.u
-        assert f.v.evaluate(point) == p.v
-        assert f.w.evaluate(point) == p.w
+        for field in dataclasses.fields(S4Forms):
+            assert getattr(f, field.name).evaluate(point) == getattr(p, field.name), field.name
 
 
 def test_symbolic_det_identity_matrix():
     one = SparsePoly.const(1)
     zero = SparsePoly.zero()
-    eye = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
-    assert symbolic_det(eye) == one
+    assert cofactor_det([one, zero, zero, zero, one, zero, zero, zero, one]) == one
+    assert cofactor_det([one, zero, zero, one]) == one
     with pytest.raises(ValueError):
-        symbolic_det([[one, zero], [zero, one], [zero, zero]])
+        cofactor_det([one, zero, zero, one, zero, zero])
 
 
 def test_symbolic_det_matches_cubic_factor():
@@ -238,6 +234,25 @@ def test_identity_perturbation_fails():
     report = check_identity(IdentityId.PROD_MOD4, broken)
     assert not report.holds
     assert report.residual_term_count > 0
+
+
+def test_d1_quotient_is_computed_once_per_suite(monkeypatch):
+    calls = []
+    divide_exact = SparsePoly.divide_exact
+
+    def counted(self, n):
+        calls.append(n)
+        return divide_exact(self, n)
+
+    monkeypatch.setattr(SparsePoly, "divide_exact", counted)
+    build_symbolic.cache_clear()
+    f = build_symbolic()
+    assert all(check_identity(i, f).holds for i in IdentityId)
+    cubic_corrections(f)
+    assert calls == [4]
+    # a copy computes its own quotient
+    check_identity(IdentityId.D1_EXPANSION, dataclasses.replace(f))
+    assert calls == [4, 4]
 
 
 def test_d1_expansion_quotient_is_cubic():
