@@ -1,5 +1,11 @@
 """Small finite groups as immutable Cayley tables.
 
+Every table is built from a list of permutations by one builder,
+`_table_from_perms`, which also checks the group laws: Z<n> as the n
+rotations of n points, D:<2n> as r and s acting on 2n points, K4 as the
+D:4 permutations, and S4 and A4 as permutations of four points.  Each
+builder is cached, so a name is built once per process.
+
 The S4 table fixes a canonical element order: twelve even permutations
 (coefficient slots a1..a12) followed by twelve odd ones (b1..b12), each
 realized both as a generator word in x = (1234), y = (12) and as a cycle
@@ -58,6 +64,7 @@ def check_group_laws(g: GroupTable) -> None:
 
 
 def _table_from_perms(kind, perms, names):
+    """The table of `perms` under composition, with the group laws checked."""
     index = {p: i for i, p in enumerate(perms)}
     n = len(perms)
     mul = tuple(
@@ -161,54 +168,42 @@ def word_to_element(g: GroupTable, word) -> int:
 # builders
 
 
+@lru_cache(maxsize=None)
 def cyclic_group(n: int) -> GroupTable:
+    """Cyclic group of order n: g^i turns the n points k by i."""
     if n < 1 or n > MAX_ORDER:
         raise ValueError(f"cyclic group order must be in 1..{MAX_ORDER}, got {n}")
-    mul = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    inv = tuple((-i) % n for i in range(n))
-    names = tuple("e" if i == 0 else f"g^{i}" for i in range(n))
-    g = GroupTable(f"Z{n}", n, mul, inv, 0, names)
-    check_group_laws(g)
-    return g
+    perms = [tuple((k + i) % n for k in range(n)) for i in range(n)]
+    names = ["e" if i == 0 else f"g^{i}" for i in range(n)]
+    return _table_from_perms(f"Z{n}", perms, names)
 
 
+def _dihedral_perms(n: int):
+    """r^i, then s r^i, for i = 0..n-1, on the 2n points k + n*side.
+
+    r^i turns k by i and s sends k to -k and swaps the side; the swap keeps
+    the action faithful for n = 2, where k -> -k is the identity.
+    """
+    return [tuple((sign * (k + i)) % n + n * (side ^ (sign < 0))
+                  for side in (0, 1) for k in range(n))
+            for sign in (1, -1) for i in range(n)]
+
+
+@lru_cache(maxsize=None)
 def klein_group() -> GroupTable:
-    mul = tuple(tuple(i ^ j for j in range(4)) for i in range(4))
-    names = ("e", "a", "b", "ab")
-    g = GroupTable("K4", 4, mul, (0, 1, 2, 3), 0, names)
-    check_group_laws(g)
-    return g
+    """The Klein four-group, as the D:4 permutations."""
+    return _table_from_perms("K4", _dihedral_perms(2), ("e", "a", "b", "ab"))
 
 
+@lru_cache(maxsize=None)
 def dihedral_group(order: int) -> GroupTable:
-    """Dihedral group of the given (even) order 2n, n >= 2."""
+    """Dihedral group of the given (even) order 2n, n >= 2: r^i, then s r^i."""
     if order % 2 or order < 4 or order > MAX_ORDER:
         raise ValueError(f"dihedral order must be even, in 4..{MAX_ORDER}, got {order}")
     n = order // 2
-
-    # element 2*(i<n? ...) encoding: 0..n-1 are r^i, n..2n-1 are s r^i
-    def prod(a, b):
-        fa, ia = divmod(a, n)[0], a % n
-        fb, ib = divmod(b, n)[0], b % n
-        if fa == 0 and fb == 0:
-            return (ia + ib) % n
-        if fa == 0 and fb == 1:
-            return n + (ib - ia) % n
-        if fa == 1 and fb == 0:
-            return n + (ia + ib) % n
-        return (ib - ia) % n
-
-    mul = tuple(tuple(prod(i, j) for j in range(2 * n)) for i in range(2 * n))
-    inv_list = []
-    for i in range(2 * n):
-        inv_list.append(next(j for j in range(2 * n) if mul[i][j] == 0))
-    names = tuple(
-        ("e" if i == 0 else f"r^{i}") if i < n else ("s" if i == n else f"s r^{i - n}")
-        for i in range(2 * n)
-    )
-    g = GroupTable(f"D{order}", 2 * n, mul, tuple(inv_list), 0, names)
-    check_group_laws(g)
-    return g
+    names = ["e" if i == 0 else f"r^{i}" for i in range(n)]
+    names += ["s" if i == 0 else f"s r^{i}" for i in range(n)]
+    return _table_from_perms(f"D{order}", _dihedral_perms(n), names)
 
 
 def _s4_perms_and_names():
@@ -240,8 +235,7 @@ def _s4_perms_and_names():
 @lru_cache(maxsize=None)
 def symmetric_group4() -> GroupTable:
     perms, names = _s4_perms_and_names()
-    g = _table_from_perms("S4", perms, names)
-    return g
+    return _table_from_perms("S4", perms, names)
 
 
 @lru_cache(maxsize=None)

@@ -21,7 +21,7 @@ phi(d)/2-square determinant whose cells are linear in the autocorrelations
 of A and B (`_real_cells`).  The groups use them as follows:
 
 - Z<n> and D:<2n>: the builders on the coefficients themselves;
-- K4: its four characters;
+- K4: the D:4 blocks, since `groups.klein_group` is the D:4 table;
 - A4: A4 / K4 = Z3 on the three Klein cosets, and the A half of the S4
   cubic matrices, cubed;
 - S4: the paper's factorization l1 * l2 * q1^2 * d1^3 * d2^3, where
@@ -165,14 +165,6 @@ def _dihedral_blocks(a, b):
     return blocks
 
 
-def _klein_blocks():
-    """The four characters of K4, whose product is XOR of the indices."""
-    return [
-        ("det", [{f"c{s}": 1 if bin(s & t).count("1") % 2 == 0 else -1 for s in range(4)}], 1)
-        for t in range(4)
-    ]
-
-
 def _cubic_cells(b_sign):
     """The 3x3 matrix A + b_sign * B of the S4 cubic factors, flat row-major, as linear forms."""
     weights = (1, 1, -1, -1, b_sign, b_sign, -b_sign, -b_sign)
@@ -271,10 +263,8 @@ def kernel(kind: str):
         blocks += [("det", _cubic_cells(1), 3), ("det", _cubic_cells(-1), 3)]
     elif kind == "A4":  # A4 / K4 = Z3, and the A half of the cubic matrices
         blocks = _cyclic_blocks(quartets) + [("det", _cubic_cells(0), 3)]
-    elif kind == "K4":
-        blocks = _klein_blocks()
-    elif m.group(1) == "Z":
-        blocks = _cyclic_blocks(slots)
-    else:
+    elif kind == "K4" or m.group(1) == "D":  # K4 has the D:4 table
         blocks = _dihedral_blocks(slots[:order // 2], slots[order // 2:])
+    else:
+        blocks = _cyclic_blocks(slots)
     return _compile(kind, order, blocks)

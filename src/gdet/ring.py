@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .groups import GroupTable, S4_ALPHA_INDEX, S4_BETA_INDEX
+from .groups import GroupTable, S4_ALPHA_INDEX, S4_BETA_INDEX, build_group
 
 MAX_EXPONENT = 4096
 # parentheses and unary minus signs open at once; each level costs the
@@ -123,7 +123,8 @@ def element_power(a: RingElement, e: int) -> RingElement:
 # expression parser
 #
 # grammar (standard precedence, ^ binds tightest, then *, then + and -;
-# * and +,- associate left, ^ right; implicit multiplication is invalid):
+# * and +,- associate left; a factor takes at most one exponent, so powers
+# do not chain and x^2^3 is an error; implicit multiplication is invalid):
 #
 #   expr   := term (('+' | '-') term)*
 #   term   := factor ('*' factor)*
@@ -270,14 +271,18 @@ def element_from_json(obj, group: GroupTable) -> RingElement:
     """Build an element from a flat coefficient list or an object.
 
     An object holds "coeffs" alone or, for S4 only, "a" with "b", and may
-    name its "group"; any other key is an error.
+    name its "group" by any name of the same table (see `groups.resolve_name`);
+    any other key is an error.
     """
     if isinstance(obj, list):
         return ring_element(group, obj)
     if isinstance(obj, dict):
-        kind = obj.get("group", group.kind)
-        if kind != group.kind:
-            raise ValueError(f"element is for group {kind!r}, expected {group.kind!r}")
+        if "group" in obj:
+            name = obj["group"]
+            if not isinstance(name, str):
+                raise ValueError(f"element 'group' must be a group name, got {name!r}")
+            if build_group(name).kind != group.kind:
+                raise ValueError(f"element is for group {name!r}, expected {group.kind!r}")
         keys = obj.keys() - {"group"}
         unknown = sorted(keys - {"coeffs", "a", "b"})
         if unknown:

@@ -9,7 +9,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gdet import classify, det_exact, parse_expr, symmetric_group4, word_to_element
+from gdet import build_group, classify, det_exact, parse_expr, symmetric_group4, word_to_element
 from gdet.cli import run
 from gdet.ring import MAX_NESTING
 
@@ -338,6 +338,16 @@ def test_det_rejects_non_integer_coeffs(capsys, coeffs):
 def test_det_accepts_big_integer_coeffs(capsys):
     assert run(["det", "--group", "Z4", "--coeffs", f"[{2**70}, 0, 0, 0]"]) == 0
     assert capture(capsys)[0].strip() == str(2**280)
+
+
+@pytest.mark.parametrize("group, name", [
+    ("D:8", "D:8"), ("D:8", "D8"), ("D8", "D:8"), ("K4", "Klein4"), ("Klein4", "K4"),
+    ("Z7", "Zn:7"), ("S3", "S3"), ("S3", "D:6"), ("D:6", "S3"),
+])
+def test_det_element_group_may_be_any_name_of_the_table(capsys, group, name):
+    order = build_group(group).order
+    coeffs = json.dumps({"group": name, "coeffs": [1, 1] + [0] * (order - 2)})
+    assert run(["det", "--group", group, "--coeffs", coeffs]) == 0
 
 
 # Every README group name and alias: (name, order, has a table, rule it decides with).

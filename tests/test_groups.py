@@ -1,5 +1,7 @@
 """Group tables: laws, the canonical S4 order, and generator words."""
 
+import hashlib
+
 import pytest
 
 from gdet import (
@@ -112,3 +114,32 @@ def test_group_matrix_rows_are_permutations(s4):
         assert sorted(mat[i][j] for i in range(24)) == list(range(24))
     # row of the identity element is the coefficients reordered by inverse
     assert mat[0] == [coeffs[s4.inv[j]] for j in range(24)]
+
+
+# sha256 over repr((kind, order, mul, inv, identity_index, names)) of every
+# table below, in this order, as the modular, XOR and case-by-case dihedral
+# tables gave them before every table was built from permutations
+PINNED_NAMES = ([f"Z{n}" for n in range(1, 65)] + [f"D:{n}" for n in range(4, 65, 2)]
+                + ["K4", "A4", "S4"])
+PINNED_DIGEST = "ba6cdefab62778955944d5067910f088605ab11757a9ce6886d1947422bd0212"
+
+
+def test_tables_match_pinned_digest():
+    h = hashlib.sha256()
+    for name in PINNED_NAMES:
+        g = build_group(name)
+        h.update(repr((g.kind, g.order, g.mul, g.inv, g.identity_index, g.names)).encode())
+    assert h.hexdigest() == PINNED_DIGEST
+
+
+def test_klein_table_is_the_d4_table():
+    # the K4 kernel is the D:4 blocks, which needs the same multiplication
+    k4, d4 = klein_group(), dihedral_group(4)
+    assert (k4.mul, k4.inv) == (d4.mul, d4.inv)
+
+
+@pytest.mark.parametrize("first, second", [
+    ("K4", "Klein4"), ("D:8", "D8"), ("D:6", "S3"), ("Z7", "Zn:7"), ("Z9", "Z9"), ("S4", "S4"),
+])
+def test_build_group_returns_one_object_per_table(first, second):
+    assert build_group(first) is build_group(second)

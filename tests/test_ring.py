@@ -119,7 +119,7 @@ def test_parse_monomials_reduce(s4):
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "x y", "1 +", "(1 + x", "x ^ y", "x^-2", "z", "1 ** 2", "()"],
+    ["", "x y", "1 +", "(1 + x", "x ^ y", "x^-2", "z", "1 ** 2", "()", "x^2^3"],
 )
 def test_parse_errors_carry_position(s4, bad):
     with pytest.raises((ParseError, ValueError)) as err:
@@ -176,6 +176,11 @@ def test_element_from_ab_object(s4):
         {"coeffs": 5},
         {"a": [0] * 12, "b": [0] * 12, "extra": 5},
         {"coeffs": [0] * 24, "a": [1]},
+        {"group": "D6", "coeffs": [0] * 24},
+        {"group": 5, "coeffs": [0] * 24},
+        {"group": "Zp:7", "coeffs": [0] * 24},
+        {"group": None, "coeffs": [0] * 24},
+        {"group": "Z99", "coeffs": [0] * 24},
     ],
 )
 def test_element_from_json_rejects(s4, obj):
