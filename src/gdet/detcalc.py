@@ -12,7 +12,10 @@ are tested against each other.  `s4_forms` writes the factors and every
 intermediate of the congruence analysis (quartet sums, u, v, w and the
 six-term forms A_i and B_i) once, over any ring: `s4_factors` evaluates it
 on integers, with the 2-/3-adic valuations, and `sympoly.build_symbolic` on
-polynomial variables.  Bareiss elimination checks its values, and the
+polynomial variables.  The cubic matrices of d1 and d2 are derived from the
+canonical permutations, through their signed action on three vectors of
+Z^4 (`_signed_action`), which also gives rho1's action on the pairings.
+Bareiss elimination checks the values of `s4_forms`, and the
 representations computed from the permutations its polynomials
 (`rep_factor_check`).
 """
@@ -24,7 +27,7 @@ from functools import lru_cache
 from typing import Generic, TypeVar
 
 from . import s4data
-from .groups import GroupTable, _s4_perms_and_names, symmetric_group4
+from .groups import GroupTable, _invert, _s4_perms_and_names, symmetric_group4
 from .ring import RingElement
 
 
@@ -115,27 +118,45 @@ def cofactor_det(m):
     raise ValueError(f"a cofactor determinant takes 1, 4 or 9 entries, got {len(m)}")
 
 
-def _compile_cells(table, offset):
-    """Flatten an s4data (slot, sign) table into one (plus, plus, minus, minus) tuple per cell.
+# S4 permutes these three vectors of Z^4 up to sign: each is +1 on one pair of
+# points and -1 on the other, for the pairings 12|34, 14|23 and 13|24
+_PAIRING_VECTORS = ((1, 1, -1, -1), (-1, 1, 1, -1), (1, -1, 1, -1))
 
-    Cells are listed row-major and slots are shifted by `offset` into the
-    flat 24-slot coefficient vector.
+
+def _signed_action(p):
+    """(r, sign) for each k, with p.w_k = sign * w_r for the `_PAIRING_VECTORS` w.
+
+    The permutation p moves coordinate i to p[i].  This is the signed
+    permutation matrix of p on the w: +-1 at (r, k), 0 elsewhere.
     """
-    cells = []
-    for row in table:
-        for entries in row:
-            plus = tuple(i + offset for i, sign in entries if sign == 1)
-            minus = tuple(i + offset for i, sign in entries if sign == -1)
-            if len(plus) != 2 or len(minus) != 2:
-                raise AssertionError(f"cell {entries} is not two plus and two minus slots")
-            cells.append(plus + minus)
-    return cells
+    signed = {tuple(s * x for x in w): (r, s)
+              for r, w in enumerate(_PAIRING_VECTORS) for s in (1, -1)}
+    inverse = _invert(p)
+    action = []
+    for w in _PAIRING_VECTORS:
+        image = tuple(w[i] for i in inverse)
+        if image not in signed:
+            raise AssertionError(f"{p} sends {w} to {image}, which is no signed pairing vector")
+        action.append(signed[image])
+    return tuple(action)
 
 
-# per cell of the cubic matrices: the A cell's slots, then the B cell's slots
-_CUBIC_CELLS = tuple(
-    a + b for a, b in zip(_compile_cells(s4data.A_ENTRIES, 0), _compile_cells(s4data.B_ENTRIES, 12))
-)
+def _derive_cubic_cells():
+    """Per cell of the cubic matrices, row-major, the slots of A's cell, then of B's.
+
+    d1 = det(A + B) and d2 = det(A - B).  Cell (r, k) of A (of B) holds the
+    even (odd) slots whose signed action is +1 at (r, k), then those where
+    it is -1: two of each.
+    """
+    actions = [_signed_action(p) for p in _s4_perms_and_names()[0]]
+    return tuple(
+        tuple(i for lo in (0, 12) for sign in (1, -1) for i in range(lo, lo + 12)
+              if actions[i][k] == (r, sign))
+        for r in range(3) for k in range(3)
+    )
+
+
+_CUBIC_CELLS = _derive_cubic_cells()
 
 
 def cubic_matrices(c):
@@ -276,20 +297,6 @@ def _sum_zero_action(p):
     )
 
 
-# the three ways to split the four points into two pairs: 12|34, 13|24, 14|23
-_PAIRINGS = tuple(
-    frozenset({frozenset({0, k}), frozenset({1, 2, 3} - {k})}) for k in (1, 2, 3)
-)
-
-
-def _pairing_perm(p):
-    """The permutation of `_PAIRINGS` induced by the permutation p of four points."""
-    return tuple(
-        _PAIRINGS.index(frozenset(frozenset(p[i] for i in pair) for pair in pairing))
-        for pairing in _PAIRINGS
-    )
-
-
 @lru_cache(maxsize=None)
 def default_rep_table() -> RepTable:
     """The three representations, derived from the canonical S4 permutations.
@@ -299,7 +306,7 @@ def default_rep_table() -> RepTable:
     odd permutations are the canonical indices 12..23.
     """
     perms, _ = _s4_perms_and_names()
-    rho1 = tuple(_sum_zero_action(_pairing_perm(p)) for p in perms)
+    rho1 = tuple(_sum_zero_action(tuple(r for r, _ in _signed_action(p))) for p in perms)
     rho2 = tuple(_sum_zero_action(p) for p in perms)
     rho3 = rho2[:12] + tuple(tuple(tuple(-x for x in row) for row in m) for m in rho2[12:])
     return RepTable(rho1=rho1, rho2=rho2, rho3=rho3)

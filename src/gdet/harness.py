@@ -237,7 +237,7 @@ def scan(cfg: ScanConfig) -> ScanReport:
     shards = [
         (cfg, start, min(start + SHARD_SIZE, size))
         for start in range(0, size, SHARD_SIZE)
-    ] or [(cfg, 0, 0)]
+    ]
     if workers > 1 and len(shards) > 1:
         import multiprocessing
 

@@ -122,9 +122,11 @@ def element_power(a: RingElement, e: int) -> RingElement:
 # ---------------------------------------------------------------------------
 # expression parser
 #
-# grammar (standard precedence, ^ binds tightest, then *, then + and -;
-# * and +,- associate left; a factor takes at most one exponent, so powers
-# do not chain and x^2^3 is an error; implicit multiplication is invalid):
+# grammar (a unary minus binds tightest, to the atom right after it, so -2^2
+# is (-2)^2 = 4 and -x^2 is (-x)^2 = x^2, while 1 - x^2 subtracts x^2; then
+# ^, then *, then + and -; * and +,- associate left; a factor takes at most
+# one exponent, so powers do not chain and x^2^3 is an error; implicit
+# multiplication is invalid):
 #
 #   expr   := term (('+' | '-') term)*
 #   term   := factor ('*' factor)*

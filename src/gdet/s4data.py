@@ -1,4 +1,4 @@
-"""Canonical S4 data: element order, generator words, the cubic-factor matrices.
+"""Canonical S4 data: element order, generator words and cycle labels, the six-term forms.
 
 Everything here is keyed by the canonical element index 0..23: the twelve
 even permutations first (coefficient slots a1..a12), then the twelve odd
@@ -67,45 +67,6 @@ ODD_NAMES = (
     "(34)",
     "(1324)",
     "(1423)",
-)
-
-# Cubic-factor matrices: d1 = det(A + B), d2 = det(A - B).  Each entry is a
-# signed sum of four coefficients, stored as (slot, sign) pairs; A slots are
-# a-indices 0..11, B slots are b-indices 0..11 (add 12 for the flat vector).
-A_ENTRIES = (
-    (
-        ((0, 1), (1, -1), (2, -1), (3, 1)),
-        ((8, 1), (9, 1), (10, -1), (11, -1)),
-        ((4, -1), (5, 1), (6, -1), (7, 1)),
-    ),
-    (
-        ((4, 1), (5, -1), (6, -1), (7, 1)),
-        ((0, 1), (1, -1), (2, 1), (3, -1)),
-        ((8, -1), (9, 1), (10, 1), (11, -1)),
-    ),
-    (
-        ((8, -1), (9, 1), (10, -1), (11, 1)),
-        ((4, -1), (5, -1), (6, 1), (7, 1)),
-        ((0, 1), (1, 1), (2, -1), (3, -1)),
-    ),
-)
-
-B_ENTRIES = (
-    (
-        ((8, 1), (9, 1), (10, -1), (11, -1)),
-        ((0, -1), (1, 1), (2, -1), (3, 1)),
-        ((4, -1), (5, 1), (6, 1), (7, -1)),
-    ),
-    (
-        ((0, 1), (1, -1), (2, -1), (3, 1)),
-        ((4, 1), (5, 1), (6, -1), (7, -1)),
-        ((8, 1), (9, -1), (10, 1), (11, -1)),
-    ),
-    (
-        ((4, -1), (5, 1), (6, -1), (7, 1)),
-        ((8, 1), (9, -1), (10, -1), (11, 1)),
-        ((0, -1), (1, -1), (2, 1), (3, 1)),
-    ),
 )
 
 # Slot index lists (within the a- or b-half) for the six-term linear forms

@@ -108,7 +108,6 @@ class WitnessCertificate:
 
 
 def _element_from_trail(trail) -> RingElement:
-    g = symmetric_group4()
     elem = None
     for fid, k in trail:
         part, _ = family(fid, k)

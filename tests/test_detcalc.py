@@ -1,5 +1,6 @@
 """Exact determinants: elimination, the factored S4 form, representations."""
 
+import hashlib
 import random
 import re
 import threading
@@ -204,6 +205,34 @@ def test_cubic_matrices_match_displayed(family_id):
     want1, want2 = DISPLAYED[family_id]
     assert [m1[0:3], m1[3:6], m1[6:9]] == want1
     assert [m2[0:3], m2[3:6], m2[6:9]] == want2
+
+
+def test_cubic_cells_digest():
+    # pins all 24 slots of every cell, which the displayed matrices above cannot
+    from gdet import detcalc
+
+    digest = hashlib.sha256(repr(detcalc._CUBIC_CELLS).encode()).hexdigest()
+    assert digest == "4b7b69c297317e6d927a1eee9f9d41bfe687b3d9c472cd385fb10388529aec90"
+
+
+def test_signed_action_is_homomorphism(s4):
+    from gdet.detcalc import _signed_action
+    from gdet.groups import _s4_perms_and_names
+
+    actions = [_signed_action(p) for p in _s4_perms_and_names()[0]]
+    for i in range(24):
+        for j in range(24):
+            # j sends w_k to s1 * w_r, then i sends w_r to s2 * w_t
+            composed = tuple((actions[i][r][0], s1 * actions[i][r][1]) for r, s1 in actions[j])
+            assert actions[s4.mul[i][j]] == composed, (i, j)
+
+
+def test_signed_action_rejects_a_vector_set_s4_does_not_permute(monkeypatch):
+    from gdet import detcalc
+
+    monkeypatch.setattr(detcalc, "_PAIRING_VECTORS", ((1, 1, -1, -1), (-1, 1, 1, -1), (1, 1, 1, -3)))
+    with pytest.raises(AssertionError, match="no signed pairing vector"):
+        detcalc._signed_action((0, 1, 3, 2))  # (34)
 
 
 # -- the quadratic factor
