@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import functools
 import json
+import re
 import sys
 
 from . import classify, detcalc, harness, sympoly, witness
@@ -93,7 +94,7 @@ def _cmd_lambda(args) -> int:
         lo, hi = _parse_range(args.scan_range)
         support = None
         if args.support is not None:
-            support = tuple(int(s) for s in args.support.split(","))
+            support = tuple(integer(s) for s in args.support.split(","))
         value = harness.lambda_scan(args.group, lo, hi, support=support)
         source = "scan"
     else:
@@ -191,10 +192,24 @@ def _cmd_parse(args) -> int:
     return EXIT_OK
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def integer(text):
+    """An integer written as an optional "-" and ASCII digits.
+
+    int() alone would also take "+5", " 5", "1_0" and the digits of other
+    scripts, such as "٣".
+    """
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_range(text):
     try:
         lo, hi = text.split(":")
-        return int(lo), int(hi)
+        return integer(lo), integer(hi)
     except ValueError:
         raise ValueError(f"bad range {text!r}, expected LO:HI") from None
 
@@ -241,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("member", help="decide membership in an attainable set")
     p.add_argument("--group", required=True, help="rule name, e.g. S4, A4, D8, Zp:7")
-    p.add_argument("m", type=int)
+    p.add_argument("m", type=integer)
     p.add_argument("--json", action="store_true", help="accepted for uniformity; the output is JSON")
     p.set_defaults(func=_cmd_member)
 
@@ -253,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_lambda)
 
     p = command("witness", help="synthesize an S4 witness certificate")
-    p.add_argument("m", type=int)
+    p.add_argument("m", type=integer)
     p.add_argument("--json", action="store_true", help="accepted for uniformity; the output is JSON")
     p.set_defaults(func=_cmd_witness)
 
@@ -266,9 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True)
     p.add_argument("--range", required=True, help="entry range LO:HI")
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--random", type=int, metavar="COUNT")
+    mode.add_argument("--random", type=integer, metavar="COUNT")
     mode.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--seed", type=int, help="seed of a --random scan (default 0)")
+    p.add_argument("--seed", type=integer, help="seed of a --random scan (default 0)")
     p.add_argument("--out", help="persist report as JSONL + CSV at this path")
     p.add_argument("--full", action="store_true", help="persist one record per vector")
     p.add_argument("--json", action="store_true")

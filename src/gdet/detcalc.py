@@ -3,7 +3,7 @@
 Two routes: fraction-free (Bareiss) elimination of the group matrix, which
 works for any group table and is the oracle, and `kernel_for`, the compiled
 block kernel of any table group (`gdet.kernels`), which scans and `gdet det`
-use.  For S4 the kernel is the paper's factored form
+use; exhaustive scans run the same statements as a box walker.  For S4 the kernel is the paper's factored form
 
     D = l1 * l2 * q1^2 * d1^3 * d2^3
 
@@ -262,7 +262,7 @@ def kernel_for(g: GroupTable):
     """An exact coeffs -> int group determinant for any table `build_group` returns.
 
     It is compiled on first use for each table kind and cached; see
-    `gdet.kernels`.  This is the only fast evaluator, S4 included;
+    `gdet.kernels`.  This is the fast evaluator of one vector, S4 included;
     `group_matrix` with `det_int` stays its oracle.  The caller passes
     exactly `g.order` integer coefficients.
     """

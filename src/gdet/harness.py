@@ -132,29 +132,39 @@ def _random_vectors(seed, start, stop, n, lo, hi):
         yield tuple(coeffs)
 
 
-def _box_vectors(lo, hi, n, start, stop):
-    """Vectors start..stop-1 of the box [lo, hi]^n, in index order: the last slot runs fastest.
+def _box_blocks(lo, hi, n, start, stop):
+    """Vectors start..stop-1 of the box [lo, hi]^n as at most about 2n product blocks.
 
-    The walk starts at vector `start` itself, with no vector before it
-    generated: after it come, for each slot k from the last to the first,
-    start's values before k, a larger value in slot k and every value after k.
+    Vector j has the base-(hi - lo + 1) digits of j as its entries, so the
+    last slot runs fastest.  A block is one sequence of values per slot:
+    start's values in the first slots, a run of values in one slot, and
+    every value in the slots after it.  The blocks come in index order, and
+    no vector before `start` is generated.
     """
     values = range(lo, hi + 1)
-    digits = []
-    j = start
-    for _ in range(n):
-        j, r = divmod(j, len(values))
-        digits.append(r)
-    digits.reverse()
-    runs = (
-        itertools.product(
-            *[(values[d],) for d in digits[:k]],
-            values[digits[k] + (k < n - 1):],
-            *[values] * (n - 1 - k),
-        )
-        for k in reversed(range(n))
-    )
-    return itertools.islice(itertools.chain.from_iterable(runs), stop - start)
+    width = len(values)
+    while start < stop:
+        free = 0  # trailing slots that take every value in this block
+        while free < n and start % width ** (free + 1) == 0 and start + width ** (free + 1) <= stop:
+            free += 1
+        if free == n:
+            yield [values] * n
+            return
+        size = width ** free
+        j, digit = divmod(start // size, width)
+        prefix = []
+        for _ in range(n - 1 - free):
+            j, r = divmod(j, width)
+            prefix.append((values[r],))
+        run = min(width - digit, (stop - start) // size)
+        yield prefix[::-1] + [values[digit:digit + run]] + [values] * free
+        start += run * size
+
+
+def _box_vectors(lo, hi, n, start, stop):
+    """Vectors start..stop-1 of the box [lo, hi]^n, in index order."""
+    blocks = _box_blocks(lo, hi, n, start, stop)
+    return itertools.chain.from_iterable(itertools.product(*values) for values in blocks)
 
 
 def _shard_vectors(cfg, n, start, stop):
@@ -168,8 +178,10 @@ def _scan_shard(payload):
 
     The loop over vectors only evaluates and counts; every other statistic
     is a function of the value, so each distinct value is classified once.
-    Only when some value is rejected are the vectors walked again, to list
-    the violations in index order.
+    An exhaustive shard is counted by the kind's box walker, block by block
+    (`_box_blocks`), and the other shards by the kernel.  Only when some
+    value is rejected are the vectors walked again in index order, by the
+    kernel, to list the violations.
     """
     cfg, start, stop = payload
     g = build_group(cfg.group)
@@ -183,8 +195,15 @@ def _scan_shard(payload):
             value = evaluate(coeffs)
             records.append({"coeffs": list(coeffs), "det": value})
             counts[value] += 1
-    else:
+    elif cfg.mode == "random":
         counts.update(map(evaluate, _shard_vectors(cfg, g.order, start, stop)))
+    else:
+        from . import kernels  # imported on first use, as by `detcalc.kernel_for`
+
+        walk = kernels.walker(g.kind)
+        zeros = sum(walk(values, counts) for values in _box_blocks(cfg.lo, cfg.hi, g.order, start, stop))
+        if zeros:
+            counts[0] += zeros
     rejected = set()
     for value, n in counts.items():
         if value == 0:
@@ -299,17 +318,8 @@ def lambda_scan(group: str, lo: int, hi: int, support=None):
     width = hi - lo + 1
     if width ** len(support) > EXHAUSTIVE_LIMIT:
         raise ValueError("lambda scan range too large")
-    evaluate = detcalc.kernel_for(g)
-    # one product over every slot, fixed at 0 off the support: the result is a
-    # minimum, so the walk order cannot change it
-    vectors = itertools.product(
-        *(range(lo, hi + 1) if slot in support else (0,) for slot in range(g.order))
-    )
-    best = None
-    for coeffs in vectors:
-        value = abs(evaluate(coeffs))
-        if value >= 2 and (best is None or value < best):
-            best = value
-            if best == 2:
-                break
-    return best
+    from . import kernels
+
+    # a minimum does not depend on the order of the walk
+    return kernels.walker(g.kind, "min")(
+        [range(lo, hi + 1) if slot in support else (0,) for slot in range(g.order)])

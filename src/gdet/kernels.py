@@ -27,20 +27,31 @@ of A and B (`_real_cells`).  The groups use them as follows:
 - S4: the paper's factorization l1 * l2 * q1^2 * d1^3 * d2^3, where
   S4 / K4 = S3 = D:6 gives l1, l2 and q1, and d1, d2 are the cubic matrices.
 
-Each table kind is compiled once into one straight-line Python function:
-it unpacks the coefficients into c0, c1, ..., names each distinct linear
-form, autocorrelation and block cell once, multiplies the linear
-characters, writes determinants up to 3x3 inline and returns 0 at the first
-zero block.  Only norm blocks with phi(d) >= 8 call `det_int`.  The source
-is built from this module's integer tables alone.  `detcalc.kernel_for` is
-the entry point.
+Each table kind is turned once into one list of statements (`_program`):
+the coefficients are c0, c1, ..., each distinct linear form,
+autocorrelation and block cell is named once, the linear characters are
+multiplied, determinants up to 3x3 are written inline, and a check ends
+the evaluation at the first zero block.  Only norm blocks with
+phi(d) >= 8 call `det_int`.  The source is built from this module's
+integer tables alone.  Two renderings of the same list are compiled:
+
+- `kernel`, a straight-line coeffs -> int function, one line per
+  statement; `detcalc.kernel_for` is its entry point, for single vectors,
+  random scans and index-order walks;
+- `walker`, one nested loop per slot over a box of vectors, each statement
+  at the level of the deepest slot it reads and each sum split into a
+  chain of partial sums, so that a loop adds only the terms of its own
+  slot; exhaustive scans count with it and `lambda --scan-range` takes its
+  minimum.  Python allows at most 20 statically nested blocks, so past 16
+  slots the outer slots share one loop over their product.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from functools import lru_cache
-from math import isqrt
+from math import inf, isqrt
 
 from .detcalc import _CUBIC_CELLS, det_int
 
@@ -172,83 +183,115 @@ def _cubic_cells(b_sign):
             for cell in _CUBIC_CELLS]
 
 
-def _render(form) -> str:
-    """Python source of a linear form {name: integer weight}."""
-    terms = [(name, w) for name, w in form.items() if w]
-    if not terms:
+_ATOM = re.compile(r"-?\w+")
+
+
+def _sum(form):
+    """The terms (weight, (name,)) of a linear form {name: integer weight}."""
+    return [(w, (name,)) for name, w in form.items() if w]
+
+
+def _sum_text(terms, head=""):
+    """Python source of the sum of w * x * y * ... over (w, (x, y, ...)), added to `head` if given."""
+    out = head
+    for w, names in terms:
+        body = " * ".join(names)
+        out += (" - " if w < 0 else " + ") + (body if abs(w) == 1 else f"{abs(w)} * {body}")
+    if head:
+        return out
+    if not out:
         return "0"
-    out = ""
-    for name, w in terms:
-        out += (" - " if w < 0 else " + ") + (name if abs(w) == 1 else f"{abs(w)} * {name}")
     return out[3:] if out.startswith(" + ") else "-" + out[3:]
 
 
-def _compile(kind, order, blocks):
-    """Compile blocks (see `_cyclic_blocks`) into one straight-line coeffs -> int function."""
-    lines = []
+def _text(how, arg):
+    """Python source of the right-hand side of a statement (see `_program`)."""
+    if how == "sum":
+        return _sum_text(arg)
+    if how == "product":
+        return " * ".join(f"({_sum_text(terms)})" for terms in arg) or "1"
+    return arg[0]
+
+
+@lru_cache(maxsize=None)
+def _program(kind):
+    """The statements of a table kind's determinant: (order, statements, result).
+
+    A statement is (name, how, arg).  `how` is "sum", a sum of weighted
+    products of names (`_sum_text`); "product", a product of such sums;
+    "text", fixed source given with the names it reads; or "check", which
+    ends the evaluation with 0 when `name` is 0.  `result` is the source of
+    the determinant over the names.  The kernel writes each statement as one
+    line; the box walker places it at the loop level of the deepest slot it
+    reads (`_walker_source`).
+    """
+    order, blocks = _blocks(kind)
+    stmts = []
     known = {}
 
-    def let(expr):
+    def let(how, arg):
         """A name for an expression: a name or number as it is, else one local per distinct text."""
-        if re.fullmatch(r"-?\w+", expr):
+        expr = _text(how, arg)
+        if _ATOM.fullmatch(expr):
             return expr
         if expr not in known:
             known[expr] = f"t{len(known)}"
-            lines.append(f"    {known[expr]} = {expr}")
+            stmts.append((known[expr], how, arg))
         return known[expr]
 
     def square(cells):
         """A name for the determinant of a square matrix of linear forms, flat row-major."""
-        m = [let(_render(form)) for form in cells]
+        m = [let("sum", _sum(form)) for form in cells]
         if len(m) == 1:
             return m[0]
         if len(m) == 4:
-            return let(f"{m[0]} * {m[3]} - {m[1]} * {m[2]}")
+            return let("text", (f"{m[0]} * {m[3]} - {m[1]} * {m[2]}", m))
         if len(m) == 9:
             a, b, c, d, e, f, g, h, i = m
-            return let(f"{a} * ({e} * {i} - {f} * {h}) - {b} * ({d} * {i} - {f} * {g})"
-                       f" + {c} * ({d} * {h} - {e} * {g})")
+            return let("text", (f"{a} * ({e} * {i} - {f} * {h}) - {b} * ({d} * {i} - {f} * {g})"
+                                f" + {c} * ({d} * {h} - {e} * {g})", m))
         size = isqrt(len(m))
         rows = ", ".join(f"({', '.join(m[i:i + size])},)" for i in range(0, len(m), size))
-        return let(f"det_int(({rows},))")
+        return let("text", (f"det_int(({rows},))", m))
 
     def determinant(how, forms):
         if how == "det":
             return square(forms)
         d, a, b = forms
-        a = [let(_render(form)) for form in a]
-        b = [let(_render(form)) for form in b]
+        a = [let("sum", _sum(form)) for form in a]
+        b = [let("sum", _sum(form)) for form in b]
         cells = _real_cells(d)
         s = {}
         for m in sorted({m for cell in cells for m in cell}):  # only the s_m the cells use
-            terms = [f" + {a[k]} * {a[k + m]}" for k in range(len(a) - m)]
-            terms += [f" - {b[k]} * {b[k + m]}" for k in range(len(b) - m)]
-            s[m] = let("".join(terms)[3:])
+            terms = [(1, (a[k], a[k + m])) for k in range(len(a) - m)]
+            terms += [(-1, (b[k], b[k + m])) for k in range(len(b) - m)]
+            s[m] = let("sum", terms)
         return square([{s[m]: w for m, w in cell.items()} for cell in cells])
 
     linear, larger = [], []
     for block in blocks:
         (linear if block[0] == "det" and len(block[1]) == 1 else larger).append(block)
-    lines.append(f"    value = {' * '.join(f'({_render(forms[0])})' for _, forms, _ in linear) or '1'}")
-    lines.append("    if not value:\n        return 0")
+    stmts.append(("value", "product", [_sum(forms[0]) for _, forms, _ in linear]))
+    stmts.append(("value", "check", None))
     result = "value"
     for how, forms, power in larger:
         d = determinant(how, forms)
-        lines.append(f"    if not {d}:\n        return 0")
+        stmts.append((d, "check", None))
         result += f" * {d}" if power == 1 else f" * {d} ** {power}"
-    head = ["def kernel(c):", f"    {''.join(f'c{s}, ' for s in range(order))}= c"]
-    src = "\n".join(head + lines + [f"    return {result}", ""])
-    namespace = {"det_int": det_int}
-    exec(compile(src, f"<gdet kernel {kind}>", "exec"), namespace)
-    return namespace["kernel"]
+    return order, stmts, result
+
+
+def _compile(kind, role, src):
+    namespace = {"det_int": det_int, "product": itertools.product, "inf": inf}
+    exec(compile(src, f"<gdet {role} {kind}>", "exec"), namespace)
+    return namespace[role]
 
 
 _KIND = re.compile(r"([ZD])(\d+)")
 
 
-@lru_cache(maxsize=None)
-def kernel(kind: str):
-    """The evaluator for a table kind (`GroupTable.kind`), built once."""
+def _blocks(kind):
+    """The order of a table kind and the blocks of its determinant."""
     m = _KIND.fullmatch(kind)
     order = {"S4": 24, "A4": 12, "K4": 4}.get(kind) or (int(m.group(2)) if m else 0)
     if not order:
@@ -267,4 +310,124 @@ def kernel(kind: str):
         blocks = _dihedral_blocks(slots[:order // 2], slots[order // 2:])
     else:
         blocks = _cyclic_blocks(slots)
-    return _compile(kind, order, blocks)
+    return order, blocks
+
+
+def _kernel_source(order, stmts, result):
+    """The source of a straight-line kernel: one line per statement, in order."""
+    lines = ["def kernel(c):", f"    {''.join(f'c{s}, ' for s in range(order))}= c"]
+    for name, how, arg in stmts:
+        if how == "check":
+            lines.append(f"    if not {name}:\n        return 0")
+        else:
+            lines.append(f"    {name} = {_text(how, arg)}")
+    return "\n".join(lines + [f"    return {result}", ""])
+
+
+@lru_cache(maxsize=None)
+def kernel(kind: str):
+    """The evaluator coeffs -> int for a table kind (`GroupTable.kind`), built once."""
+    return _compile(kind, "kernel", _kernel_source(*_program(kind)))
+
+
+# Python refuses more than 20 statically nested blocks, so past this many
+# slots the outer ones share one loop over their product.
+_MAX_LOOPS = 16
+
+
+def _walker_source(order, stmts, result, slots, sink):
+    """(cost, source) of a box walker that loops over `slots`, the first outermost.
+
+    Each statement goes to the loop level of the deepest slot it reads, and a
+    sum to a chain of partial sums, one per level that has terms: so a loop
+    only adds the terms of its own slot.  A check that fails at level d skips
+    every vector below it: the count sink adds the product of the widths of
+    the deeper levels to `zeros`.  The cost is the number of operations per
+    vector when every slot takes three values.
+    """
+    outer = max(1, order - _MAX_LOOPS + 1)
+    levels = [tuple(slots[:outer])] + [(s,) for s in slots[outer:]]
+    depth = {f"c{s}": d for d, level in enumerate(levels) for s in level}
+    body = [[] for _ in levels]
+    partials = {}
+
+    def deepest(names):
+        return max((depth.get(name.lstrip("-"), 0) for name in names), default=0)
+
+    def chain(terms):
+        """(source, level) of a sum; the partial sums of the shallower levels are emitted."""
+        groups = {}
+        for term in terms:
+            groups.setdefault(deepest(term[1]), []).append(term)
+        head = ""
+        *shallow, last = sorted(groups) or [0]
+        for d in shallow:
+            head = _sum_text(groups[d], head)
+            if not _ATOM.fullmatch(head):
+                if head not in partials:
+                    partials[head] = f"p{len(partials)}"
+                    body[d].append(f"{partials[head]} = {head}")
+                head = partials[head]
+        return _sum_text(groups.get(last, []), head), last
+
+    for name, how, arg in stmts:
+        if how == "check":
+            d = deepest([name])
+            body[d].append(f"if not {name}:")
+            if sink == "count":  # the number of vectors below one iteration of level d
+                below = " * ".join(f"len(v{s})" for level in levels[d + 1:] for s in level)
+                body[d].append(f"    zeros += {below or 1}")
+            body[d].append("    continue")
+            continue
+        if how == "sum":
+            text, d = chain(arg)
+        elif how == "product":
+            factors = [chain(terms) for terms in arg]
+            d = max((d for _, d in factors), default=0)
+            text = " * ".join(f"({t})" for t, _ in factors) or "1"
+        else:
+            text, d = arg[0], deepest(arg[1])
+        depth[name] = d
+        body[d].append(f"{name} = {text}")
+    inner = body[-1]
+    if sink == "count":  # Counter.update counts a list faster than a dict update per vector
+        inner.append(f"append({result})")
+        head = ["def walk(values, counts):", "    out = []", "    append = out.append",
+                "    zeros = 0"]
+        tail = ["    counts.update(out)", "    return zeros"]
+    else:
+        inner += [f"r = {result}", "if r < 0:", "    r = -r", "if 1 < r < best:",
+                  "    if r == 2:", "        return 2", "    best = r"]
+        head = ["def walk(values):", "    best = inf"]
+        tail = ["    return best if best < inf else None"]
+    head.insert(1, f"    {''.join(f'v{s}, ' for s in range(order))}= values")
+    lines = head
+    cost = runs = 0
+    for d, level in enumerate(levels):
+        pad = "    " * (d + 1)
+        names = ", ".join(f"c{s}" for s in level)
+        source = f"product({', '.join(f'v{s}' for s in level)})" if len(level) > 1 else f"v{level[0]}"
+        lines.append(f"{pad}for {names} in {source}:")
+        lines += [f"{pad}    {line}" for line in body[d]]
+        runs += len(level)
+        cost += sum(1 + sum(map(line.count, (" + ", " - ", " * "))) for line in body[d]) * 3 ** runs
+    return cost / 3 ** runs, "\n".join(lines + tail + [""])
+
+
+@lru_cache(maxsize=None)
+def walker(kind: str, sink: str = "count"):
+    """The box walker of a table kind, built once per sink.
+
+    `values` holds one sequence of entries per slot, and the walker visits
+    every vector of their product, in an order of its own.  With sink
+    "count", `walk(values, counts)` adds each nonzero determinant to the
+    Counter `counts` and returns the number of zeros.  With sink "min",
+    `walk(values)` returns the smallest |determinant| >= 2, or None; it
+    returns 2 as soon as it meets |det| = 2.
+    """
+    order, stmts, result = _program(kind)
+    # slot 0 innermost suits the Z_p forms, which all read the last slot;
+    # the other kinds differ little, so the cheaper of the two is taken
+    _, src = min(_walker_source(order, stmts, result, slots, sink)
+                 for slots in (list(reversed(range(order))), list(range(order))))
+    return _compile(kind, "walk", src)

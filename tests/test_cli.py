@@ -232,6 +232,32 @@ def test_abbreviated_option_is_usage_error(capsys, argv):
     assert out == "" and "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["lambda", "--group", "Z12", "--scan-range=\u0660:\u0661"],  # Arabic-Indic 0:1
+    ["lambda", "--group", "Z4", "--scan-range=0:1_0"],
+    ["lambda", "--group", "Z4", "--scan-range=+0:1"],
+    ["lambda", "--group", "Z12", "--scan-range=0:1", "--support=0,1_0"],  # not slot 10
+    ["lambda", "--group", "Z4", "--scan-range=0:1", "--support=0, 1"],
+    ["member", "--group", "S4", "1_3"],
+    ["member", "--group", "S4", " 13"],
+    ["member", "--group", "S4", "+13"],
+    ["member", "--group", "S4", "\u0661\u0663"],
+    ["witness", "1_3"],
+    ["scan", "--group", "Z4", "--range=0: 1", "--exhaustive"],
+    ["scan", "--group", "Z4", "--range=0:1", "--random", "1_0"],
+    ["scan", "--group", "Z4", "--range=0:1", "--random", "10", "--seed", "\u0663"],
+])
+def test_integers_are_ascii_decimals(capsys, argv):
+    """An integer is an optional "-" and ASCII digits; anything else int() takes exits 2."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:  # argparse rejects a typed argument
+        code = exc.code
+    assert code == 2
+    out, err = capture(capsys)
+    assert out == "" and "error" in err
+
+
 def test_support_without_scan_range_is_error(capsys):
     assert run(["lambda", "--group", "S4", "--support", "0,1"]) == 2
     out, err = capture(capsys)

@@ -79,6 +79,7 @@ def test_merge_is_shard_independent():
     assert merged.total == whole.total
     assert merged.value_counts == whole.value_counts
     assert merged.residue_mod24 == whole.residue_mod24
+    assert merged.to_json() == whole.to_json()
 
 
 def _box_vector(lo, hi, n, j):
@@ -211,6 +212,44 @@ def test_scan_report_bytes_are_pinned(tmp_path):
     for ext, digest in GOLDEN_S42.items():
         path = tmp_path / f"s42.{ext}"
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, ext
+
+
+# the first 16 hex digits of the sha256 of `scan --group G --range=R --exhaustive
+# --json` as the kernel walked each box in index order, vector by vector
+GOLDEN_EXHAUSTIVE = [
+    ("K4", "-1:3", "cbad027945248edb"),
+    ("Z4", "-1:3", "c3d6ff9b0a10a4d3"),
+    ("Z5", "-1:3", "db3fce51c11e0852"),
+    ("Z7", "0:2", "e70a2b7cedbc09ac"),
+    ("Z9", "0:2", "803709dea9e2f8ec"),
+    ("D8", "0:2", "1b7f29b4b755086f"),
+    ("D:6", "-1:3", "0808f1d7f9a74562"),
+    ("S3", "-1:3", "da93b3d585097aca"),
+    ("A4", "0:1", "2b6df971fbe26004"),
+]
+
+
+@pytest.mark.parametrize("group, box, digest", GOLDEN_EXHAUSTIVE)
+def test_exhaustive_report_bytes_are_pinned(capsys, group, box, digest):
+    assert run(["scan", "--group", group, f"--range={box}", "--exhaustive", "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest
+
+
+# Z7 over [-1, 3] is 78125 vectors, four shards
+GOLDEN_Z7 = {
+    "jsonl": "b241d9817fabb53d8df7dadee7cf7cc45c10a75f866763103aa9f0e96e81c6e5",
+    "csv": "94a6d0c4f4a23b146ed82dff0e6a08eacbc0cabddb14c432d2d467aa8841a089",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_multi_shard_exhaustive_report_files_are_pinned(tmp_path, monkeypatch, threads):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setenv("GDET_THREADS", threads)
+    out = tmp_path / "z7"
+    assert run(["scan", "--group", "Z7", "--range=-1:3", "--exhaustive", "--out", str(out)]) == 0
+    for ext, digest in GOLDEN_Z7.items():
+        assert hashlib.sha256((tmp_path / f"z7.{ext}").read_bytes()).hexdigest() == digest, ext
 
 
 @pytest.mark.parametrize("cpus, want", [(2, [2]), (None, [])])
