@@ -13,7 +13,6 @@ import argparse
 import contextlib
 import functools
 import json
-import re
 import sys
 
 from . import classify, detcalc, harness, sympoly, witness
@@ -192,16 +191,9 @@ def _cmd_parse(args) -> int:
     return EXIT_OK
 
 
-_INTEGER = re.compile(r"-?[0-9]+")
-
-
 def integer(text):
-    """An integer written as an optional "-" and ASCII digits.
-
-    int() alone would also take "+5", " 5", "1_0" and the digits of other
-    scripts, such as "٣".
-    """
-    if not _INTEGER.fullmatch(text):
+    """An integer written as an optional "-" and ASCII digits (`harness.is_decimal`)."""
+    if not harness.is_decimal(text):
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
 

@@ -234,13 +234,23 @@ def _space_size(cfg: ScanConfig, order: int) -> int:
     return size
 
 
+def is_decimal(text: str) -> bool:
+    """Whether `text` is an integer written as an optional "-" and ASCII digits.
+
+    int() alone would also take "+5", " 5", "1_0" and the digits of other
+    scripts, such as "٣".
+    """
+    digits = text[1:] if text.startswith("-") else text
+    return digits.isascii() and digits.isdigit()
+
+
 def _worker_count() -> int:
     """GDET_THREADS, a positive decimal integer (1 when unset or empty), capped at the CPU count."""
     text = os.environ.get("GDET_THREADS", "")
     if not text:
         return 1
     digits = text.lstrip("0")
-    if not (text.isascii() and text.isdigit()) or not digits:
+    if text.startswith("-") or not is_decimal(text) or not digits:
         raise ValueError(f"GDET_THREADS must be a positive integer, got {text!r}")
     cpus = os.cpu_count() or 1
     # more digits than the CPU count means larger; int() refuses past 4300 digits

@@ -38,7 +38,8 @@ integer tables alone.  Two renderings of the same list are compiled:
 - `kernel`, a straight-line coeffs -> int function, one line per
   statement; `detcalc.kernel_for` is its entry point, for single vectors,
   random scans and index-order walks;
-- `walker`, one nested loop per slot over a box of vectors, each statement
+- `walker`, one nested loop per slot over a box of vectors, slot 0
+  innermost (every folded form of Z_p reads the last slot), each statement
   at the level of the deepest slot it reads and each sum split into a
   chain of partial sums, so that a loop adds only the terms of its own
   slot; exhaustive scans count with it and `lambda --scan-range` takes its
@@ -335,16 +336,16 @@ def kernel(kind: str):
 _MAX_LOOPS = 16
 
 
-def _walker_source(order, stmts, result, slots, sink):
-    """(cost, source) of a box walker that loops over `slots`, the first outermost.
+def _walker_source(order, stmts, result, sink):
+    """The source of a box walker: one loop per slot, slot 0 innermost.
 
     Each statement goes to the loop level of the deepest slot it reads, and a
     sum to a chain of partial sums, one per level that has terms: so a loop
     only adds the terms of its own slot.  A check that fails at level d skips
     every vector below it: the count sink adds the product of the widths of
-    the deeper levels to `zeros`.  The cost is the number of operations per
-    vector when every slot takes three values.
+    the deeper levels to `zeros`.
     """
+    slots = list(reversed(range(order)))  # every folded form of Z_p reads the last slot
     outer = max(1, order - _MAX_LOOPS + 1)
     levels = [tuple(slots[:outer])] + [(s,) for s in slots[outer:]]
     depth = {f"c{s}": d for d, level in enumerate(levels) for s in level}
@@ -402,16 +403,18 @@ def _walker_source(order, stmts, result, slots, sink):
         tail = ["    return best if best < inf else None"]
     head.insert(1, f"    {''.join(f'v{s}, ' for s in range(order))}= values")
     lines = head
-    cost = runs = 0
     for d, level in enumerate(levels):
         pad = "    " * (d + 1)
         names = ", ".join(f"c{s}" for s in level)
         source = f"product({', '.join(f'v{s}' for s in level)})" if len(level) > 1 else f"v{level[0]}"
         lines.append(f"{pad}for {names} in {source}:")
         lines += [f"{pad}    {line}" for line in body[d]]
-        runs += len(level)
-        cost += sum(1 + sum(map(line.count, (" + ", " - ", " * "))) for line in body[d]) * 3 ** runs
-    return cost / 3 ** runs, "\n".join(lines + tail + [""])
+    if sink == "count" and len(levels) > 3:
+        # counted after each pass of the three innermost loops, so the list
+        # never holds a heap int for every vector of a block
+        pad = "    " * (len(levels) - 2)
+        lines += [f"{pad}counts.update(out)", f"{pad}out.clear()"]
+    return "\n".join(lines + tail + [""])
 
 
 @lru_cache(maxsize=None)
@@ -425,9 +428,4 @@ def walker(kind: str, sink: str = "count"):
     `walk(values)` returns the smallest |determinant| >= 2, or None; it
     returns 2 as soon as it meets |det| = 2.
     """
-    order, stmts, result = _program(kind)
-    # slot 0 innermost suits the Z_p forms, which all read the last slot;
-    # the other kinds differ little, so the cheaper of the two is taken
-    _, src = min(_walker_source(order, stmts, result, slots, sink)
-                 for slots in (list(reversed(range(order))), list(range(order))))
-    return _compile(kind, "walk", src)
+    return _compile(kind, "walk", _walker_source(*_program(kind), sink))

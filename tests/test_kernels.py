@@ -114,26 +114,32 @@ def test_walker_compiles_for_every_kind_up_to_order_24(sink):
         assert callable(kernels.walker(kind, sink))
 
 
-# value = c0 + c1 + c2, and a block c0 - 1 that reads only slot 0: with slot 0
-# outermost, the walker skips the vectors below a zero block in one step
+# value = c0 + c1 + c2, a block c2 - 1 that reads only the outermost slot and
+# a block c1 + 1 that reads only the middle one: the walker skips the vectors
+# below a zero block in one step
 _PROGRAM = (3, [
     ("value", "product", [[(1, ("c0",)), (1, ("c1",)), (1, ("c2",))]]),
     ("value", "check", None),
-    ("t0", "sum", [(1, ("c0",)), (-1, ("1",))]),
+    ("t0", "sum", [(1, ("c2",)), (-1, ("1",))]),
     ("t0", "check", None),
-], "value * t0 ** 3")
+    ("t1", "sum", [(1, ("c1",)), (1, ("1",))]),
+    ("t1", "check", None),
+], "value * t0 ** 3 * t1")
 
 
-@pytest.mark.parametrize("slots", [[0, 1, 2], [2, 1, 0], [1, 0, 2]])
-def test_walker_counts_the_vectors_below_a_zero_block(slots):
+@pytest.mark.parametrize("values", [
+    [range(-1, 3), (5, -2, 0), range(-3, 1)],
+    [(4,), range(-2, 2), (1, 7, 1)],
+    [range(3), (-1, 2), range(0, 3)],
+])
+def test_walker_counts_the_vectors_below_a_zero_block(values):
     kernel = kernels._compile("test", "kernel", kernels._kernel_source(*_PROGRAM))
-    values = [range(-1, 3), (5, -2, 0), range(-3, 1)]
     vectors = list(itertools.product(*values))
-    walk = kernels._compile("test", "walk", kernels._walker_source(*_PROGRAM, slots, "count")[1])
+    walk = kernels._compile("test", "walk", kernels._walker_source(*_PROGRAM, "count"))
     counts = Counter()
     zeros = walk(values, counts)
     assert zeros == sum(1 for v in vectors if not kernel(v))
     counts[0] = zeros
     assert counts == Counter(map(kernel, vectors))
-    least = kernels._compile("test", "walk", kernels._walker_source(*_PROGRAM, slots, "min")[1])
+    least = kernels._compile("test", "walk", kernels._walker_source(*_PROGRAM, "min"))
     assert least(values) == min(abs(kernel(v)) for v in vectors if abs(kernel(v)) >= 2)
