@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import count
 
 from .detcalc import valuation
-from .groups import _is_prime, resolve_name
+from .groups import _is_prime, rule_spec
 
 RULE_KINDS = ("Zp", "Z2p", "Z9", "Z4", "Klein4", "D8", "S3", "A4", "S4")
 
@@ -39,8 +39,8 @@ class GroupRule:
 
 
 def parse_rule(text: str) -> GroupRule:
-    """The membership rule a group or rule name stands for (see `groups.resolve_name`)."""
-    rule = resolve_name(text)[1]
+    """The membership rule a group or rule name stands for (see `groups.rule_spec`)."""
+    rule = rule_spec(text)
     if rule is None:
         raise ValueError(f"no closed-form rule is known for {text.strip()}")
     return GroupRule(*rule)

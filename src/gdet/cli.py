@@ -299,9 +299,5 @@ def run(argv=None) -> int:
         return EXIT_ERROR
 
 
-def main(argv=None) -> int:
-    return run(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

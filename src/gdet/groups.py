@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from . import s4data
 
 MAX_ORDER = 64
+PRIME_BOUND = 1 << 64  # the parameter of a Zp or Z2p rule is below it
 
 S4_ALPHA_INDEX = 12  # x = (1234)
 S4_BETA_INDEX = 20   # y = (12)
@@ -249,29 +250,44 @@ def alternating_group4() -> GroupTable:
 # names
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
+    """Whether n is prime, for n below 2^64 (PRIME_BOUND); larger n raise ValueError.
+
+    Miller-Rabin on the twelve primes up to 37 as bases: no composite below
+    3.18e23 is a strong pseudoprime to all of them (Sorenson and Webster
+    2015), so the answer is exact.
+    """
+    if n >= PRIME_BOUND:
+        raise ValueError(f"rule parameters must be below 2^64 = {PRIME_BOUND}, got {n}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
 def _cyclic_rule(n: int):
     if n in (4, 9):
         return (f"Z{n}", None)
-    if _is_prime(n):
-        return ("Zp", n)
-    if n % 2 == 0 and n // 2 >= 3 and _is_prime(n // 2):
-        return ("Z2p", n // 2)
-    return None
+    if n % 2 == 0 and n // 2 >= 3:
+        return ("Z2p", n // 2) if _is_prime(n // 2) else None
+    return ("Zp", n) if _is_prime(n) else None
 
 
 _ALIASES = {"Klein4": "K4", "D8": "D:8", "S3": "D:6"}
@@ -280,43 +296,57 @@ _FIXED_NAMES = {
     "A4": (alternating_group4, ("A4", None)),
     "K4": (klein_group, ("Klein4", None)),
 }
-_PARAMETRIC_NAME = re.compile(r"(Z|Zn:|D:|Zp:|Z2p:)(\d+)")
+_PARAMETRIC_NAME = re.compile(r"(Z|Zn:|D:|Zp:|Z2p:)([0-9]+)")
 
 
-def resolve_name(name: str):
-    """Resolve a group or rule name to (table builder or None, rule spec or None).
+def _parse_name(name: str):
+    """(fixed name, None) or (parametric prefix, its integer) of a group or rule name.
 
-    The rule spec is a (kind, p) pair for `classify.GroupRule`.  Names:
-    "S4", "A4", "K4"/"Klein4", "S3"/"D:6", "D8"/"D:8", "D:<2n>", cyclic
-    "Z<n>"/"Zn:<n>", and the rule-only names "Zp:<p>" and "Z2p:<p>".  D:6
-    carries the S3 rule, D:8 the D8 rule, and a cyclic name the rule known
-    for its order (prime, 4, 9, or twice an odd prime), if any.  Orders and
-    primes are checked by the builder and the rule, not here.
+    Names: "S4", "A4", "K4"/"Klein4", "S3"/"D:6", "D8"/"D:8", "D:<2n>",
+    cyclic "Z<n>"/"Zn:<n>", and the rule-only names "Zp:<p>" and "Z2p:<p>".
+    A parameter is written in ASCII digits.
     """
     text = name.strip()
     text = _ALIASES.get(text, text)
     if text in _FIXED_NAMES:
-        return _FIXED_NAMES[text]
+        return text, None
     m = _PARAMETRIC_NAME.fullmatch(text)
     if not m:
         raise ValueError(f"unknown group name: {name!r}")
-    prefix, n = m.group(1), int(m.group(2))
-    if prefix == "Zp:":
-        return None, ("Zp", n)
-    if prefix == "Z2p:":
-        return None, ("Z2p", n)
+    return m.group(1), int(m.group(2))
+
+
+def rule_spec(name: str):
+    """The (kind, p) rule a name stands for, for `classify.GroupRule`, or None.
+
+    D:6 carries the S3 rule, D:8 the D8 rule, and a cyclic name the rule
+    known for its order (prime, 4, 9, or twice an odd prime), if any.  The
+    parameter of a Zp or Z2p name is checked by the rule, not here.
+    """
+    prefix, n = _parse_name(name)
+    if prefix in _FIXED_NAMES:
+        return _FIXED_NAMES[prefix][1]
+    if prefix in ("Zp:", "Z2p:"):
+        return prefix[:-1], n
     if prefix == "D:":
-        return partial(dihedral_group, n), {6: ("S3", None), 8: ("D8", None)}.get(n)
-    return partial(cyclic_group, n), _cyclic_rule(n)
+        return {6: ("S3", None), 8: ("D8", None)}.get(n)
+    return _cyclic_rule(n)
 
 
 def build_group(kind: str) -> GroupTable:
-    """Build the group table a name stands for (see `resolve_name`)."""
-    builder, rule = resolve_name(kind)
-    if builder is None:
-        rule_kind, p = rule
-        table = f"Z{p if rule_kind == 'Zp' else 2 * p}"
-        raise ValueError(
-            f"{kind.strip()!r} names a membership rule without a group table; use {table}"
-        )
-    return builder()
+    """Build the group table a name stands for (see `_parse_name`).
+
+    The builders check the order; no rule is looked up, so no cyclic order
+    is tested for primality.
+    """
+    prefix, n = _parse_name(kind)
+    if prefix in _FIXED_NAMES:
+        return _FIXED_NAMES[prefix][0]()
+    if prefix == "D:":
+        return dihedral_group(n)
+    if prefix in ("Z", "Zn:"):
+        return cyclic_group(n)
+    table = f"Z{n if prefix == 'Zp:' else 2 * n}"
+    raise ValueError(
+        f"{kind.strip()!r} names a membership rule without a group table; use {table}"
+    )

@@ -273,7 +273,7 @@ def element_from_json(obj, group: GroupTable) -> RingElement:
     """Build an element from a flat coefficient list or an object.
 
     An object holds "coeffs" alone or, for S4 only, "a" with "b", and may
-    name its "group" by any name of the same table (see `groups.resolve_name`);
+    name its "group" by any name of the same table (see `groups.build_group`);
     any other key is an error.
     """
     if isinstance(obj, list):

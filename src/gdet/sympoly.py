@@ -6,14 +6,6 @@ the product of two monomials is the sum of their keys.  A field would carry
 into the next only at exponent 16, so every product is guarded to total
 degree at most 15 and raises beyond it; no exponent is ever wrapped.
 
-A product is accumulated one block at a time.  The grade of a monomial is the
-degrees of its six quartets of variables, a1-a4, a5-a8, a9-a12, b1-b4, b5-b8
-and b9-b12 (whose sums are the forms u1..u3 and v1..v3), packed one per
-16-bit field.  Grades add under multiplication, so each operand's terms are
-grouped by grade and every output grade is summed in its own small dict from
-the pairs of groups whose grades add up to it.  Those dicts stay in cache
-where one dict of the whole product would not.
-
 Coefficients are exact integers; `reduce_mod(m)` reduces them into [0, m).
 `build_symbolic` evaluates the S4 forms of `detcalc.s4_forms`, the one text
 that also gives the integer profile of `s4_factors`, on the 24 variables, and
@@ -54,28 +46,14 @@ def pack_monomial(exponents) -> int:
     return key
 
 
-def _grade(key: int) -> int:
-    """The degrees of the six quartets a1-a4, ..., b9-b12, one per 16-bit field.
+def _mono_degree(key: int) -> int:
+    """Total degree: the sum of the 24 exponent fields.
 
-    Nibble sums into bytes, then bytes into words; a word is at most 60, so
-    the grade is additive, `_grade(m1 + m2) == _grade(m1) + _grade(m2)`,
-    whenever `m1 + m2` carries no exponent field.
+    Nibbles are summed into bytes and bytes into 16-bit words, each word at
+    most 60; `% 0xFFFF` then sums the six words, at most 360, with no carry.
     """
     key = (key & _NIBBLES_LOW) + ((key >> 4) & _NIBBLES_LOW)
-    return (key & _BYTES_LOW) + ((key >> 8) & _BYTES_LOW)
-
-
-def _mono_degree(key: int) -> int:
-    """Total degree: the sum of the six quartet degrees (at most 360, so no carry)."""
-    return _grade(key) % 0xFFFF
-
-
-def _by_grade(terms: dict) -> dict:
-    """The (monomial, coefficient) pairs of a polynomial, grouped by grade."""
-    groups: dict = {}
-    for m, c in terms.items():
-        groups.setdefault(_grade(m), []).append((m, c))
-    return groups
+    return ((key & _BYTES_LOW) + ((key >> 8) & _BYTES_LOW)) % 0xFFFF
 
 
 class SparsePoly:
@@ -143,30 +121,17 @@ class SparsePoly:
     def __mul__(self, other):
         if isinstance(other, int):
             return SparsePoly({m: c * other for m, c in self.terms.items()})
-        left, right = _by_grade(self.terms), _by_grade(other.terms)
-        # a grade's fields sum to the degree of its terms, as in _mono_degree
-        degree = sum(max((g % 0xFFFF for g in side), default=0) for side in (left, right))
+        degree = self.degree() + other.degree()
         if degree > MAX_DEGREE:
             raise ValueError(f"product of degree {degree} exceeds the packed-monomial bound {MAX_DEGREE}")
-        # the pairs of operand groups whose grades sum to each output grade
-        blocks: dict = {}
-        for g1, left_terms in left.items():
-            for g2, right_terms in right.items():
-                blocks.setdefault(g1 + g2, []).append((left_terms, right_terms))
         out: dict = {}
-        for pairs in blocks.values():
-            block: dict = {}
-            get = block.get
-            for left_terms, right_terms in pairs:
-                for m1, c1 in left_terms:
-                    for m2, c2 in right_terms:
-                        key = m1 + m2
-                        block[key] = get(key, 0) + c1 * c2
-            # output grades are distinct, so the blocks' keys are disjoint
-            out.update([(key, c) for key, c in block.items() if c])
-        result = SparsePoly()
-        result.terms = out
-        return result
+        get = out.get
+        right = other.terms.items()
+        for m1, c1 in self.terms.items():
+            for m2, c2 in right:
+                key = m1 + m2
+                out[key] = get(key, 0) + c1 * c2
+        return SparsePoly(out)
 
     __rmul__ = __mul__
 

@@ -246,6 +246,10 @@ def test_abbreviated_option_is_usage_error(capsys, argv):
     ["scan", "--group", "Z4", "--range=0: 1", "--exhaustive"],
     ["scan", "--group", "Z4", "--range=0:1", "--random", "1_0"],
     ["scan", "--group", "Z4", "--range=0:1", "--random", "10", "--seed", "\u0663"],
+    # group parameters: Arabic-Indic 7, 4 and 8
+    ["member", "--group", "Zp:\u0667", "49"],
+    ["det", "--group", "Z\u0664", "--coeffs", "[1,2,0,0]"],
+    ["member", "--group", "D:\u0668", "5"],
 ])
 def test_integers_are_ascii_decimals(capsys, argv):
     """An integer is an optional "-" and ASCII digits; anything else int() takes exits 2."""
@@ -256,6 +260,27 @@ def test_integers_are_ascii_decimals(capsys, argv):
     assert code == 2
     out, err = capture(capsys)
     assert out == "" and "error" in err
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["det", "--group", "Z1000000000000000003", "--coeffs", "[1]"], 2, "order must be in 1..64"),
+    (["lambda", "--group", "Z1000000000000000003", "--scan-range=0:1"], 2, "order must be in 1..64"),
+    (["scan", "--group", "Z1000000000000000003", "--range=0:1", "--exhaustive"], 2,
+     "order must be in 1..64"),
+    (["member", "--group", "Zp:1000000000000000003", "5"], 0, ""),
+    (["member", "--group", "Z1000000000000000003", "5"], 0, ""),
+    (["member", "--group", f"Zp:{2 ** 64 + 13}", "5"], 2, "below 2^64"),  # a prime
+])
+def test_large_group_parameters_do_not_hang(capsys, argv, code, message):
+    # 10^18 + 3 is prime, and trial division takes minutes on it; run on a
+    # daemon thread so a regression fails here instead of hanging the suite
+    outcome = []
+    worker = threading.Thread(target=lambda: outcome.append(run(argv)), daemon=True)
+    worker.start()
+    worker.join(timeout=5)
+    assert not worker.is_alive(), f"{argv} did not return"
+    assert outcome == [code]
+    assert message in capture(capsys)[1]
 
 
 def test_support_without_scan_range_is_error(capsys):

@@ -1,6 +1,7 @@
 """Group tables: laws, the canonical S4 order, and generator words."""
 
 import hashlib
+import math
 
 import pytest
 
@@ -13,7 +14,7 @@ from gdet import (
     parse_gen_word,
     word_to_element,
 )
-from gdet.groups import S4_ALPHA_INDEX, S4_BETA_INDEX, perm_from_cycles
+from gdet.groups import S4_ALPHA_INDEX, S4_BETA_INDEX, _is_prime, perm_from_cycles
 from gdet.s4data import EVEN_NAMES, EVEN_WORDS, ODD_NAMES, ODD_WORDS
 
 ALL_KINDS = ["Z1", "Z2", "Z3", "Z4", "Z9", "K4", "D8", "D:6", "A4", "S4"]
@@ -93,6 +94,33 @@ def test_word_requires_s4():
 def test_build_group_rejects(bad):
     with pytest.raises(ValueError):
         build_group(bad)
+
+
+def test_is_prime_matches_trial_division():
+    def trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    for n in range(200_000):
+        assert _is_prime(n) == trial_division(n), n
+
+
+@pytest.mark.parametrize("n, prime", [
+    # strong pseudoprimes to the bases 2; 2, 3; 2, 3, 5, 7; and 2 through 23
+    (2047, False),
+    (1373653, False),
+    (3215031751, False),
+    (3825123056546413051, False),
+    (2 ** 61 - 1, True),
+    (10 ** 18 + 3, True),
+    (2 ** 64 - 59, True),  # the largest prime below 2^64
+])
+def test_is_prime_beyond_trial_division(n, prime):
+    assert _is_prime(n) is prime
+
+
+def test_is_prime_rejects_2_to_the_64():
+    with pytest.raises(ValueError, match="below 2\\^64"):
+        _is_prime(2 ** 64)
 
 
 def test_dihedral_structure():

@@ -22,7 +22,6 @@ from gdet import (
 from gdet import sympoly
 from gdet.detcalc import S4Forms
 from gdet.sympoly import (
-    _grade,
     _mono_degree,
     _prod_mod4_by_symmetry,
     _residual,
@@ -394,18 +393,16 @@ def test_graded_product_matches_tuple_reference(p, q):
 
 def test_grade_is_additive_up_to_degree_15():
     for i in range(24):
-        assert _grade(1 << (4 * i)) == 1 << (16 * (i // 4))  # one 16-bit field per quartet
-    # quartet degree 15 in the first quartet (a1..a4) and in the last (b9..b12)
-    for lo, shift in ((0, 0), (20, 80)):
+        assert _mono_degree(1 << (4 * i)) == 1
+    # degree 15 in the first four variables (a1..a4) and in the last four (b9..b12)
+    for lo in (0, 20):
         m1 = pack_monomial(_exponents([(lo, 7), (lo + 1, 3)]))
         m2 = pack_monomial(_exponents([(lo, 2), (lo + 3, 3)]))
-        assert _grade(m1 + m2) == _grade(m1) + _grade(m2) == 15 << shift
         assert _mono_degree(m1 + m2) == 15
-    # every quartet at once
+    # every group of four variables at once
     m1 = pack_monomial(_exponents([(0, 1), (5, 2), (10, 1), (15, 2), (16, 1), (23, 1)]))
     m2 = pack_monomial(_exponents([(23, 7)]))
-    assert _grade(m1 + m2) == _grade(m1) + _grade(m2)
-    assert [(_grade(m1 + m2) >> (16 * k)) & 0xFFFF for k in range(6)] == [1, 2, 1, 2, 1, 8]
+    assert _mono_degree(m1 + m2) == _mono_degree(m1) + _mono_degree(m2) == 15
 
 
 def test_product_beyond_degree_15_raises():
