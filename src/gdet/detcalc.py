@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Generic, TypeVar
 
 from . import s4data
-from .groups import GroupTable, _invert, _s4_perms_and_names, symmetric_group4
+from .groups import GroupTable, _invert, _s4_perms_and_names, generating_set, symmetric_group4
 from .ring import RingElement
 
 
@@ -319,14 +319,18 @@ def _mat_mul_int(a, b):
     )
 
 
-def rep_is_homomorphism(tables: RepTable, g: GroupTable | None = None) -> bool:
-    """Check rho(g)rho(h) = rho(gh) for all 576 pairs, for all three tables."""
-    g = g or symmetric_group4()
-    mul = g.mul
+def rep_is_homomorphism(tables: RepTable) -> bool:
+    """Check rho(s)rho(h) = rho(sh) for each generator s of S4 and each h, in all three tables.
+
+    The g with rho(g)rho(h) = rho(gh) for all h are closed under products,
+    so this proves all 576 pairs.
+    """
+    g = symmetric_group4()
+    gens = generating_set(g)
     for rho in (tables.rho1, tables.rho2, tables.rho3):
-        for i in range(24):
-            for j in range(24):
-                if _mat_mul_int(rho[i], rho[j]) != rho[mul[i][j]]:
+        for s in gens:
+            for h in range(24):
+                if _mat_mul_int(rho[s], rho[h]) != rho[g.mul[s][h]]:
                     return False
     return True
 

@@ -288,7 +288,7 @@ def _compile(kind, role, src):
     return namespace[role]
 
 
-_KIND = re.compile(r"([ZD])(\d+)")
+_KIND = re.compile(r"([ZD])([0-9]+)")
 
 
 def _blocks(kind):

@@ -142,7 +142,7 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([xy+\-*^()]))")
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|([xy+\-*^()]))")
 
 
 def _tokenize(text):

@@ -250,6 +250,9 @@ def test_abbreviated_option_is_usage_error(capsys, argv):
     ["member", "--group", "Zp:\u0667", "49"],
     ["det", "--group", "Z\u0664", "--coeffs", "[1,2,0,0]"],
     ["member", "--group", "D:\u0668", "5"],
+    # expression numbers: an Arabic-Indic 3 as a coefficient, 2 as an exponent
+    ["parse", "--expr", "\u0663 + x"],
+    ["det", "--group", "S4", "--expr", "x^\u0662"],
 ])
 def test_integers_are_ascii_decimals(capsys, argv):
     """An integer is an optional "-" and ASCII digits; anything else int() takes exits 2."""

@@ -23,9 +23,11 @@ from gdet import (
     ring_element,
     s4_det_fast,
     s4_factors,
+    symmetric_group4,
     valuation,
 )
 from gdet.detcalc import RepTable, cofactor_det, cubic_matrices, kernel_for, quadratic_form
+from gdet.groups import generating_set
 
 
 def test_det_int_small_cases():
@@ -294,8 +296,74 @@ def test_valuation_rejects_base_below_two(p):
 # -- representation tables
 
 
+def homomorphism_on_all_pairs(tables):
+    """The brute-force oracle: rho(g)rho(h) = rho(gh) over all 576 pairs, for all three tables."""
+    mul = symmetric_group4().mul
+    for rho in (tables.rho1, tables.rho2, tables.rho3):
+        for i in range(24):
+            for j in range(24):
+                product = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*rho[j]))
+                                for row in rho[i])
+                if product != rho[mul[i][j]]:
+                    return False
+    return True
+
+
+def single_entry_mutants():
+    """Tables with one entry of one matrix moved by +-1.
+
+    Every element of rho1, and in rho2 and rho3 one generator and two
+    non-generators, the identity among them; the entry and the sign vary with i.
+    """
+    gens = generating_set(symmetric_group4())
+    picked = [gens[0]] + [i for i in range(24) if i not in gens][:2]
+    t = default_rep_table()
+    for name, elements in (("rho1", range(24)), ("rho2", picked), ("rho3", picked)):
+        for i in elements:
+            rho = list(getattr(t, name))
+            m = [list(row) for row in rho[i]]
+            m[i % len(m)][(i // len(m)) % len(m)] += 1 if i % 2 else -1
+            rho[i] = tuple(map(tuple, m))
+            yield name, i, replace(t, **{name: tuple(rho)})
+
+
+def coset_mutants():
+    """rho2 negated off the subgroup of all generators but one, where that subgroup is proper.
+
+    Every pair (g, h) with g in the subgroup still multiplies correctly, so a
+    check that skipped the missing generator would accept the table.
+    """
+    s4 = symmetric_group4()
+    gens = generating_set(s4)
+    t = default_rep_table()
+    for left_out in gens:
+        subgroup = {s4.identity_index}
+        while True:
+            grown = subgroup | {s4.mul[a][s] for a in subgroup for s in gens if s != left_out}
+            if grown == subgroup:
+                break
+            subgroup = grown
+        if len(subgroup) < 24:
+            rho2 = tuple(m if i in subgroup else tuple(tuple(-x for x in row) for row in m)
+                         for i, m in enumerate(t.rho2))
+            yield left_out, replace(t, rho2=rho2)
+
+
 def test_rep_tables_are_homomorphisms():
     assert rep_is_homomorphism(default_rep_table())
+    assert homomorphism_on_all_pairs(default_rep_table())
+
+
+def test_rep_is_homomorphism_matches_all_pairs_on_mutants():
+    for name, i, mutant in single_entry_mutants():
+        assert homomorphism_on_all_pairs(mutant) is False, (name, i)
+        assert rep_is_homomorphism(mutant) is False, (name, i)
+    left_out = []
+    for s, mutant in coset_mutants():
+        assert homomorphism_on_all_pairs(mutant) is False, s
+        assert rep_is_homomorphism(mutant) is False, s
+        left_out.append(s)
+    assert generating_set(symmetric_group4())[-1] in left_out
 
 
 def test_rho3_is_sign_times_rho2():

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import pytest
 
@@ -14,10 +15,89 @@ from gdet import (
     parse_gen_word,
     word_to_element,
 )
-from gdet.groups import S4_ALPHA_INDEX, S4_BETA_INDEX, _is_prime, perm_from_cycles
+from gdet.groups import (
+    S4_ALPHA_INDEX,
+    S4_BETA_INDEX,
+    GroupTable,
+    _is_prime,
+    generating_set,
+    perm_from_cycles,
+)
 from gdet.s4data import EVEN_NAMES, EVEN_WORDS, ODD_NAMES, ODD_WORDS
 
 ALL_KINDS = ["Z1", "Z2", "Z3", "Z4", "Z9", "K4", "D8", "D:6", "A4", "S4"]
+
+
+def first_nonassociative_triple(g):
+    """The brute-force oracle for associativity: the first failing (i, j, k), or None."""
+    mul = g.mul
+    n = g.order
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if mul[mul[i][j]][k] != mul[i][mul[j][k]]:
+                    return i, j, k
+    return None
+
+
+def associativity_verdict(g):
+    """The triple check_group_laws reports, after checking that it really fails, or None."""
+    try:
+        check_group_laws(g)
+    except ValueError as exc:
+        i, j, k = map(int, re.fullmatch(r"associativity fails at \((\d+),(\d+),(\d+)\)",
+                                        str(exc)).groups())
+        assert g.mul[g.mul[i][j]][k] != g.mul[i][g.mul[j][k]]
+        return i, j, k
+    return None
+
+
+# a loop of order 5, the least order of a loop that is not a group: every
+# element is its own inverse, and (1*2)*2 = 3*2 = 4 while 1*(2*2) = 1*0 = 1
+LOOP5 = GroupTable("loop5", 5, (
+    (0, 1, 2, 3, 4),
+    (1, 0, 3, 4, 2),
+    (2, 4, 0, 1, 3),
+    (3, 2, 4, 0, 1),
+    (4, 3, 1, 2, 0),
+), (0, 1, 2, 3, 4), 0, ("e", "a", "b", "c", "d"))
+
+
+# a loop of order 6 whose elements 0, 3 and 5 associate in the middle of every
+# triple: its first generator, 5, shows nothing, and only the second, 4, fails;
+# (1*1)*2 = 0*2 = 2 while 1*(1*2) = 1*3 = 4
+LOOP6 = GroupTable("loop6", 6, (
+    (0, 1, 2, 3, 4, 5),
+    (1, 0, 3, 4, 5, 2),
+    (2, 3, 5, 1, 0, 4),
+    (3, 4, 1, 5, 2, 0),
+    (4, 5, 0, 2, 3, 1),
+    (5, 2, 4, 0, 1, 3),
+), (0, 1, 4, 5, 2, 3), 0, ("e", "a", "b", "c", "d", "f"))
+
+
+@pytest.mark.parametrize("loop", [LOOP5, LOOP6], ids=["loop5", "loop6"])
+def test_group_laws_reject_a_nonassociative_loop(loop):
+    assert first_nonassociative_triple(loop) is not None
+    assert associativity_verdict(loop) is not None
+
+
+def test_light_associativity_test_uses_every_generator():
+    mul = LOOP6.mul
+    assert generating_set(LOOP6) == (5, 4)
+    assert all(mul[mul[i][5]][k] == mul[i][mul[5][k]] for i in range(6) for k in range(6))
+    assert associativity_verdict(LOOP6)[1] == 4
+
+
+def swapped_row_mutants(g):
+    """Tables that swap two entries of one row, keeping the identity and inverse laws."""
+    e = g.identity_index
+    for i in (1, g.order - 1):
+        j, k = [c for c in range(g.order) if c not in (e, g.inv[i])][-2:]
+        row = list(g.mul[i])
+        row[j], row[k] = row[k], row[j]
+        mul = g.mul[:i] + (tuple(row),) + g.mul[i + 1:]
+        yield GroupTable(g.kind, g.order, mul, g.inv, e, g.names)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -25,6 +105,13 @@ def test_group_laws_exhaustive(kind):
     g = build_group(kind)
     check_group_laws(g)  # raises on any violation
     assert g.mul[g.identity_index][3 % g.order] == 3 % g.order
+    # Light's test over the generators agrees with all triples, on g and on mutants of it
+    assert first_nonassociative_triple(g) is None
+    if g.order < 4:
+        return  # no row has two entries to swap outside the identity and inverse columns
+    for mutant in swapped_row_mutants(g):
+        assert first_nonassociative_triple(mutant) is not None
+        assert associativity_verdict(mutant) is not None
 
 
 def test_trivial_group():
@@ -83,6 +170,16 @@ def test_word_parse_errors():
         parse_gen_word("z")
     with pytest.raises(ValueError):
         parse_gen_word("x^")
+
+
+@pytest.mark.parametrize("digit", ["\u0663", "\uff13", "\u09e9"])  # Arabic-Indic, fullwidth, Bengali 3
+def test_words_and_cycle_labels_take_ascii_digits_only(s4, digit):
+    assert word_to_element(s4, "x^3") == word_to_element(s4, "x^-1")
+    with pytest.raises(ValueError, match="bad exponent"):
+        word_to_element(s4, f"x^{digit}")
+    assert perm_from_cycles("(13)") == (2, 1, 0, 3)
+    with pytest.raises(ValueError, match="bad cycle label"):
+        perm_from_cycles(f"(1{digit})")
 
 
 def test_word_requires_s4():
@@ -158,6 +255,20 @@ def test_tables_match_pinned_digest():
         g = build_group(name)
         h.update(repr((g.kind, g.order, g.mul, g.inv, g.identity_index, g.names)).encode())
     assert h.hexdigest() == PINNED_DIGEST
+
+
+def test_generating_set_generates_every_table():
+    for name in PINNED_NAMES:
+        g = build_group(name)
+        gens = generating_set(g)
+        reached = {g.identity_index, *gens}
+        while True:
+            grown = reached | {g.mul[a][b] for a in reached for b in reached}
+            if grown == reached:
+                break
+            reached = grown
+        assert reached == set(range(g.order)), name
+        assert len(gens) <= (3 if name == "S4" else 2), name
 
 
 def test_klein_table_is_the_d4_table():
