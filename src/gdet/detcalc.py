@@ -297,6 +297,11 @@ def _sum_zero_action(p):
     )
 
 
+def _sign_twist(rho):
+    """sign * rho for a table of 24 matrices: those of the odd permutations, 12..23, negated."""
+    return rho[:12] + tuple(tuple(tuple(-x for x in row) for row in m) for m in rho[12:])
+
+
 @lru_cache(maxsize=None)
 def default_rep_table() -> RepTable:
     """The three representations, derived from the canonical S4 permutations.
@@ -308,8 +313,7 @@ def default_rep_table() -> RepTable:
     perms, _ = _s4_perms_and_names()
     rho1 = tuple(_sum_zero_action(tuple(r for r, _ in _signed_action(p))) for p in perms)
     rho2 = tuple(_sum_zero_action(p) for p in perms)
-    rho3 = rho2[:12] + tuple(tuple(tuple(-x for x in row) for row in m) for m in rho2[12:])
-    return RepTable(rho1=rho1, rho2=rho2, rho3=rho3)
+    return RepTable(rho1=rho1, rho2=rho2, rho3=_sign_twist(rho2))
 
 
 def _mat_mul_int(a, b):
@@ -340,7 +344,10 @@ def rep_factor_check(tables: RepTable | None = None) -> bool:
 
     The tables must be homomorphisms, and det(sum x_g rho(g)) must equal q1,
     d1 and d2 symbolically for rho1, rho2 and rho3; a False return means the
-    factor matrices and the representations disagree.
+    factor matrices and the representations disagree.  When rho3 is sign *
+    rho2, as in the default table, sum x_g rho3(g) is the rho2 matrix with
+    the twelve odd variables b negated, so rho3's determinant is rho2's under
+    b -> -b (`sympoly._mirror`); any other rho3 is expanded itself.
     """
     from . import sympoly
 
@@ -348,8 +355,11 @@ def rep_factor_check(tables: RepTable | None = None) -> bool:
     if not rep_is_homomorphism(tables):
         return False
     named = sympoly.build_symbolic()
-    return (
-        sympoly.symbolic_rep_det(tables.rho1) == named.q1
-        and sympoly.symbolic_rep_det(tables.rho2) == named.d1
-        and sympoly.symbolic_rep_det(tables.rho3) == named.d2
-    )
+    if sympoly.symbolic_rep_det(tables.rho1) != named.q1:
+        return False
+    det2 = sympoly.symbolic_rep_det(tables.rho2)
+    if det2 != named.d1:
+        return False
+    if tables.rho3 == _sign_twist(tables.rho2):
+        return sympoly._mirror(det2) == named.d2
+    return sympoly.symbolic_rep_det(tables.rho3) == named.d2

@@ -16,6 +16,7 @@ import os
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import classify, detcalc
 from .groups import build_group
@@ -80,30 +81,38 @@ class ScanReport:
     def merge(self, other: "ScanReport") -> "ScanReport":
         self.total += other.total
         self.zeros += other.zeros
-        self.value_counts += other.value_counts
+        # every count is positive, so update adds as += does, without its pass
+        # that drops counts below 1
+        self.value_counts.update(other.value_counts)
         self.violations += other.violations
-        self.residue_mod24 += other.residue_mod24
-        self.v2_hist += other.v2_hist
-        self.v3_hist += other.v3_hist
+        self.residue_mod24.update(other.residue_mod24)
+        self.v2_hist.update(other.v2_hist)
+        self.v3_hist.update(other.v3_hist)
         self.records += other.records
         return self
 
-    def as_dict(self):
+    def as_dict(self, distinct=None):
+        """The report as JSON-ready data; `distinct` is `self.distinct()`, if already made."""
         return {
             "format": "gdet-scan-report",
             "version": FORMAT_VERSION,
             "config": self.config,
             "total": self.total,
             "zeros": self.zeros,
-            "distinct_values": [[v, self.value_counts[v]] for v in sorted(self.value_counts)],
+            # json writes each (value, count) pair as a list
+            "distinct_values": self.distinct() if distinct is None else distinct,
             "violations": self.violations,
             "residue_mod24": {str(r): self.residue_mod24[r] for r in sorted(self.residue_mod24)},
             "v2_histogram": {str(v): self.v2_hist[v] for v in sorted(self.v2_hist)},
             "v3_histogram": {str(v): self.v3_hist[v] for v in sorted(self.v3_hist)},
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
+    def distinct(self):
+        """The (value, count) pairs, by value."""
+        return sorted(self.value_counts.items(), key=itemgetter(0))
+
+    def to_json(self, distinct=None) -> str:
+        return json.dumps(self.as_dict(distinct), sort_keys=True, separators=(",", ":"))
 
 
 def _random_vectors(seed, start, stop, n, lo, hi):
@@ -114,10 +123,13 @@ def _random_vectors(seed, start, stop, n, lo, hi):
     _randbelow_with_getrandbits): getrandbits(k) for k = width.bit_length(),
     redrawn while it is not below the width.  One generator is reseeded per
     vector instead of built per vector, and randint's argument checks are
-    skipped.
+    skipped.  The reseed calls the C-level `_random.Random.seed` that
+    `random.Random.seed` ends in: for an int seed the wrapper only checks
+    the seed's type and clears the Gaussian cache, which getrandbits never
+    reads, so both set the same state.
     """
     rng = random.Random()
-    reseed, getrandbits = rng.seed, rng.getrandbits
+    reseed, getrandbits = super(random.Random, rng).seed, rng.getrandbits
     width = hi - lo + 1
     k = width.bit_length()
     slots = range(n)
@@ -292,6 +304,7 @@ def write_report(report: ScanReport, path: str) -> None:
     base = path[: -len(".jsonl")] if path.endswith(".jsonl") else path
     targets = (base + ".jsonl", base + ".csv")
     temps = [f"{target}.{os.getpid()}.{os.urandom(4).hex()}.tmp" for target in targets]
+    distinct = report.distinct()  # sorted once, for the JSON summary and the CSV
     try:
         # "x" never clobbers a file, and the umask applies as it did for the targets
         with open(temps[0], "x") as fh:
@@ -299,12 +312,11 @@ def write_report(report: ScanReport, path: str) -> None:
             fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
             for record in report.records:
                 fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
-            fh.write(report.to_json() + "\n")
+            fh.write(report.to_json(distinct) + "\n")
         with open(temps[1], "x") as fh:
             fh.write(f"# gdet-scan-summary v{FORMAT_VERSION}\n")
             fh.write("value,multiplicity\n")
-            for v in sorted(report.value_counts):
-                fh.write(f"{v},{report.value_counts[v]}\n")
+            fh.writelines(f"{v},{n}\n" for v, n in distinct)
         for tmp, target in zip(temps, targets):
             os.replace(tmp, target)
     except BaseException:

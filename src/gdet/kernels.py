@@ -31,7 +31,13 @@ Each table kind is turned once into one list of statements (`_program`):
 the coefficients are c0, c1, ..., each distinct linear form,
 autocorrelation and block cell is named once, the linear characters are
 multiplied, determinants up to 3x3 are written inline, and a check ends
-the evaluation at the first zero block.  Only norm blocks with
+the evaluation at the first zero block.  A4 and S4 also name the sums
+their blocks share, as `detcalc.s4_forms` does (`_klein_sums`): the
+quartet sums q0, q1, ..., which l1, l2 and q1 (A4: its Z3 blocks) read,
+and the halves a<i> and b<i> of the nine cubic cells, each of which is
+a<i> + b<i> in d1 and a<i> - b<i> in d2 (A4: a<i> alone).  A named sum is
+emitted just before the first statement that reads it, so an early exit
+still skips the sums of the later blocks.  Only norm blocks with
 phi(d) >= 8 call `det_int`.  The source is built from this module's
 integer tables alone.  Two renderings of the same list are compiled:
 
@@ -177,11 +183,23 @@ def _dihedral_blocks(a, b):
     return blocks
 
 
+def _klein_sums(order):
+    """The named sums of A4 and S4: the quartet sums q<i> and the cubic-cell halves a<i>, b<i>.
+
+    The quartets of slots are the cosets of the Klein subgroup.  Cell i of
+    the cubic matrices is a<i> + b<i> or a<i> - b<i>, where a<i> and b<i>
+    each add two slots and subtract two (`detcalc.cubic_matrices`).
+    """
+    sums = {f"q{q}": {f"c{s}": 1 for s in range(4 * q, 4 * q + 4)} for q in range(order // 4)}
+    for i, cell in enumerate(_CUBIC_CELLS):
+        sums[f"a{i}"] = {f"c{slot}": w for slot, w in zip(cell[:4], (1, 1, -1, -1))}
+        sums[f"b{i}"] = {f"c{slot}": w for slot, w in zip(cell[4:], (1, 1, -1, -1))}
+    return sums
+
+
 def _cubic_cells(b_sign):
-    """The 3x3 matrix A + b_sign * B of the S4 cubic factors, flat row-major, as linear forms."""
-    weights = (1, 1, -1, -1, b_sign, b_sign, -b_sign, -b_sign)
-    return [_combine((w, {f"c{slot}": 1}) for slot, w in zip(cell, weights))
-            for cell in _CUBIC_CELLS]
+    """The 3x3 matrix A + b_sign * B of the S4 cubic factors, flat row-major, over the halves."""
+    return [_combine([(1, {f"a{i}": 1}), (b_sign, {f"b{i}": 1})]) for i in range(len(_CUBIC_CELLS))]
 
 
 _ATOM = re.compile(r"-?\w+")
@@ -214,6 +232,15 @@ def _text(how, arg):
     return arg[0]
 
 
+def _reads(how, arg):
+    """The names a statement reads (see `_program`)."""
+    if how == "sum":
+        return [name for _, names in arg for name in names]
+    if how == "product":
+        return [name for terms in arg for _, names in terms for name in names]
+    return arg[1] if how == "text" else []
+
+
 @lru_cache(maxsize=None)
 def _program(kind):
     """The statements of a table kind's determinant: (order, statements, result).
@@ -224,11 +251,22 @@ def _program(kind):
     ends the evaluation with 0 when `name` is 0.  `result` is the source of
     the determinant over the names.  The kernel writes each statement as one
     line; the box walker places it at the loop level of the deepest slot it
-    reads (`_walker_source`).
+    reads (`_walker_source`).  A named sum of the kind (`_blocks`) is
+    emitted just before the first statement that reads it, so a check that
+    ends the evaluation early also skips the sums only later blocks read.
     """
-    order, blocks = _blocks(kind)
+    order, blocks, named = _blocks(kind)
     stmts = []
     known = {}
+    pending = dict(named)
+
+    def add(name, how, arg):
+        """Append a statement, after the named sums it reads that are not emitted yet."""
+        for read in _reads(how, arg):
+            read = read.lstrip("-")
+            if read in pending:
+                add(read, "sum", _sum(pending.pop(read)))
+        stmts.append((name, how, arg))
 
     def let(how, arg):
         """A name for an expression: a name or number as it is, else one local per distinct text."""
@@ -237,7 +275,7 @@ def _program(kind):
             return expr
         if expr not in known:
             known[expr] = f"t{len(known)}"
-            stmts.append((known[expr], how, arg))
+            add(known[expr], how, arg)
         return known[expr]
 
     def square(cells):
@@ -272,12 +310,12 @@ def _program(kind):
     linear, larger = [], []
     for block in blocks:
         (linear if block[0] == "det" and len(block[1]) == 1 else larger).append(block)
-    stmts.append(("value", "product", [_sum(forms[0]) for _, forms, _ in linear]))
-    stmts.append(("value", "check", None))
+    add("value", "product", [_sum(forms[0]) for _, forms, _ in linear])
+    add("value", "check", None)
     result = "value"
     for how, forms, power in larger:
         d = determinant(how, forms)
-        stmts.append((d, "check", None))
+        add(d, "check", None)
         result += f" * {d}" if power == 1 else f" * {d} ** {power}"
     return order, stmts, result
 
@@ -292,14 +330,19 @@ _KIND = re.compile(r"([ZD])([0-9]+)")
 
 
 def _blocks(kind):
-    """The order of a table kind and the blocks of its determinant."""
+    """The order of a table kind, the blocks of its determinant and the named sums they read.
+
+    The named sums map a name to a linear form over the slots; the blocks
+    of A4 and S4 read the quartet sums and cubic-cell halves (`_klein_sums`)
+    by name, and the other kinds name none.
+    """
     m = _KIND.fullmatch(kind)
     order = {"S4": 24, "A4": 12, "K4": 4}.get(kind) or (int(m.group(2)) if m else 0)
     if not order:
         raise ValueError(f"no determinant kernel for group kind {kind!r}")
     slots = [{f"c{s}": 1} for s in range(order)]
-    # in A4 and S4 the quartets of slots are the cosets of the Klein subgroup
-    quartets = [{f"c{s}": 1 for s in range(q, q + 4)} for q in range(0, order, 4)]
+    named = _klein_sums(order) if kind in ("S4", "A4") else {}
+    quartets = [{f"q{q}": 1} for q in range(order // 4)]
     if kind == "S4":
         # S4 / K4 = S3 = D:6, even quartet q mapped to r^q and odd quartet q to
         # s r^(q-3), gives l1, l2 and q1; d1 and d2 are the cubic matrices A + B, A - B
@@ -311,7 +354,7 @@ def _blocks(kind):
         blocks = _dihedral_blocks(slots[:order // 2], slots[order // 2:])
     else:
         blocks = _cyclic_blocks(slots)
-    return order, blocks
+    return order, blocks, named
 
 
 def _kernel_source(order, stmts, result):

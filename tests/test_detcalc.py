@@ -410,6 +410,42 @@ def test_rep_factor_check_detects_exchanged_cubic_tables():
     assert not rep_factor_check(broken)
 
 
+def _conjugated(rho, p, p_inv):
+    """The table p * rho(g) * p_inv: an equivalent representation, with the same determinant."""
+    def mul(a, b):
+        return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+    return tuple(mul(mul(p, m), p_inv) for m in rho)
+
+
+# rho3 = sign * rho2 is mirrored from rho2's determinant; a conjugate of it, or
+# rho2 itself (d1, not d2), is expanded
+@pytest.mark.parametrize("rho3, holds, expansions", [
+    ("default", True, 2),
+    ("conjugated", True, 3),
+    ("rho2", False, 3),
+])
+def test_rep_factor_check_mirrors_rho2_only_for_sign_times_rho2(monkeypatch, rho3, holds,
+                                                                 expansions):
+    from gdet import sympoly
+
+    t = default_rep_table()
+    p, p_inv = ((1, 1, 0), (0, 1, 0), (0, 0, 1)), ((1, -1, 0), (0, 1, 0), (0, 0, 1))
+    tables = {"default": t, "conjugated": replace(t, rho3=_conjugated(t.rho3, p, p_inv)),
+              "rho2": replace(t, rho3=t.rho2)}[rho3]
+    assert rep_is_homomorphism(tables)
+    expand = sympoly.symbolic_rep_det
+    calls = []
+
+    def counting(rho):
+        calls.append(rho)
+        return expand(rho)
+
+    monkeypatch.setattr(sympoly, "symbolic_rep_det", counting)
+    assert rep_factor_check(tables) is holds
+    assert len(calls) == expansions
+
+
 # ---------------------------------------------------------------------------
 # compiled block kernels, against elimination of the full group matrix
 
@@ -450,6 +486,8 @@ def test_kernel_equals_elimination(case):
     ("A4", [1, 1, 1, 1] + [0] * 8),                # Klein sum: only the 3-dimensional block is 0
     ("Z7", [1] * 7),                               # Phi_7 itself: only the Phi_7 block is 0
     ("Z14", [1] * 7 + [0] * 7),                    # Phi_7 again: Phi_14 and both characters are not
+    ("S4", [{6: 2, 9: -1, 21: -1}.get(s, 0) for s in range(24)]),  # only l1 is 0
+    ("S4", [{0: 1, 12: -1, 17: 2}.get(s, 0) for s in range(24)]),  # only l2 is 0
     ("S4", [int(s in (15, 19, 23)) for s in range(24)]),     # only q1 is 0
     ("S4", [int(s in (5, 10, 11, 19)) for s in range(24)]),  # only d1 is 0
     ("S4", [int(s in (3, 8, 9, 12)) for s in range(24)]),    # only d2 is 0

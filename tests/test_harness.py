@@ -188,7 +188,9 @@ def test_cli_rejects_scan_outside_seed_domain(capsys, argv):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("lo, hi", [(5, 5), (0, 1), (-3, 3), (-4, 3), (-100, 100)])
+# widths of 32, 33 and 34 bits draw several words of 32 bits per getrandbits call
+@pytest.mark.parametrize("lo, hi", [(5, 5), (0, 1), (-3, 3), (-4, 3), (-100, 100),
+                                    (0, 2**32 - 1), (0, 2**32), (-5 * 10**9, 5 * 10**9)])
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**31 - 1])
 def test_random_vectors_follow_randint_stream(lo, hi, seed):
     got = list(_random_vectors(seed, 0, 40, 24, lo, hi))
@@ -379,7 +381,7 @@ def test_failed_report_write_keeps_earlier_report(tmp_path, monkeypatch, stage):
 
     report = scan(ScanConfig(group="K4", lo=-2, hi=2, mode="exhaustive"))
     if stage == "jsonl":  # fails after the header line is written
-        def broken():
+        def broken(*args):
             raise OSError("disk full")
 
         monkeypatch.setattr(report, "to_json", broken)

@@ -1,12 +1,14 @@
 """Box walkers against the straight-line kernels rendered from the same statements."""
 
 import itertools
+import re
 from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gdet import build_group, kernels
+from gdet.detcalc import _CUBIC_CELLS
 from gdet.harness import ScanConfig, _box_blocks, _box_vectors, _scan_shard, lambda_scan
 
 # every table kind of order <= 12
@@ -143,3 +145,51 @@ def test_walker_counts_the_vectors_below_a_zero_block(values):
     assert counts == Counter(map(kernel, vectors))
     least = kernels._compile("test", "walk", kernels._walker_source(*_PROGRAM, "min"))
     assert least(values) == min(abs(kernel(v)) for v in vectors if abs(kernel(v)) >= 2)
+
+
+def _named_sums(kind):
+    """The statements of a kind's program that define a quartet sum or a cubic-cell half."""
+    order, stmts, _ = kernels._program(kind)
+    return [(i, stmt) for i, stmt in enumerate(stmts) if re.fullmatch(r"[qab]\d+", stmt[0])]
+
+
+@pytest.mark.parametrize("kind, quartets, halves", [
+    ("S4", 6, ["a", "b"]),
+    ("A4", 3, ["a"]),
+])
+def test_klein_kinds_name_each_quartet_sum_and_cell_half_once(kind, quartets, halves):
+    order, stmts, _ = kernels._program(kind)
+    named = {name: arg for _, (name, how, arg) in _named_sums(kind)}
+    assert len(named) == len(_named_sums(kind))  # each one statement
+    want = [f"q{q}" for q in range(quartets)] + [f"{h}{i}" for h in halves for i in range(9)]
+    assert sorted(named) == sorted(want)
+    for q in range(quartets):
+        assert named[f"q{q}"] == [(1, (f"c{s}",)) for s in range(4 * q, 4 * q + 4)]
+    for i, cell in enumerate(_CUBIC_CELLS):
+        for h, slots in zip(halves, (cell[:4], cell[4:])):
+            assert named[f"{h}{i}"] == [(w, (f"c{s}",)) for s, w in zip(slots, (1, 1, -1, -1))]
+    # the determinants of the cubic matrices read nine cells each: a half itself
+    # in A4, a sum or difference of the two halves in S4
+    defs = {name: arg for name, how, arg in stmts if how == "sum"}
+    cubics = [arg[1] for _, how, arg in stmts if how == "text" and len(arg[1]) == 9]
+    assert len(cubics) == len(halves)
+    for sign, cells in zip((1, -1), cubics):
+        for i, cell in enumerate(cells):
+            if kind == "A4":
+                assert cell == f"a{i}"
+            else:
+                assert defs[cell] == [(1, (f"a{i}",)), (sign, (f"b{i}",))]
+
+
+@pytest.mark.parametrize("kind", ["S4", "A4"])
+def test_named_sums_come_just_before_their_first_reader(kind):
+    """So a zero l1 * l2 or q1 ends the evaluation before any cell half is summed."""
+    order, stmts, _ = kernels._program(kind)
+    named = dict(_named_sums(kind))
+    for i, (name, _, _) in named.items():
+        first = next(j for j in range(i + 1, len(stmts))
+                     if name in kernels._reads(stmts[j][1], stmts[j][2]))
+        assert all(j in named for j in range(i + 1, first)), (name, stmts[first])
+    checks = [i for i, (_, how, _) in enumerate(stmts) if how == "check"]
+    halves = [i for i, (name, _, _) in named.items() if name[0] in "ab"]
+    assert min(halves) > checks[1]  # after the checks of l1 * l2 (or the sum) and of q1
