@@ -486,13 +486,13 @@ def test_kernel_equals_elimination(case):
     ("A4", [1, 1, 1, 1] + [0] * 8),                # Klein sum: only the 3-dimensional block is 0
     ("Z7", [1] * 7),                               # Phi_7 itself: only the Phi_7 block is 0
     ("Z14", [1] * 7 + [0] * 7),                    # Phi_7 again: Phi_14 and both characters are not
-    ("S4", [{6: 2, 9: -1, 21: -1}.get(s, 0) for s in range(24)]),  # only l1 is 0
-    ("S4", [{0: 1, 12: -1, 17: 2}.get(s, 0) for s in range(24)]),  # only l2 is 0
     ("S4", [int(s in (15, 19, 23)) for s in range(24)]),     # only q1 is 0
     ("S4", [int(s in (5, 10, 11, 19)) for s in range(24)]),  # only d1 is 0
     ("S4", [int(s in (3, 8, 9, 12)) for s in range(24)]),    # only d2 is 0
     ("D:10", [1, 1, 1, 1, 0, 0, 0, 0, 0, 1]),      # 1 + r + r^2 + r^3 + s r^4: only Phi_5 is 0
     ("Z12", [1, 0, -1, 0, 1] + [0] * 7),           # Phi_12 itself: only the Phi_12 block is 0
+    ("S4", [{6: 2, 9: -1, 21: -1}.get(s, 0) for s in range(24)]),  # only l1 is 0
+    ("S4", [{0: 1, 12: -1, 17: 2}.get(s, 0) for s in range(24)]),  # only l2 is 0
 ])
 def test_kernel_zero_block(name, coeffs):
     g = build_group(name)
