@@ -3,21 +3,21 @@
 Two routes: fraction-free (Bareiss) elimination of the group matrix, which
 works for any group table and is the oracle, and `kernel_for`, the compiled
 block kernel of any table group (`gdet.kernels`), which scans and `gdet det`
-use; exhaustive scans run the same statements as a box walker.  For S4 the kernel is the paper's factored form
+use; exhaustive scans run the same statements as a box walker.  For S4 the
+kernel is the paper's factored form
 
     D = l1 * l2 * q1^2 * d1^3 * d2^3
 
-through the five irreducible factors.  The two routes are independent and
-are tested against each other.  `s4_forms` writes the factors and every
-intermediate of the congruence analysis (quartet sums, u, v, w and the
-six-term forms A_i and B_i) once, over any ring: `s4_factors` evaluates it
-on integers, with the 2-/3-adic valuations, and `sympoly.build_symbolic` on
-polynomial variables.  The cubic matrices of d1 and d2 are derived from the
-canonical permutations, through their signed action on three vectors of
-Z^4 (`_signed_action`), which also gives rho1's action on the pairings.
-Bareiss elimination checks the values of `s4_forms`, and the
-representations computed from the permutations its polynomials
-(`rep_factor_check`).
+through the five irreducible factors.  `s4_forms` gives them and the
+intermediates of the congruence analysis (quartet sums, u, v, w and the
+six-term forms A_i and B_i) over any ring, with q1, d1 and d2 run from the
+kernel's own block statements (`kernels.factors`): `s4_factors` evaluates
+it on integers, with the 2-/3-adic valuations, and `sympoly.build_symbolic`
+on polynomial variables.  The cubic cells of d1 and d2 are derived from the
+canonical permutations through their signed action on three vectors of Z^4
+(`_signed_action`), which also gives rho1's action on the pairings.  The
+representations computed from the permutations check the polynomials
+(`rep_factor_check`), and Bareiss elimination the values.
 """
 
 from __future__ import annotations
@@ -100,11 +100,6 @@ def valuation(m: int, p: int):
 # the S4 factor forms, over any ring
 
 
-def quadratic_form(x, y, z):
-    """x^2 + y^2 + z^2 - xy - yz - zx, the norm of x + y*w + z*w^2."""
-    return x * x + y * y + z * z - x * y - y * z - z * x
-
-
 def cofactor_det(m):
     """Determinant of a flat row-major 1x1, 2x2 or 3x3 matrix over any ring, by cofactors."""
     if len(m) == 9:
@@ -159,17 +154,6 @@ def _derive_cubic_cells():
 _CUBIC_CELLS = _derive_cubic_cells()
 
 
-def cubic_matrices(c):
-    """The 3x3 matrices A + B and A - B (det d1 and d2), flat row-major, for S4 coefficients c."""
-    plus, minus = [], []
-    for ap1, ap2, am1, am2, bp1, bp2, bm1, bm2 in _CUBIC_CELLS:
-        a = c[ap1] + c[ap2] - c[am1] - c[am2]
-        b = c[bp1] + c[bp2] - c[bm1] - c[bm2]
-        plus.append(a + b)
-        minus.append(a - b)
-    return plus, minus
-
-
 R = TypeVar("R")
 
 
@@ -209,18 +193,19 @@ def s4_forms(c) -> dict:
 
     The entries may be of any ring with +, - and *, mixed with ints: integers
     give the values of `s4_factors`, polynomial variables the polynomials of
-    `sympoly.build_symbolic`.
+    `sympoly.build_symbolic`.  q1, d1 and d2 are the S4 kernel's own block
+    determinants (`kernels.factors`), so both read the text scans evaluate.
     """
+    from . import kernels  # imported on first use, as in `kernel_for`
+
+    q1, d1, d2 = kernels.factors("S4")(c)
     u1, u2, u3, v1, v2, v3 = (sum(c[lo:lo + 4]) for lo in range(0, 24, 4))
     u = u1 + u2 + u3
     v = v1 + v2 + v3
-    m1, m2 = cubic_matrices(c)
     a1, a2, a3 = (sum(c[i] for i in idx) for idx in s4data.A_FORMS)
     b1, b2, b3 = (sum(c[i + 12] for i in idx) for idx in s4data.B_FORMS)
     return dict(
-        l1=u + v, l2=u - v,
-        q1=quadratic_form(u1, u2, u3) - quadratic_form(v1, v2, v3),
-        d1=cofactor_det(m1), d2=cofactor_det(m2),
+        l1=u + v, l2=u - v, q1=q1, d1=d1, d2=d2,
         u1=u1, u2=u2, u3=u3, v1=v1, v2=v2, v3=v3, u=u, v=v,
         w=u1 * b1 + u2 * b2 + u3 * b3 + v1 * a1 + v2 * a2 + v3 * a3,
         A1=a1, A2=a2, A3=a3, B1=b1, B2=b2, B3=b3,

@@ -23,8 +23,8 @@ from . import s4data
 MAX_ORDER = 64
 PRIME_BOUND = 1 << 64  # the parameter of a Zp or Z2p rule is below it
 
-S4_ALPHA_INDEX = 12  # x = (1234)
-S4_BETA_INDEX = 20   # y = (12)
+# x = (1234) and y = (12), each as (canonical index, permutation, order)
+S4_GENERATORS = {"x": (12, (1, 2, 3, 0), 4), "y": (20, (1, 0, 2, 3), 2)}
 
 
 @dataclass(frozen=True)
@@ -166,9 +166,8 @@ def word_to_element(g: GroupTable, word) -> int:
         word = parse_gen_word(word)
     acc = g.identity_index
     for letter, exp in word:
-        base = S4_ALPHA_INDEX if letter == "x" else S4_BETA_INDEX
-        exp %= 4 if letter == "x" else 2
-        for _ in range(exp):
+        base, _, order = S4_GENERATORS[letter]
+        for _ in range(exp % order):
             acc = g.mul[acc][base]
     return acc
 
@@ -216,7 +215,6 @@ def dihedral_group(order: int) -> GroupTable:
 
 
 def _s4_perms_and_names():
-    gens = {"x": ((1, 2, 3, 0), 4), "y": ((1, 0, 2, 3), 2)}  # (1234) and (12), with their orders
     perms = []
     names = []
     for words, labels in (
@@ -226,7 +224,7 @@ def _s4_perms_and_names():
         for wtext, label in zip(words, labels):
             acc = (0, 1, 2, 3)
             for letter, exp in parse_gen_word(wtext):
-                base, order = gens[letter]
+                _, base, order = S4_GENERATORS[letter]
                 for _ in range(exp % order):
                     acc = _compose(acc, base)
             labelled = perm_from_cycles(label)
@@ -238,6 +236,8 @@ def _s4_perms_and_names():
             names.append(label)
     if len(set(perms)) != 24:
         raise AssertionError("S4 element list is not 24 distinct permutations")
+    if any(perms[index] != perm for index, perm, _ in S4_GENERATORS.values()):
+        raise AssertionError("a generator's canonical index holds another permutation")
     return perms, names
 
 

@@ -39,11 +39,14 @@ a<i> + b<i> in d1 and a<i> - b<i> in d2 (A4: a<i> alone).  A named sum is
 emitted just before the first statement that reads it, so an early exit
 still skips the sums of the later blocks.  Only norm blocks with
 phi(d) >= 8 call `det_int`.  The source is built from this module's
-integer tables alone.  Two renderings of the same list are compiled:
+integer tables alone.  Three renderings of the same list are compiled:
 
 - `kernel`, a straight-line coeffs -> int function, one line per
   statement; `detcalc.kernel_for` is its entry point, for single vectors,
   random scans and index-order walks;
+- `factors`, the same lines without the checks, returning the larger
+  blocks: `detcalc.s4_forms` runs it on integers and on polynomial
+  variables, so the profile and the identities read S4's q1, d1 and d2 here;
 - `walker`, one nested loop per slot over a box of vectors, slot 0
   innermost (every folded form of Z_p reads the last slot), each statement
   at the level of the deepest slot it reads and each sum split into a
@@ -188,7 +191,7 @@ def _klein_sums(order):
 
     The quartets of slots are the cosets of the Klein subgroup.  Cell i of
     the cubic matrices is a<i> + b<i> or a<i> - b<i>, where a<i> and b<i>
-    each add two slots and subtract two (`detcalc.cubic_matrices`).
+    each add two slots and subtract two (`detcalc._CUBIC_CELLS`).
     """
     sums = {f"q{q}": {f"c{s}": 1 for s in range(4 * q, 4 * q + 4)} for q in range(order // 4)}
     for i, cell in enumerate(_CUBIC_CELLS):
@@ -248,12 +251,13 @@ def _program(kind):
     A statement is (name, how, arg).  `how` is "sum", a sum of weighted
     products of names (`_sum_text`); "product", a product of such sums;
     "text", fixed source given with the names it reads; or "check", which
-    ends the evaluation with 0 when `name` is 0.  `result` is the source of
-    the determinant over the names.  The kernel writes each statement as one
-    line; the box walker places it at the loop level of the deepest slot it
-    reads (`_walker_source`).  A named sum of the kind (`_blocks`) is
-    emitted just before the first statement that reads it, so a check that
-    ends the evaluation early also skips the sums only later blocks read.
+    ends the evaluation with 0 when `name` is 0.  `result` lists (name, power)
+    for "value", the linear characters' product, then each larger block.
+    The kernel writes each statement as one line; the box walker places it
+    at the loop level of the deepest slot it reads (`_walker_source`).  A
+    named sum of the kind (`_blocks`) is emitted just before the first
+    statement that reads it, so a check that ends the evaluation early also
+    skips the sums only later blocks read.
     """
     order, blocks, named = _blocks(kind)
     stmts = []
@@ -312,12 +316,17 @@ def _program(kind):
         (linear if block[0] == "det" and len(block[1]) == 1 else larger).append(block)
     add("value", "product", [_sum(forms[0]) for _, forms, _ in linear])
     add("value", "check", None)
-    result = "value"
+    result = [("value", 1)]
     for how, forms, power in larger:
         d = determinant(how, forms)
         add(d, "check", None)
-        result += f" * {d}" if power == 1 else f" * {d} ** {power}"
+        result.append((d, power))
     return order, stmts, result
+
+
+def _product_text(result):
+    """The source of the product of name ** power over a `_program` result."""
+    return " * ".join(name if power == 1 else f"{name} ** {power}" for name, power in result)
 
 
 def _compile(kind, role, src):
@@ -357,21 +366,35 @@ def _blocks(kind):
     return order, blocks, named
 
 
-def _kernel_source(order, stmts, result):
-    """The source of a straight-line kernel: one line per statement, in order."""
-    lines = ["def kernel(c):", f"    {''.join(f'c{s}, ' for s in range(order))}= c"]
-    for name, how, arg in stmts:
+def _kernel_source(order, stmts, returns, name="kernel"):
+    """The source of a straight-line function `name`: one line per statement, in order."""
+    lines = [f"def {name}(c):", f"    {''.join(f'c{s}, ' for s in range(order))}= c"]
+    for target, how, arg in stmts:
         if how == "check":
-            lines.append(f"    if not {name}:\n        return 0")
+            lines.append(f"    if not {target}:\n        return 0")
         else:
-            lines.append(f"    {name} = {_text(how, arg)}")
-    return "\n".join(lines + [f"    return {result}", ""])
+            lines.append(f"    {target} = {_text(how, arg)}")
+    return "\n".join(lines + [f"    return {returns}", ""])
 
 
 @lru_cache(maxsize=None)
 def kernel(kind: str):
     """The evaluator coeffs -> int for a table kind (`GroupTable.kind`), built once."""
-    return _compile(kind, "kernel", _kernel_source(*_program(kind)))
+    order, stmts, result = _program(kind)
+    return _compile(kind, "kernel", _kernel_source(order, stmts, _product_text(result)))
+
+
+@lru_cache(maxsize=None)
+def factors(kind: str):
+    """coeffs -> the tuple of the blocks past "value" (S4: q1, d1, d2), built once.
+
+    The kernel's statements without its checks: sums and products only, so
+    they run over any ring, `sympoly.SparsePoly` included.
+    """
+    order, stmts, result = _program(kind)
+    body = [stmt for stmt in stmts if stmt[1] != "check"]
+    returns = f"({''.join(f'{name}, ' for name, _ in result[1:])})"
+    return _compile(kind, "factors", _kernel_source(order, body, returns, "factors"))
 
 
 # Python refuses more than 20 statically nested blocks, so past this many
@@ -471,4 +494,5 @@ def walker(kind: str, sink: str = "count"):
     `walk(values)` returns the smallest |determinant| >= 2, or None; it
     returns 2 as soon as it meets |det| = 2.
     """
-    return _compile(kind, "walk", _walker_source(*_program(kind), sink))
+    order, stmts, result = _program(kind)
+    return _compile(kind, "walk", _walker_source(order, stmts, _product_text(result), sink))

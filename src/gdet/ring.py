@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .groups import GroupTable, S4_ALPHA_INDEX, S4_BETA_INDEX, build_group
+from .groups import GroupTable, S4_GENERATORS, build_group
 
 MAX_EXPONENT = 4096
 # parentheses and unary minus signs open at once; each level costs the
@@ -229,12 +229,9 @@ class _Parser:
         if isinstance(tok, int):
             self.take()
             return scalar_element(self.group, tok)
-        if tok == "x":
+        if tok in S4_GENERATORS:
             self.take()
-            return basis_element(self.group, S4_ALPHA_INDEX)
-        if tok == "y":
-            self.take()
-            return basis_element(self.group, S4_BETA_INDEX)
+            return basis_element(self.group, S4_GENERATORS[tok][0])
         if tok == "(":
             _, open_pos = self.take()
             inner = self.nested(self.expr)

@@ -7,11 +7,12 @@ into the next only at exponent 16, so every product is guarded to total
 degree at most 15 and raises beyond it; no exponent is ever wrapped.
 
 Coefficients are exact integers; `reduce_mod(m)` reduces them into [0, m).
-`build_symbolic` evaluates the S4 forms of `detcalc.s4_forms`, the one text
-that also gives the integer profile of `s4_factors`, on the 24 variables, and
-the identity suite verifies, as exact polynomial identities, the congruences
-that the membership classification rests on.  Bareiss elimination and the
-representations computed from the permutations check that text.
+`build_symbolic` evaluates `detcalc.s4_forms` on the 24 variables, so q1, d1
+and d2 are the S4 kernel's own block statements, the text that scans and
+`s4_factors` evaluate on integers.  The identity suite verifies, as exact
+polynomial identities, the congruences that the membership classification
+rests on, and the representations computed from the permutations check q1,
+d1 and d2 (`detcalc.rep_factor_check`).
 """
 
 from __future__ import annotations

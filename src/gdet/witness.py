@@ -13,6 +13,8 @@ the S4 block kernel, which shares no code with the families' closed forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from math import prod
 
 from .classify import GroupRule, member
 from .detcalc import det_exact, s4_det_fast, valuation
@@ -38,10 +40,6 @@ class WitnessFamily:
     c0: int
     c1: int
 
-    @property
-    def uses_k(self) -> bool:
-        return not self.fixed
-
     def pattern(self, k: int = 0):
         coeffs = [0] * 24
         if self.fixed:
@@ -54,7 +52,7 @@ class WitnessFamily:
         return tuple(coeffs)
 
     def value(self, k: int = 0) -> int:
-        return self.c0 + self.c1 * k if self.uses_k else self.c0
+        return self.c0 + self.c1 * k  # c1 = 0 for the fixed patterns
 
 
 FAMILIES: dict[str, WitnessFamily] = {
@@ -108,13 +106,14 @@ class WitnessCertificate:
 
 
 def _element_from_trail(trail) -> RingElement:
-    elem = None
-    for fid, k in trail:
-        part, _ = family(fid, k)
-        elem = part if elem is None else convolve(elem, part)
-    if elem is None:
+    if not trail:
         raise ValueError("empty trail")
-    return elem
+    return reduce(convolve, (family(fid, k)[0] for fid, k in trail))
+
+
+def _trail_value(trail) -> int:
+    """The product of the closed-form values of a trail's family instances."""
+    return prod(FAMILIES[fid].value(k) for fid, k in trail)
 
 
 def plan_trail(target: int) -> list[tuple[str, int]]:
@@ -175,9 +174,7 @@ def plan_trail(target: int) -> list[tuple[str, int]]:
 def synthesize(target: int) -> WitnessCertificate:
     """Construct a coefficient vector whose exact determinant is the target."""
     trail = plan_trail(target)
-    product = 1
-    for fid, k in trail:
-        product *= FAMILIES[fid].value(k)
+    product = _trail_value(trail)
     if product != target:
         raise SynthesisExhausted(f"trail values multiply to {product}, wanted {target}")
     elem = _element_from_trail(trail)
@@ -203,10 +200,4 @@ def verify_certificate(cert: WitnessCertificate) -> bool:
         return False
     if rebuilt.coeffs != cert.element.coeffs:
         return False
-    product = 1
-    for fid, k in cert.trail:
-        fam = FAMILIES.get(fid)
-        if fam is None:
-            return False
-        product *= fam.value(k)
-    return product == cert.target
+    return _trail_value(cert.trail) == cert.target  # the rebuild rejected unknown ids

@@ -26,7 +26,7 @@ from gdet import (
     symmetric_group4,
     valuation,
 )
-from gdet.detcalc import RepTable, cofactor_det, cubic_matrices, kernel_for, quadratic_form
+from gdet.detcalc import _CUBIC_CELLS, RepTable, cofactor_det, kernel_for
 from gdet.groups import generating_set
 
 
@@ -113,7 +113,10 @@ def test_profile_linear_relations(s4):
         assert p.u == p.u1 + p.u2 + p.u3 == sum(e.coeffs[:12])
         assert p.v == p.v1 + p.v2 + p.v3 == sum(e.coeffs[12:])
         assert p.l1 == p.u + p.v and p.l2 == p.u - p.v
-        assert p.q1 == quadratic_form(p.u1, p.u2, p.u3) - quadratic_form(p.v1, p.v2, p.v3)
+        # the closed form of q1, independent of the kernel's d = 3 norm block
+        (x, y, z), (x2, y2, z2) = (p.u1, p.u2, p.u3), (p.v1, p.v2, p.v3)
+        assert p.q1 == (x * x + y * y + z * z - x * y - y * z - z * x
+                        - (x2 * x2 + y2 * y2 + z2 * z2 - x2 * y2 - y2 * z2 - z2 * x2))
         assert p.det == p.l1 * p.l2 * p.q1**2 * p.d1**3 * p.d2**3
 
 
@@ -203,7 +206,13 @@ def test_cubic_matrices_match_displayed(family_id):
     from gdet import family
 
     elem, _ = family(family_id, 1)
-    m1, m2 = cubic_matrices(elem.coeffs)
+    c = elem.coeffs
+    # each cell is a + b in A + B and a - b in A - B, with a and b read from
+    # the slots of `_CUBIC_CELLS`, the source of the kernel's cell halves
+    halves = [(c[ap1] + c[ap2] - c[am1] - c[am2], c[bp1] + c[bp2] - c[bm1] - c[bm2])
+              for ap1, ap2, am1, am2, bp1, bp2, bm1, bm2 in _CUBIC_CELLS]
+    m1 = [a + b for a, b in halves]
+    m2 = [a - b for a, b in halves]
     want1, want2 = DISPLAYED[family_id]
     assert [m1[0:3], m1[3:6], m1[6:9]] == want1
     assert [m2[0:3], m2[3:6], m2[6:9]] == want2

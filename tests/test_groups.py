@@ -16,8 +16,7 @@ from gdet import (
     word_to_element,
 )
 from gdet.groups import (
-    S4_ALPHA_INDEX,
-    S4_BETA_INDEX,
+    S4_GENERATORS,
     GroupTable,
     _is_prime,
     generating_set,
@@ -130,7 +129,8 @@ def test_s4_canonical_order(s4):
 
 def test_s4_alpha_squared(s4):
     # (1234) * (1234) = (13)(24), the element at index 1
-    assert s4.mul[S4_ALPHA_INDEX][S4_ALPHA_INDEX] == 1
+    x = S4_GENERATORS["x"][0]
+    assert s4.mul[x][x] == 1
     assert s4.names[1] == "(13)(24)"
 
 

@@ -1,14 +1,17 @@
 """Box walkers against the straight-line kernels rendered from the same statements."""
 
 import itertools
+import random
 import re
 from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gdet import build_group, kernels
+from gdet import (build_group, det_exact, kernels, rep_factor_check, ring_element, s4_det_fast,
+                  s4_factors, sympoly)
 from gdet.detcalc import _CUBIC_CELLS
+from gdet.sympoly import IdentityId, check_identity
 from gdet.harness import ScanConfig, _box_blocks, _box_vectors, _scan_shard, lambda_scan
 
 # every table kind of order <= 12
@@ -193,3 +196,46 @@ def test_named_sums_come_just_before_their_first_reader(kind):
     checks = [i for i, (_, how, _) in enumerate(stmts) if how == "check"]
     halves = [i for i, (name, _, _) in named.items() if name[0] in "ab"]
     assert min(halves) > checks[1]  # after the checks of l1 * l2 (or the sum) and of q1
+
+
+
+def _q1_negated_blocks(kind, blocks=kernels._blocks):
+    """The blocks of a kind; for S4, A and B of the d = 3 norm block swapped.
+
+    That norm is q1, a function of A A' - B B', so the swap negates q1 and
+    nothing else.  q1 enters the determinant squared, so the kernel's values
+    do not change.
+    """
+    order, found, named = blocks(kind)
+    if kind == "S4":
+        found = [(how, (args[0], args[2], args[1]) if how == "norm" else args, power)
+                 for how, args, power in found]
+    return order, found, named
+
+
+@pytest.fixture
+def q1_mutant(monkeypatch):
+    """The S4 kernel with q1 negated, built from cold caches and forgotten afterwards."""
+    def clear():
+        for cached in (kernels._program, kernels.kernel, kernels.walker, kernels.factors,
+                       sympoly.build_symbolic):
+            cached.cache_clear()
+
+    clear()
+    monkeypatch.setattr(kernels, "_blocks", _q1_negated_blocks)
+    yield
+    monkeypatch.undo()
+    clear()
+
+
+def test_q1_mutant_passes_elimination_but_fails_the_identities(q1_mutant):
+    """The identity suite and the representations read the kernel's own q1 block."""
+    s4 = build_group("S4")
+    rng = random.Random(20)
+    for _ in range(50):
+        e = ring_element(s4, [rng.randint(-3, 3) for _ in range(24)])
+        assert s4_det_fast(e) == det_exact(s4, e)
+    e = ring_element(s4, [1, 0, 0, 0, 1] + [0] * 7 + [3] + [0] * 11)  # 1 + x + x*y + 2*y^2*x
+    assert s4_factors(e).q1 == 8  # -8 unmutated
+    assert not check_identity(IdentityId.Q_MOD3).holds
+    assert rep_factor_check() is False
