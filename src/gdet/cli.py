@@ -160,13 +160,10 @@ def _cmd_scan(args) -> int:
     if args.seed is not None and args.random is None:
         raise ValueError("--seed needs --random")
     lo, hi = _parse_range(args.range)
-    if args.random is not None:
-        cfg = harness.ScanConfig(group=args.group, lo=lo, hi=hi, mode="random",
-                                 count=args.random, seed=args.seed or 0,
-                                 out=args.out, full=args.full)
-    else:
-        cfg = harness.ScanConfig(group=args.group, lo=lo, hi=hi, mode="exhaustive",
-                                 out=args.out, full=args.full)
+    cfg = harness.ScanConfig(group=args.group, lo=lo, hi=hi,
+                             mode="exhaustive" if args.random is None else "random",
+                             count=args.random or 0, seed=args.seed or 0,
+                             out=args.out, full=args.full)
     with _exact_ints():  # the report files are output too
         report = harness.scan(cfg)
         if args.json:

@@ -10,11 +10,12 @@ kernel is the paper's factored form
 
 through the five irreducible factors.  `s4_forms` gives them and the
 intermediates of the congruence analysis (quartet sums, u, v, w and the
-six-term forms A_i and B_i) over any ring, with q1, d1 and d2 run from the
-kernel's own block statements (`kernels.factors`): `s4_factors` evaluates
-it on integers, with the 2-/3-adic valuations, and `sympoly.build_symbolic`
-on polynomial variables.  The cubic cells of d1 and d2 are derived from the
-canonical permutations through their signed action on three vectors of Z^4
+six-term forms A_i and B_i) over any ring, with all five factors run from
+the kernel's own block statements (`kernels.factors`): `s4_factors`
+evaluates it on integers, with the 2-/3-adic valuations, and
+`sympoly.build_symbolic` on polynomial variables.  The cubic cells of d1
+and d2, and the six-term forms, are derived from the canonical
+permutations through their signed action on three vectors of Z^4
 (`_signed_action`), which also gives rho1's action on the pairings.  The
 representations computed from the permutations check the polynomials
 (`rep_factor_check`), and Bareiss elimination the values.
@@ -26,7 +27,6 @@ from dataclasses import dataclass, asdict
 from functools import lru_cache
 from typing import Generic, TypeVar
 
-from . import s4data
 from .groups import GroupTable, _invert, _s4_perms_and_names, generating_set, symmetric_group4
 from .ring import RingElement
 
@@ -136,22 +136,27 @@ def _signed_action(p):
     return tuple(action)
 
 
-def _derive_cubic_cells():
-    """Per cell of the cubic matrices, row-major, the slots of A's cell, then of B's.
+_ACTIONS = tuple(_signed_action(p) for p in _s4_perms_and_names()[0])
 
-    d1 = det(A + B) and d2 = det(A - B).  Cell (r, k) of A (of B) holds the
-    even (odd) slots whose signed action is +1 at (r, k), then those where
-    it is -1: two of each.
-    """
-    actions = [_signed_action(p) for p in _s4_perms_and_names()[0]]
-    return tuple(
-        tuple(i for lo in (0, 12) for sign in (1, -1) for i in range(lo, lo + 12)
-              if actions[i][k] == (r, sign))
-        for r in range(3) for k in range(3)
-    )
+# Per cell (r, k) of the cubic matrices, row-major, the slots of A's cell, then
+# of B's; d1 = det(A + B) and d2 = det(A - B).  Cell (r, k) of A (of B) holds
+# the even (odd) slots whose signed action is +1 at (r, k), then those where
+# it is -1: two of each.
+_CUBIC_CELLS = tuple(
+    tuple(i for lo in (0, 12) for sign in (1, -1) for i in range(lo, lo + 12)
+          if _ACTIONS[i][k] == (r, sign))
+    for r in range(3) for k in range(3)
+)
 
-
-_CUBIC_CELLS = _derive_cubic_cells()
+# The slots of the six-term forms A1, A2, A3, B1, B2, B3 of w.  The four
+# permutations of a quartet (a Klein coset) send each pairing vector to the
+# same pairing up to sign, so quartet q occupies three cells.  A_i holds A's
+# +1 slots on odd quartet i's cells, B_i B's -1 slots on even quartet i's.
+_SIX_TERM_FORMS = tuple(
+    tuple(sorted(s for k, (r, _) in enumerate(_ACTIONS[4 * q])
+                 for s in _CUBIC_CELLS[3 * r + k][part]))
+    for part, quartets in ((slice(0, 2), (3, 4, 5)), (slice(6, 8), (0, 1, 2))) for q in quartets
+)
 
 
 R = TypeVar("R")
@@ -162,7 +167,7 @@ class S4Forms(Generic[R]):
     """The five S4 factors and the auxiliary forms of the congruence analysis, in one ring.
 
     u1..u3 and v1..v3 are the sums of the six quartets a1-a4, ..., b9-b12;
-    u and v their totals; A_i and B_i the six-term forms of s4data, and
+    u and v their totals; A_i and B_i the six-term forms (`_SIX_TERM_FORMS`), and
     w = u1*B1 + u2*B2 + u3*B3 + v1*A1 + v2*A2 + v3*A3.
     """
 
@@ -193,19 +198,18 @@ def s4_forms(c) -> dict:
 
     The entries may be of any ring with +, - and *, mixed with ints: integers
     give the values of `s4_factors`, polynomial variables the polynomials of
-    `sympoly.build_symbolic`.  q1, d1 and d2 are the S4 kernel's own block
-    determinants (`kernels.factors`), so both read the text scans evaluate.
+    `sympoly.build_symbolic`.  The five factors are the S4 kernel's own
+    blocks (`kernels.factors`), so both read the text scans evaluate.
     """
     from . import kernels  # imported on first use, as in `kernel_for`
 
-    q1, d1, d2 = kernels.factors("S4")(c)
+    l1, l2, q1, d1, d2 = kernels.factors("S4")(c)
     u1, u2, u3, v1, v2, v3 = (sum(c[lo:lo + 4]) for lo in range(0, 24, 4))
     u = u1 + u2 + u3
     v = v1 + v2 + v3
-    a1, a2, a3 = (sum(c[i] for i in idx) for idx in s4data.A_FORMS)
-    b1, b2, b3 = (sum(c[i + 12] for i in idx) for idx in s4data.B_FORMS)
+    a1, a2, a3, b1, b2, b3 = (sum(c[i] for i in slots) for slots in _SIX_TERM_FORMS)
     return dict(
-        l1=u + v, l2=u - v, q1=q1, d1=d1, d2=d2,
+        l1=l1, l2=l2, q1=q1, d1=d1, d2=d2,
         u1=u1, u2=u2, u3=u3, v1=v1, v2=v2, v3=v3, u=u, v=v,
         w=u1 * b1 + u2 * b2 + u3 * b3 + v1 * a1 + v2 * a2 + v3 * a3,
         A1=a1, A2=a2, A3=a3, B1=b1, B2=b2, B3=b3,

@@ -44,9 +44,10 @@ integer tables alone.  Three renderings of the same list are compiled:
 - `kernel`, a straight-line coeffs -> int function, one line per
   statement; `detcalc.kernel_for` is its entry point, for single vectors,
   random scans and index-order walks;
-- `factors`, the same lines without the checks, returning the larger
-  blocks: `detcalc.s4_forms` runs it on integers and on polynomial
-  variables, so the profile and the identities read S4's q1, d1 and d2 here;
+- `factors`, the same lines without the checks, returning each linear
+  character and each larger block instead of their product:
+  `detcalc.s4_forms` runs it on integers and on polynomial variables, so
+  the profile and the identities read all five S4 factors here;
 - `walker`, one nested loop per slot over a box of vectors, slot 0
   innermost (every folded form of Z_p reads the last slot), each statement
   at the level of the deepest slot it reads and each sum split into a
@@ -386,15 +387,19 @@ def kernel(kind: str):
 
 @lru_cache(maxsize=None)
 def factors(kind: str):
-    """coeffs -> the tuple of the blocks past "value" (S4: q1, d1, d2), built once.
+    """coeffs -> the linear characters, then the larger blocks (S4: l1, l2, q1, d1, d2), built once.
 
-    The kernel's statements without its checks: sums and products only, so
-    they run over any ring, `sympoly.SparsePoly` included.
+    The kernel's statements, without its checks and its product of the
+    linear characters.  They run over any ring, `sympoly.SparsePoly`
+    included, unless a norm block of phi(d) >= 8 (Z13, Z16, ...) calls
+    `det_int`, whose `//` needs integers.
     """
     order, stmts, result = _program(kind)
-    body = [stmt for stmt in stmts if stmt[1] != "check"]
-    returns = f"({''.join(f'{name}, ' for name, _ in result[1:])})"
-    return _compile(kind, "factors", _kernel_source(order, body, returns, "factors"))
+    linear = next(arg for _, how, arg in stmts if how == "product")
+    body = [stmt for stmt in stmts if stmt[1] not in ("check", "product")]
+    returns = [_sum_text(terms) for terms in linear] + [name for name, _ in result[1:]]
+    source = _kernel_source(order, body, f"({', '.join(returns)},)", "factors")
+    return _compile(kind, "factors", source)
 
 
 # Python refuses more than 20 statically nested blocks, so past this many

@@ -1,4 +1,4 @@
-"""Canonical S4 data: element order, generator words and cycle labels, the six-term forms.
+"""Canonical S4 data: the element order, as generator words and as cycle labels.
 
 Everything here is keyed by the canonical element index 0..23: the twelve
 even permutations first (coefficient slots a1..a12), then the twelve odd
@@ -67,18 +67,4 @@ ODD_NAMES = (
     "(34)",
     "(1324)",
     "(1423)",
-)
-
-# Slot index lists (within the a- or b-half) for the six-term linear forms
-# entering the cross term w = u1*B1 + u2*B2 + u3*B3 + v1*A1 + v2*A2 + v3*A3.
-A_FORMS = (
-    (0, 1, 4, 7, 8, 9),
-    (0, 2, 5, 7, 9, 11),
-    (0, 3, 6, 7, 9, 10),
-)
-
-B_FORMS = (
-    (0, 1, 6, 7, 10, 11),
-    (1, 2, 4, 7, 9, 10),
-    (0, 2, 4, 6, 9, 11),
 )

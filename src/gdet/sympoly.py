@@ -7,9 +7,9 @@ into the next only at exponent 16, so every product is guarded to total
 degree at most 15 and raises beyond it; no exponent is ever wrapped.
 
 Coefficients are exact integers; `reduce_mod(m)` reduces them into [0, m).
-`build_symbolic` evaluates `detcalc.s4_forms` on the 24 variables, so q1, d1
-and d2 are the S4 kernel's own block statements, the text that scans and
-`s4_factors` evaluate on integers.  The identity suite verifies, as exact
+`build_symbolic` evaluates `detcalc.s4_forms` on the 24 variables, so l1, l2,
+q1, d1 and d2 are the S4 kernel's own block statements, the text that scans
+and `s4_factors` evaluate on integers.  The identity suite verifies, as exact
 polynomial identities, the congruences that the membership classification
 rests on, and the representations computed from the permutations check q1,
 d1 and d2 (`detcalc.rep_factor_check`).

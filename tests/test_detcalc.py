@@ -226,6 +226,18 @@ def test_cubic_cells_digest():
     assert digest == "4b7b69c297317e6d927a1eee9f9d41bfe687b3d9c472cd385fb10388529aec90"
 
 
+# the paper's six-term forms, as slot lists within the a half (A) and the b half (B)
+PAPER_A_FORMS = ((0, 1, 4, 7, 8, 9), (0, 2, 5, 7, 9, 11), (0, 3, 6, 7, 9, 10))
+PAPER_B_FORMS = ((0, 1, 6, 7, 10, 11), (1, 2, 4, 7, 9, 10), (0, 2, 4, 6, 9, 11))
+
+
+def test_six_term_forms_are_the_papers():
+    from gdet.detcalc import _SIX_TERM_FORMS
+
+    b_slots = tuple(tuple(12 + i for i in form) for form in PAPER_B_FORMS)
+    assert _SIX_TERM_FORMS == PAPER_A_FORMS + b_slots
+
+
 def test_signed_action_is_homomorphism(s4):
     from gdet.detcalc import _signed_action
     from gdet.groups import _s4_perms_and_names

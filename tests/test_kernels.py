@@ -16,6 +16,8 @@ from gdet.harness import ScanConfig, _box_blocks, _box_vectors, _scan_shard, lam
 
 # every table kind of order <= 12
 SMALL_KINDS = [f"Z{n}" for n in range(1, 13)] + [f"D{n}" for n in range(4, 13, 2)] + ["K4", "A4"]
+# every table kind of order <= 24
+ALL_KINDS = [f"Z{n}" for n in range(1, 25)] + [f"D{n}" for n in range(4, 25, 2)] + ["K4", "A4", "S4"]
 ORDER = {kind: build_group(f"D:{kind[1:]}" if kind[0] == "D" else kind).order
          for kind in SMALL_KINDS + ["S4", "Z15"]}
 
@@ -114,8 +116,7 @@ def test_lambda_scan_is_the_kernel_minimum(data):
 @pytest.mark.parametrize("sink", ["count", "min"])
 def test_walker_compiles_for_every_kind_up_to_order_24(sink):
     """Python nests at most 20 blocks: the outer slots of large orders share one loop."""
-    kinds = [f"Z{n}" for n in range(1, 25)] + [f"D{n}" for n in range(4, 25, 2)] + ["K4", "A4", "S4"]
-    for kind in kinds:
+    for kind in ALL_KINDS:
         assert callable(kernels.walker(kind, sink))
 
 
@@ -213,23 +214,35 @@ def _q1_negated_blocks(kind, blocks=kernels._blocks):
     return order, found, named
 
 
+def _linear_swapped_blocks(kind, blocks=kernels._blocks):
+    """The blocks of a kind; for S4, its two linear characters l1 and l2 swapped.
+
+    The kernel multiplies them, so its values do not change.
+    """
+    order, found, named = blocks(kind)
+    if kind == "S4":
+        assert [len(forms) for _, forms, _ in found[:2]] == [1, 1]  # two 1x1 blocks
+        found = [found[1], found[0], *found[2:]]
+    return order, found, named
+
+
 @pytest.fixture
-def q1_mutant(monkeypatch):
-    """The S4 kernel with q1 negated, built from cold caches and forgotten afterwards."""
+def mutate_blocks(monkeypatch):
+    """Installs a `kernels._blocks` mutant on cold caches; forgotten afterwards."""
     def clear():
         for cached in (kernels._program, kernels.kernel, kernels.walker, kernels.factors,
                        sympoly.build_symbolic):
             cached.cache_clear()
 
     clear()
-    monkeypatch.setattr(kernels, "_blocks", _q1_negated_blocks)
-    yield
+    yield lambda mutant: monkeypatch.setattr(kernels, "_blocks", mutant)
     monkeypatch.undo()
     clear()
 
 
-def test_q1_mutant_passes_elimination_but_fails_the_identities(q1_mutant):
+def test_q1_mutant_passes_elimination_but_fails_the_identities(mutate_blocks):
     """The identity suite and the representations read the kernel's own q1 block."""
+    mutate_blocks(_q1_negated_blocks)
     s4 = build_group("S4")
     rng = random.Random(20)
     for _ in range(50):
@@ -239,3 +252,47 @@ def test_q1_mutant_passes_elimination_but_fails_the_identities(q1_mutant):
     assert s4_factors(e).q1 == 8  # -8 unmutated
     assert not check_identity(IdentityId.Q_MOD3).holds
     assert rep_factor_check() is False
+
+
+def test_linear_swap_mutant_passes_elimination_but_fails_d1_expansion(mutate_blocks):
+    """The profile and the identity suite read l1 and l2 from the kernel's own blocks."""
+    mutate_blocks(_linear_swapped_blocks)
+    s4 = build_group("S4")
+    rng = random.Random(21)
+    for _ in range(50):
+        e = ring_element(s4, [rng.randint(-3, 3) for _ in range(24)])
+        assert s4_det_fast(e) == det_exact(s4, e)
+    p = s4_factors(ring_element(s4, [1, 0, 0, 0, 1] + [0] * 7 + [3] + [0] * 11))
+    assert (p.l1, p.l2) == (-1, 5)  # (5, -1) unmutated
+    assert not check_identity(IdentityId.D1_EXPANSION).holds
+
+
+def _block_product(kind, blocks):
+    """The product of `factors`' returns, each raised to its block's power in `_program`."""
+    _, _, result = kernels._program(kind)
+    powers = [1] * (len(blocks) - len(result) + 1) + [power for _, power in result[1:]]
+    value = 1
+    for block, power in zip(blocks, powers, strict=True):
+        value *= block ** power
+    return value
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_factors_multiply_to_the_kernel(kind):
+    rng = random.Random(kind)
+    n = kernels._program(kind)[0]
+    for _ in range(20):
+        c = [rng.randint(-3, 3) for _ in range(n)]
+        assert _block_product(kind, kernels.factors(kind)(c)) == kernels.kernel(kind)(c)
+
+
+@pytest.mark.parametrize("kind", ["K4", "D6", "Z7", "A4", "S4"])
+def test_factors_run_on_polynomial_variables(kind):
+    """Each block, expanded on SparsePoly variables, takes the blocks' values at integer points."""
+    n = kernels._program(kind)[0]
+    polys = kernels.factors(kind)([sympoly.SparsePoly.var(i) for i in range(n)])
+    rng = random.Random(kind)
+    for _ in range(10):
+        c = [rng.randint(-3, 3) for _ in range(n)]
+        point = c + [0] * (sympoly.NVARS - n)
+        assert [p.evaluate(point) for p in polys] == list(kernels.factors(kind)(c))
