@@ -15,7 +15,6 @@ from .groups import (
     klein_group,
     alternating_group4,
     symmetric_group4,
-    word_to_element,
     parse_gen_word,
 )
 from .ring import (
@@ -68,7 +67,7 @@ __version__ = "0.1.0"
 __all__ = [
     "GroupTable", "build_group", "check_group_laws", "cyclic_group",
     "dihedral_group", "klein_group", "alternating_group4", "symmetric_group4",
-    "word_to_element", "parse_gen_word",
+    "parse_gen_word",
     "RingElement", "ParseError", "convolve", "identity_element", "parse_expr",
     "ring_element", "element_from_json",
     "FactorProfile", "RepTable", "cofactor_det", "default_rep_table",

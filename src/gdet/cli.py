@@ -48,6 +48,16 @@ def _emit(obj) -> None:
         print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
+def _unique_keys(pairs):
+    """A JSON object from its (key, value) pairs, where a repeated key is an error."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r} in element JSON")
+        obj[key] = value
+    return obj
+
+
 def _load_element(args, group):
     if args.expr is not None:
         return parse_expr(args.expr, group)
@@ -55,7 +65,11 @@ def _load_element(args, group):
     if not text.lstrip().startswith(("[", "{")):
         with open(text) as fh:
             text = fh.read()
-    return element_from_json(json.loads(text), group)
+    try:
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ValueError("element JSON is nested too deeply") from None
+    return element_from_json(obj, group)
 
 
 def _cmd_det(args) -> int:

@@ -232,7 +232,7 @@ def s4_factors(e: RingElement) -> FactorProfile:
     if e.group.kind != "S4":
         raise ValueError("factor profile is defined for S4 elements only")
     f = s4_forms(e.coeffs)
-    det = f["l1"] * f["l2"] * f["q1"] ** 2 * f["d1"] ** 3 * f["d2"] ** 3
+    det = kernel_for(e.group)(e.coeffs)
     return FactorProfile(**f, det=det, val2=valuation(det, 2), val3=valuation(det, 3))
 
 

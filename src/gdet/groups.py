@@ -158,20 +158,6 @@ def parse_gen_word(text: str) -> list[tuple[str, int]]:
     return word
 
 
-def word_to_element(g: GroupTable, word) -> int:
-    """Evaluate a generator word (string or (letter, exp) list) to an element index."""
-    if g.kind != "S4":
-        raise ValueError("generator words are defined for the S4 table only")
-    if isinstance(word, str):
-        word = parse_gen_word(word)
-    acc = g.identity_index
-    for letter, exp in word:
-        base, _, order = S4_GENERATORS[letter]
-        for _ in range(exp % order):
-            acc = g.mul[acc][base]
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # builders
 

@@ -4,7 +4,10 @@ A scan evaluates the group determinant over a box of coefficient vectors and
 checks every nonzero value against the membership rule for that group; any
 rejection is a violation and gets dumped with its coefficient vector.  Work
 is split into index shards whose partial reports merge associatively, so
-shards can run in parallel (GDET_THREADS) without changing the output.
+shards can run in parallel (GDET_THREADS) without changing the output.  An
+exhaustive shard is width^m vectors, for the largest power of the range
+width within SHARD_SIZE (at least the width itself), so it is one product
+block: its first slots hold fixed values and its last m slots every value.
 """
 
 from __future__ import annotations
@@ -144,45 +147,35 @@ def _random_vectors(seed, start, stop, n, lo, hi):
         yield tuple(coeffs)
 
 
-def _box_blocks(lo, hi, n, start, stop):
-    """Vectors start..stop-1 of the box [lo, hi]^n as at most about 2n product blocks.
+def _box_block(lo, hi, n, start, size):
+    """Vectors start..start+size-1 of the box [lo, hi]^n as one product block.
 
     Vector j has the base-(hi - lo + 1) digits of j as its entries, so the
-    last slot runs fastest.  A block is one sequence of values per slot:
-    start's values in the first slots, a run of values in one slot, and
-    every value in the slots after it.  The blocks come in index order, and
-    no vector before `start` is generated.
+    last slot runs fastest.  The range must be aligned: `size` is a power
+    width^m with m <= n and `start` a multiple of it.  Then start's digits
+    fill the first n - m slots, the last m slots take every value, and the
+    block is one sequence of values per slot.
     """
     values = range(lo, hi + 1)
     width = len(values)
-    while start < stop:
-        free = 0  # trailing slots that take every value in this block
-        while free < n and start % width ** (free + 1) == 0 and start + width ** (free + 1) <= stop:
-            free += 1
-        if free == n:
-            yield [values] * n
-            return
-        size = width ** free
-        j, digit = divmod(start // size, width)
-        prefix = []
-        for _ in range(n - 1 - free):
-            j, r = divmod(j, width)
-            prefix.append((values[r],))
-        run = min(width - digit, (stop - start) // size)
-        yield prefix[::-1] + [values[digit:digit + run]] + [values] * free
-        start += run * size
-
-
-def _box_vectors(lo, hi, n, start, stop):
-    """Vectors start..stop-1 of the box [lo, hi]^n, in index order."""
-    blocks = _box_blocks(lo, hi, n, start, stop)
-    return itertools.chain.from_iterable(itertools.product(*values) for values in blocks)
+    free, power = 0, 1  # the trailing slots that take every value
+    while power < size and free < n:
+        free, power = free + 1, power * width
+    if power != size or start % size or not 0 <= start <= width ** n - size:
+        raise ValueError(
+            f"vectors {start}..{start + size - 1} do not form an aligned block of [{lo}, {hi}]^{n}")
+    j = start // size
+    prefix = []
+    for _ in range(n - free):
+        j, r = divmod(j, width)
+        prefix.append((values[r],))
+    return prefix[::-1] + [values] * free
 
 
 def _shard_vectors(cfg, n, start, stop):
     if cfg.mode == "random":
         return _random_vectors(cfg.seed, start, stop, n, cfg.lo, cfg.hi)
-    return _box_vectors(cfg.lo, cfg.hi, n, start, stop)
+    return itertools.product(*_box_block(cfg.lo, cfg.hi, n, start, stop - start))
 
 
 def _scan_shard(payload):
@@ -190,10 +183,10 @@ def _scan_shard(payload):
 
     The loop over vectors only evaluates and counts; every other statistic
     is a function of the value, so each distinct value is classified once.
-    An exhaustive shard is counted by the kind's box walker, block by block
-    (`_box_blocks`), and the other shards by the kernel.  Only when some
-    value is rejected are the vectors walked again in index order, by the
-    kernel, to list the violations.
+    An exhaustive shard is one product block (`_box_block`), counted by one
+    call of the kind's box walker; the other shards are counted by the
+    kernel.  Only when some value is rejected are the vectors walked again
+    in index order, by the kernel, to list the violations.
     """
     cfg, start, stop = payload
     g = build_group(cfg.group)
@@ -212,8 +205,8 @@ def _scan_shard(payload):
     else:
         from . import kernels  # imported on first use, as by `detcalc.kernel_for`
 
-        walk = kernels.walker(g.kind)
-        zeros = sum(walk(values, counts) for values in _box_blocks(cfg.lo, cfg.hi, g.order, start, stop))
+        block = _box_block(cfg.lo, cfg.hi, g.order, start, stop - start)
+        zeros = kernels.walker(g.kind)(block, counts)
         if zeros:
             counts[0] += zeros
     rejected = set()
@@ -275,10 +268,14 @@ def scan(cfg: ScanConfig) -> ScanReport:
     g = build_group(cfg.group)
     classify.parse_rule(cfg.group)  # fail early if no decider exists
     size = _space_size(cfg, g.order)
-    shards = [
-        (cfg, start, min(start + SHARD_SIZE, size))
-        for start in range(0, size, SHARD_SIZE)
-    ]
+    step = SHARD_SIZE
+    if cfg.mode == "exhaustive":
+        # width^m vectors, with 1 <= m <= n as large as SHARD_SIZE allows: one block
+        width, m = cfg.hi - cfg.lo + 1, 1
+        while m < g.order and width ** (m + 1) <= SHARD_SIZE:
+            m += 1
+        step = width ** m
+    shards = [(cfg, start, min(start + step, size)) for start in range(0, size, step)]
     if workers > 1 and len(shards) > 1:
         import multiprocessing
 

@@ -9,7 +9,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gdet import build_group, classify, det_exact, parse_expr, symmetric_group4, word_to_element
+from gdet import build_group, classify, det_exact, parse_expr, symmetric_group4
 from gdet.cli import run
 from gdet.ring import MAX_NESTING
 
@@ -383,6 +383,26 @@ def test_det_missing_file_is_error(capsys):
     assert run(["det", "--group", "S4", "--coeffs", "no/such/file.json"]) == 2
 
 
+@pytest.mark.parametrize("inline", [True, False])
+def test_det_deeply_nested_json_is_an_input_error(capsys, tmp_path, inline):
+    coeffs = "[" * 100_000 + "]" * 100_000
+    if not inline:
+        path = tmp_path / "deep.json"
+        path.write_text(coeffs)
+        coeffs = str(path)
+    assert run(["det", "--group", "Z4", "--coeffs", coeffs]) == 2
+    assert "nested too deeply" in capture(capsys)[1]
+
+
+@pytest.mark.parametrize("coeffs, key", [
+    ('{"coeffs": [1,2,0,1], "coeffs": [1,0,0,0]}', "coeffs"),
+    ('{"group": "Z4", "coeffs": [1,0,0,0], "group": "K4"}', "group"),
+], ids=["coeffs", "group"])
+def test_det_rejects_duplicate_keys(capsys, coeffs, key):
+    assert run(["det", "--group", "Z4", "--coeffs", coeffs]) == 2
+    assert f"duplicate key {key!r}" in capture(capsys)[1]
+
+
 @pytest.mark.parametrize("coeffs", ["[1.7, 2, 0, 0]", '["3", true, 0, 0]'])
 def test_det_rejects_non_integer_coeffs(capsys, coeffs):
     assert run(["det", "--group", "Z4", "--coeffs", coeffs]) == 2
@@ -477,10 +497,11 @@ def test_parse_prints_integers_beyond_the_digit_limit(capsys):
     assert sys.get_int_max_str_digits() == limit  # restored for in-process callers
     # x = (1234) has order 4, so the binomial terms of x^k land in the slot of x^(k mod 4)
     g = symmetric_group4()
+    slot = [parse_expr(f"x^{k}", g).coeffs.index(1) for k in range(4)]
     want = [0] * 24
     term = 15 ** 4096
     for k in range(4097):
-        want[word_to_element(g, f"x^{k % 4}")] += term
+        want[slot[k % 4]] += term
         term = term * (4096 - k) // ((k + 1) * 15)
     with any_int_length():
         assert len(str(want[0])) > 4300

@@ -12,8 +12,8 @@ from gdet import (
     cyclic_group,
     dihedral_group,
     klein_group,
+    parse_expr,
     parse_gen_word,
-    word_to_element,
 )
 from gdet.groups import (
     S4_GENERATORS,
@@ -134,25 +134,32 @@ def test_s4_alpha_squared(s4):
     assert s4.names[1] == "(13)(24)"
 
 
+def _element(s4, expr):
+    """The group element that `expr`, a product of generator powers, evaluates to."""
+    coeffs = parse_expr(expr, s4).coeffs
+    assert sorted(coeffs) == [0] * 23 + [1], f"{expr!r} is no group element"
+    return coeffs.index(1)
+
+
 def test_all_24_words_map_to_their_index(s4):
     seen = set()
     for index, word in enumerate(EVEN_WORDS + ODD_WORDS):
-        got = word_to_element(s4, word)
+        got = _element(s4, "*".join(word.split()) or "1")
         assert got == index, f"word {word!r} gave index {got}, expected {index}"
         seen.add(got)
     assert seen == set(range(24))
 
 
 def test_word_examples(s4):
-    assert word_to_element(s4, "x^4") == 0
-    assert word_to_element(s4, "x y") == 4
-    assert word_to_element(s4, "xy") == 4
-    assert word_to_element(s4, "y x y") == word_to_element(s4, "x^3 y x^3")
+    assert _element(s4, "x^4") == s4.identity_index
+    assert _element(s4, "x*y") == 4
+    assert _element(s4, "y*x*y") == _element(s4, "x^3*y*x^3")
+    assert parse_gen_word("xy") == parse_gen_word("x y") == [("x", 1), ("y", 1)]
 
 
 def test_word_negative_exponent(s4):
-    assert word_to_element(s4, "x^-1") == word_to_element(s4, "x^3")
-    assert word_to_element(s4, "x x^-1") == 0
+    assert parse_gen_word("x^-1 y^3") == [("x", -1), ("y", 3)]
+    assert _element(s4, "x*x^3") == s4.identity_index  # x^-1 is x^3
 
 
 def test_cycle_names_agree_with_multiplication(s4):
@@ -173,18 +180,18 @@ def test_word_parse_errors():
 
 
 @pytest.mark.parametrize("digit", ["\u0663", "\uff13", "\u09e9"])  # Arabic-Indic, fullwidth, Bengali 3
-def test_words_and_cycle_labels_take_ascii_digits_only(s4, digit):
-    assert word_to_element(s4, "x^3") == word_to_element(s4, "x^-1")
+def test_words_and_cycle_labels_take_ascii_digits_only(digit):
+    assert parse_gen_word("x^3") == [("x", 3)]
     with pytest.raises(ValueError, match="bad exponent"):
-        word_to_element(s4, f"x^{digit}")
+        parse_gen_word(f"x^{digit}")
     assert perm_from_cycles("(13)") == (2, 1, 0, 3)
     with pytest.raises(ValueError, match="bad cycle label"):
         perm_from_cycles(f"(1{digit})")
 
 
 def test_word_requires_s4():
-    with pytest.raises(ValueError):
-        word_to_element(klein_group(), "x")
+    with pytest.raises(ValueError, match="S4 table only"):
+        parse_expr("x", klein_group())
 
 
 @pytest.mark.parametrize("bad", ["Z0", "Z65", "D:3", "D:2", "Q8", ""])

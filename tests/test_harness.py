@@ -17,7 +17,7 @@ from gdet import (
 )
 from gdet.cli import run
 from gdet.detcalc import kernel_for
-from gdet.harness import SHARD_SIZE, _random_vectors, _scan_shard
+from gdet.harness import _box_block, _random_vectors, _scan_shard
 
 
 def test_z4_exhaustive_no_violations():
@@ -69,10 +69,10 @@ def test_different_seeds_differ():
 
 
 def test_merge_is_shard_independent():
-    # one shard vs many shards must agree record for record
+    # one shard vs many aligned shards must agree record for record
     cfg = ScanConfig(group="Z4", lo=-2, hi=2, mode="exhaustive")
     whole = _scan_shard((cfg, 0, 625))
-    parts = [_scan_shard((cfg, a, min(a + 100, 625))) for a in range(0, 625, 100)]
+    parts = [_scan_shard((cfg, a, a + 125)) for a in range(0, 625, 125)]
     merged = parts[0]
     for p in parts[1:]:
         merged.merge(p)
@@ -92,10 +92,10 @@ def _box_vector(lo, hi, n, j):
 
 
 @pytest.mark.parametrize("start, stop", [
-    (SHARD_SIZE - 37, SHARD_SIZE + 41),  # mid-box, across a shard boundary
-    (0, 60),
-    (5**7 - 45, 5**7),                   # up to the last vector
-])
+    (0, 5**3),
+    (312 * 5**3, 313 * 5**3),  # mid-box: 312 is 2222 in base 5
+    (5**7 - 5**3, 5**7),       # up to the last vector
+], ids=["first", "middle", "last"])
 def test_exhaustive_shard_walks_index_order(start, stop):
     cfg = ScanConfig(group="Z7", lo=-1, hi=3, mode="exhaustive", full=True)
     g = build_group("Z7")
@@ -106,6 +106,51 @@ def test_exhaustive_shard_walks_index_order(start, stop):
     assert [record["det"] for record in report.records] == [
         det_int(group_matrix(g, coeffs)) for coeffs in want
     ]
+
+
+@pytest.mark.parametrize("start, size", [
+    (1, 5),     # start is no multiple of the size
+    (5, 25),
+    (0, 6),     # the size is no power of the width
+    (0, 5**8),  # more than the box
+    (5**7, 5),  # past the last vector
+])
+def test_box_block_rejects_unaligned_ranges(start, size):
+    with pytest.raises(ValueError, match="an aligned block"):
+        _box_block(-1, 3, 7, start, size)
+    cfg = ScanConfig(group="Z7", lo=-1, hi=3, mode="exhaustive")
+    with pytest.raises(ValueError, match="an aligned block"):
+        _scan_shard((cfg, start, start + size))
+
+
+def _scan_with_shards(monkeypatch, cfg):
+    """A serial scan, and the (start, stop) of each shard it ran."""
+    ranges = []
+
+    def recording(payload):
+        ranges.append(payload[1:])
+        return _scan_shard(payload)
+
+    monkeypatch.delenv("GDET_THREADS", raising=False)
+    monkeypatch.setattr(harness, "_scan_shard", recording)
+    return scan(cfg), ranges
+
+
+def test_exhaustive_shards_are_powers_of_the_width(monkeypatch):
+    cfg = ScanConfig(group="Z7", lo=-1, hi=3, mode="exhaustive")
+    _, ranges = _scan_with_shards(monkeypatch, cfg)
+    assert ranges == [(a, a + 5**6) for a in range(0, 5**7, 5**6)]  # five shards of 15625
+
+
+def test_exhaustive_shard_is_at_least_the_width(monkeypatch):
+    """A width above SHARD_SIZE still frees the last slot, and the report does not change."""
+    cfg = ScanConfig(group="Z3", lo=-9, hi=9, mode="exhaustive")
+    whole, ranges = _scan_with_shards(monkeypatch, cfg)
+    assert ranges == [(0, 19**3)]
+    monkeypatch.setattr(harness, "SHARD_SIZE", 7)
+    ranges.clear()
+    assert scan(cfg).to_json() == whole.to_json()
+    assert ranges == [(a, a + 19) for a in range(0, 19**3, 19)]
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -237,7 +282,7 @@ def test_exhaustive_report_bytes_are_pinned(capsys, group, box, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest
 
 
-# Z7 over [-1, 3] is 78125 vectors, four shards
+# Z7 over [-1, 3] is 78125 vectors, five shards
 GOLDEN_Z7 = {
     "jsonl": "b241d9817fabb53d8df7dadee7cf7cc45c10a75f866763103aa9f0e96e81c6e5",
     "csv": "94a6d0c4f4a23b146ed82dff0e6a08eacbc0cabddb14c432d2d467aa8841a089",

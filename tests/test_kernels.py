@@ -12,7 +12,7 @@ from gdet import (build_group, det_exact, kernels, rep_factor_check, ring_elemen
                   s4_factors, sympoly)
 from gdet.detcalc import _CUBIC_CELLS
 from gdet.sympoly import IdentityId, check_identity
-from gdet.harness import ScanConfig, _box_blocks, _box_vectors, _scan_shard, lambda_scan
+from gdet.harness import ScanConfig, _box_block, _scan_shard, lambda_scan
 
 # every table kind of order <= 12
 SMALL_KINDS = [f"Z{n}" for n in range(1, 13)] + [f"D{n}" for n in range(4, 13, 2)] + ["K4", "A4"]
@@ -31,29 +31,38 @@ def _box_vector(lo, hi, n, j):
     return tuple(reversed(digits))
 
 
-def _walk_counts(kind, blocks):
+def _walk_counts(kind, values):
     counts = Counter()
-    zeros = sum(kernels.walker(kind)(values, counts) for values in blocks)
+    zeros = kernels.walker(kind)(values, counts)
     if zeros:
         counts[0] = zeros
     return counts
 
 
+def _draw_aligned_shard(data, n, lo, hi, most):
+    """An aligned range of [lo, hi]^n: width^m vectors, at most `most`, from a multiple of width^m."""
+    width = hi - lo + 1
+    m = 0
+    while m < n and width ** (m + 1) <= most:
+        m += 1
+    size = width ** data.draw(st.integers(0, m), label="m")
+    start = size * data.draw(st.integers(0, width ** n // size - 1), label="shard")
+    return start, size
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_walker_counts_match_kernel_on_any_index_range(data):
+    """Any aligned index range is one product block, in index order."""
     kind = data.draw(st.sampled_from(SMALL_KINDS), label="kind")
     n = ORDER[kind]
     lo = data.draw(st.integers(-3, 2), label="lo")
     hi = data.draw(st.integers(lo, lo + 3), label="hi")
-    size = (hi - lo + 1) ** n
-    start = data.draw(st.integers(0, size - 1), label="start")
-    stop = data.draw(st.integers(start + 1, min(size, start + 1500)), label="stop")
-    blocks = list(_box_blocks(lo, hi, n, start, stop))
-    assert len(blocks) <= 2 * n
-    vectors = list(_box_vectors(lo, hi, n, start, stop))
-    assert vectors == [_box_vector(lo, hi, n, j) for j in range(start, stop)]
-    assert _walk_counts(kind, blocks) == Counter(map(kernels.kernel(kind), vectors))
+    start, size = _draw_aligned_shard(data, n, lo, hi, 1500)
+    block = _box_block(lo, hi, n, start, size)
+    vectors = list(itertools.product(*block))
+    assert vectors == [_box_vector(lo, hi, n, j) for j in range(start, start + size)]
+    assert _walk_counts(kind, block) == Counter(map(kernels.kernel(kind), vectors))
 
 
 @settings(max_examples=150, deadline=None)
@@ -67,7 +76,7 @@ def test_walker_counts_match_kernel_on_any_values(data):
                                        max_size=3 if slot in support else 1)))
               for slot in range(n)]
     want = Counter(map(kernels.kernel(kind), itertools.product(*values)))
-    assert _walk_counts(kind, [values]) == want
+    assert _walk_counts(kind, values) == want
 
 
 RULE_GROUPS = ["Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z9", "Z10", "K4", "D:6", "D8", "A4"]
@@ -76,14 +85,13 @@ RULE_GROUPS = ["Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z9", "Z10", "K4", "D:6", "D8
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_exhaustive_shard_report_matches_kernel_path(data):
-    """A shard counted by the walker reports what the kernel's index-order walk (--full) does."""
+    """An aligned shard counted by the walker reports what the kernel's index-order walk (--full) does."""
     group = data.draw(st.sampled_from(RULE_GROUPS), label="group")
     n = build_group(group).order
     lo = data.draw(st.integers(-2, 1), label="lo")
     hi = data.draw(st.integers(lo, lo + 3), label="hi")
-    size = (hi - lo + 1) ** n
-    start = data.draw(st.integers(0, size - 1), label="start")
-    stop = data.draw(st.integers(start + 1, min(size, start + 1500)), label="stop")
+    start, size = _draw_aligned_shard(data, n, lo, hi, 1500)
+    stop = start + size
     cfg = ScanConfig(group=group, lo=lo, hi=hi, mode="exhaustive")
     full = ScanConfig(group=group, lo=lo, hi=hi, mode="exhaustive", full=True)
     assert _scan_shard((cfg, start, stop)).to_json() == _scan_shard((full, start, stop)).to_json()
