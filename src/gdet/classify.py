@@ -1,9 +1,10 @@
 """Closed-form membership deciders for the groups with known determinant sets.
 
-Each rule decides whether an integer is an attainable group determinant,
-returning the structural reason (valuations, residues) along with the
-verdict.  Zero is rejected everywhere: the closed forms describe the nonzero
-attainable values.
+Each rule decides whether an integer is an attainable group determinant.
+Its clauses are written once, in `decider`, which also returns the 2- and
+3-adic valuations; `member` adds the structural reason (residues, class)
+to the verdict.  Zero is rejected everywhere: the closed forms describe the
+nonzero attainable values.
 """
 
 from __future__ import annotations
@@ -57,79 +58,103 @@ class MembershipVerdict:
         return {"member": self.member, "rule": self.rule, "m": self.m, "reason": self.reason}
 
 
+def decider(rule: GroupRule):
+    """The rule as a function of m that returns (ok, v2, v3).
+
+    v2 and v3 are the 2- and 3-adic valuations of m, which a scan tallies
+    whatever the rule.  Each rule is a set of clauses on them, on m mod 4,
+    on the odd part m >> v2 mod 4 and, for the cyclic rules, on the p-adic
+    valuation.  Zero, whose valuations are infinite, gives (False, None, None).
+    """
+    kind, p = rule.kind, rule.p
+    if kind == "Zp":
+        def accept(m, v2, v3):
+            vp = valuation(m, p)
+            return vp == 0 or vp >= 2
+    elif kind == "Z2p":
+        def accept(m, v2, v3):
+            vp = valuation(m, p)
+            return (v2 == 0 or v2 >= 2) and (vp == 0 or vp >= 2)
+    elif kind == "Z9":
+        def accept(m, v2, v3):
+            return v3 == 0 or v3 >= 3
+    elif kind == "Z4":
+        def accept(m, v2, v3):
+            return v2 == 0 or v2 >= 4
+    elif kind == "Klein4":
+        def accept(m, v2, v3):
+            return m % 4 == 1 or v2 == 4 or v2 >= 6
+    elif kind == "D8":
+        def accept(m, v2, v3):
+            return m % 4 == 1 or v2 >= 8
+    elif kind == "S3":
+        def accept(m, v2, v3):
+            return (v2 == 0 or v2 >= 2) and (v3 == 0 or v3 >= 3)
+    elif kind == "A4":
+        def accept(m, v2, v3):
+            return (v3 == 0 or v3 >= 2) and (m % 4 == 1 if v2 == 0 else v2 == 4 or v2 >= 8)
+    elif kind == "S4":
+        def accept(m, v2, v3):
+            if v3 == 1 or v3 == 2:
+                return False
+            if v2 == 0 or v2 == 8:
+                return (m >> v2) % 4 == 1
+            if v2 == 10:
+                return (m >> 10) % 4 == 3
+            return v2 >= 12
+    else:
+        raise AssertionError(kind)
+
+    def decide(m):
+        if not m:
+            return False, None, None
+        v2 = (m & -m).bit_length() - 1
+        v3, rest = 0, m
+        while not rest % 3:
+            rest //= 3
+            v3 += 1
+        return accept(m, v2, v3), v2, v3
+
+    return decide
+
+
 def member(rule: GroupRule, m: int) -> MembershipVerdict:
-    """Decide membership of m in the attainable-determinant set of the rule."""
+    """Decide membership of m in the attainable-determinant set of the rule.
+
+    The verdict and the valuations are the decider's; the other `reason`
+    fields name the residue, the class and the condition the rule read.
+    """
     if m == 0:
         return MembershipVerdict(False, rule.name, 0, {"zero": True})
-    v2 = valuation(m, 2)
-    v3 = valuation(m, 3)
+    ok, v2, v3 = decider(rule)(m)
     reason: dict = {"v2": v2, "v3": v3, "mod4": m % 4}
     kind = rule.kind
-
-    if kind == "Zp":
-        vp = valuation(m, rule.p)
-        reason["vp"] = vp
-        ok = vp == 0 or vp >= 2
-    elif kind == "Z2p":
-        vp = valuation(m, rule.p)
-        reason["vp"] = vp
-        ok = (v2 == 0 or v2 >= 2) and (vp == 0 or vp >= 2)
-    elif kind == "Z9":
-        ok = v3 == 0 or v3 >= 3
-    elif kind == "Z4":
-        ok = v2 == 0 or v2 >= 4
+    if kind in ("Zp", "Z2p"):
+        reason["vp"] = valuation(m, rule.p)
     elif kind == "Klein4":
-        ok = m % 4 == 1 or v2 == 4 or v2 >= 6
         reason["class"] = (
             "4m+1" if m % 4 == 1 else "2^4(2m+1)" if v2 == 4 else "2^6m" if v2 >= 6 else None
         )
     elif kind == "D8":
-        ok = m % 4 == 1 or v2 >= 8
         reason["class"] = "4m+1" if m % 4 == 1 else "2^8m" if v2 >= 8 else None
-    elif kind == "S3":
-        ok = (v2 == 0 or v2 >= 2) and (v3 == 0 or v3 >= 3)
     elif kind == "A4":
-        three_ok = v3 == 0 or v3 >= 2
-        reason["three_condition"] = three_ok
-        if v2 == 0:
-            reason["class"] = "odd"
-            ok = m % 4 == 1 and three_ok
-        else:
-            reason["class"] = "even"
-            ok = (v2 == 4 or v2 >= 8) and three_ok
+        reason["three_condition"] = v3 == 0 or v3 >= 2
+        reason["class"] = "odd" if v2 == 0 else "even"
     elif kind == "S4":
-        three_ok = v3 == 0 or v3 >= 3
-        reason["three_condition"] = three_ok
-        if v2 == 0:
-            reason["class"] = "odd"
-            reason["cofactor_mod4"] = m % 4
-            ok = m % 4 == 1 and three_ok
-        elif v2 == 8:
-            cof = m >> 8
-            reason["class"] = "2^8"
-            reason["cofactor_mod4"] = cof % 4
-            ok = cof % 4 == 1 and three_ok
-        elif v2 == 10:
-            cof = m >> 10
-            reason["class"] = "2^10"
-            reason["cofactor_mod4"] = cof % 4
-            ok = cof % 4 == 3 and three_ok
-        elif v2 >= 12:
-            reason["class"] = "2^12"
-            ok = three_ok
+        reason["three_condition"] = v3 == 0 or v3 >= 3
+        if v2 in (0, 8, 10):
+            reason["class"] = "odd" if v2 == 0 else f"2^{v2}"
+            reason["cofactor_mod4"] = (m >> v2) % 4
         else:
-            reason["class"] = None
-            ok = False
-    else:
-        raise AssertionError(kind)
-
-    return MembershipVerdict(bool(ok), rule.name, m, reason)
+            reason["class"] = "2^12" if v2 >= 12 else None
+    return MembershipVerdict(ok, rule.name, m, reason)
 
 
 def lambda_of(rule: GroupRule) -> int:
     """Smallest |m| >= 2 attainable under the rule (the Lind-Lehmer value)."""
+    decide = decider(rule)
     for n in count(2):
-        if member(rule, n).member or member(rule, -n).member:
+        if decide(n)[0] or decide(-n)[0]:
             return n
     raise AssertionError("unreachable")
 

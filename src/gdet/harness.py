@@ -28,6 +28,7 @@ EXHAUSTIVE_LIMIT = 10**7
 RNG_ALGO = "py-mt19937-pervec-v1"  # vector j drawn from Random((seed << 32) + j)
 SHARD_SIZE = 20_000
 FORMAT_VERSION = 1
+PAIRS_PER_CHUNK = 4096  # distinct values put into decimal and written at a time
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ class ScanReport:
         return self
 
     def as_dict(self, distinct=None):
-        """The report as JSON-ready data; `distinct` is `self.distinct()`, if already made."""
+        """The report as JSON-ready data, with `distinct` in place of `self.distinct()` if given."""
         return {
             "format": "gdet-scan-report",
             "version": FORMAT_VERSION,
@@ -114,8 +115,12 @@ class ScanReport:
         """The (value, count) pairs, by value."""
         return sorted(self.value_counts.items(), key=itemgetter(0))
 
-    def to_json(self, distinct=None) -> str:
-        return json.dumps(self.as_dict(distinct), sort_keys=True, separators=(",", ":"))
+    def to_json(self) -> str:
+        return _dumps(self.as_dict())
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _random_vectors(seed, start, stop, n, lo, hi):
@@ -209,16 +214,17 @@ def _scan_shard(payload):
         zeros = kernels.walker(g.kind)(block, counts)
         if zeros:
             counts[0] += zeros
+    decide = classify.decider(rule)
+    residues, v2_hist, v3_hist = report.residue_mod24, report.v2_hist, report.v3_hist
     rejected = set()
     for value, n in counts.items():
         if value == 0:
             continue
-        report.residue_mod24[value % 24] += n
-        # every decider reports the 2- and 3-adic valuations it used
-        verdict = classify.member(rule, value)
-        report.v2_hist[verdict.reason["v2"]] += n
-        report.v3_hist[verdict.reason["v3"]] += n
-        if not verdict.member:
+        residues[value % 24] += n
+        ok, v2, v3 = decide(value)
+        v2_hist[v2] += n
+        v3_hist[v3] += n
+        if not ok:
             rejected.add(value)
     if rejected:
         for coeffs in _shard_vectors(cfg, g.order, start, stop):
@@ -291,29 +297,52 @@ def scan(cfg: ScanConfig) -> ScanReport:
     return report
 
 
+def _report_line_ends(report: ScanReport):
+    """`report.to_json()` before and after its distinct pairs.
+
+    The line is the text before, each pair as "[value,count]" with commas
+    between, then the text after: sorted keys put "config" first,
+    "distinct_values" second and every other field after them.
+    """
+    fields = report.as_dict(distinct=())
+    config = fields.pop("config")
+    del fields["distinct_values"]
+    return '{"config":' + _dumps(config) + ',"distinct_values":[', "]," + _dumps(fields)[1:]
+
+
 def write_report(report: ScanReport, path: str) -> None:
     """Persist a report as JSON-lines plus a CSV value summary.
 
-    Both files are written to temporary files in the target directory and
-    then renamed over the targets, so a write that fails leaves any earlier
-    report whole and no temporary file behind.
+    The distinct values are written to both files in one pass, a chunk of
+    PAIRS_PER_CHUNK pairs at a time: each pair is put into decimal once, as
+    "value,count", which is a CSV line and, in brackets, an item of the
+    report line's "distinct_values" list.  Both files are written to
+    temporary files in the target directory and then renamed over the
+    targets, so a write that fails leaves any earlier report whole and no
+    temporary file behind.
     """
     base = path[: -len(".jsonl")] if path.endswith(".jsonl") else path
     targets = (base + ".jsonl", base + ".csv")
     temps = [f"{target}.{os.getpid()}.{os.urandom(4).hex()}.tmp" for target in targets]
-    distinct = report.distinct()  # sorted once, for the JSON summary and the CSV
     try:
         # "x" never clobbers a file, and the umask applies as it did for the targets
-        with open(temps[0], "x") as fh:
+        with open(temps[0], "x") as jsonl, open(temps[1], "x") as csv:
             header = {"format": "gdet-scan", "version": FORMAT_VERSION, "config": report.config}
-            fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+            jsonl.write(_dumps(header) + "\n")
             for record in report.records:
-                fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
-            fh.write(report.to_json(distinct) + "\n")
-        with open(temps[1], "x") as fh:
-            fh.write(f"# gdet-scan-summary v{FORMAT_VERSION}\n")
-            fh.write("value,multiplicity\n")
-            fh.writelines(f"{v},{n}\n" for v, n in distinct)
+                jsonl.write(_dumps(record) + "\n")
+            head, tail = _report_line_ends(report)
+            jsonl.write(head)
+            csv.write(f"# gdet-scan-summary v{FORMAT_VERSION}\nvalue,multiplicity\n")
+            counts = report.value_counts
+            values = sorted(counts)
+            sep = "["
+            for i in range(0, len(values), PAIRS_PER_CHUNK):
+                pairs = [f"{v},{counts[v]}" for v in values[i:i + PAIRS_PER_CHUNK]]
+                jsonl.write(sep + "],[".join(pairs) + "]")
+                csv.write("\n".join(pairs) + "\n")
+                sep = ",["
+            jsonl.write(tail + "\n")
         for tmp, target in zip(temps, targets):
             os.replace(tmp, target)
     except BaseException:

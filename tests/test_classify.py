@@ -1,11 +1,13 @@
 """Closed-form membership rules and the smallest non-trivial values."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gdet import GroupRule, build_group, convolve, lambda_of, member, parse_rule, ring_element
+from gdet.classify import decider
 from gdet.detcalc import kernel_for
 
 
@@ -88,6 +90,7 @@ def test_displayed_set_membership(rule, m, expected):
 @pytest.mark.parametrize("rule", ["Zp:7", "Z2p:7", "Z9", "Z4", "K4", "D8", "S3", "A4", "S4"])
 def test_zero_rejected_everywhere(rule):
     assert not verdict(rule, 0).member
+    assert decider(parse_rule(rule))(0) == (False, None, None)
 
 
 def test_prime_validation():
@@ -109,6 +112,56 @@ def test_rule_parsing_shorthands():
         parse_rule("Z15")
     with pytest.raises(ValueError):
         parse_rule("Q8")
+
+
+# -- each rule's decider against its displayed set
+
+
+def in_displayed_set(kind, m, v2, v3, vp):
+    """Whether m is in the rule's displayed set, clause by clause from the valuations."""
+    odd_mod4 = (m >> v2) % 4  # the odd part m / 2^v2, mod 4
+    return {
+        "Zp": vp != 1,
+        "Z2p": v2 != 1 and vp != 1,
+        "Z9": v3 not in (1, 2),
+        "Z4": v2 not in (1, 2, 3),
+        "Klein4": odd_mod4 == 1 and v2 == 0 or v2 == 4 or v2 >= 6,
+        "D8": odd_mod4 == 1 and v2 == 0 or v2 >= 8,
+        "S3": v2 != 1 and v3 not in (1, 2),
+        "A4": v3 != 1 and (odd_mod4 == 1 and v2 == 0 or v2 == 4 or v2 >= 8),
+        "S4": v3 not in (1, 2) and ((v2, odd_mod4) in {(0, 1), (8, 1), (10, 3)} or v2 >= 12),
+    }[kind]
+
+
+@st.composite
+def factored_values(draw, p):
+    """(m, v2, v3, vp) for m = +-2^a 3^b p^c u with u coprime to 6p, often past 2^64."""
+    a, b, c = draw(st.integers(0, 14)), draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    step = 6 * p
+    u = step * draw(st.integers(0, 2**80)) + draw(
+        st.sampled_from([r for r in range(1, step) if math.gcd(r, step) == 1]))
+    m = draw(st.sampled_from([1, -1])) * 2**a * 3**b * p**c * u
+    v2, v3 = a + c * (p == 2), b + c * (p == 3)
+    return m, v2, v3, {2: v2, 3: v3}.get(p, c)
+
+
+DECIDER_RULES = ["Zp:2", "Zp:3", "Zp:7", "Z2p:3", "Z2p:5", "Z9", "Z4", "Klein4", "D8", "S3",
+                 "A4", "S4"]
+
+
+@pytest.mark.parametrize("rule_name", DECIDER_RULES)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_decider_matches_displayed_set_and_member(rule_name, data):
+    rule = parse_rule(rule_name)
+    m, v2, v3, vp = data.draw(factored_values(rule.p or 5))
+    ok, got_v2, got_v3 = decider(rule)(m)
+    assert (ok, got_v2, got_v3) == (in_displayed_set(rule.kind, m, v2, v3, vp), v2, v3)
+    verdict = member(rule, m)
+    assert verdict.member is ok
+    assert (verdict.reason["v2"], verdict.reason["v3"]) == (v2, v3)
+    if rule.p is not None:
+        assert verdict.reason["vp"] == vp
 
 
 # -- structural invariants

@@ -1,6 +1,7 @@
 """CLI dispatch, exit codes, and JSON output schemas."""
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -80,6 +81,24 @@ def test_member_bad_rule_is_error(capsys):
     assert run(["member", "--group", "Q8", "5"]) == 2
     _, err = capture(capsys)
     assert "error" in err
+
+
+# sha256 over the exit code and output of `member --group R m --json` for each rule
+# kind R and each m below, so that a changed verdict or reason field shows
+MEMBER_RULES = ("Zp:7", "Z2p:5", "Z9", "Z4", "Klein4", "D8", "S3", "A4", "S4")
+MEMBER_VALUES = (0, 1, -1, 2, -2, 3, 5, 16, 27, 48, 49, 64, 256, -256, 768, 1024, -1024,
+                 3072, 4096, 2**64 + 1)
+MEMBER_JSON_SHA256 = "7bb5bac0a61a64c937b394b84e6a7a3be2498095087d6f90efd8b196b09df02b"
+
+
+def test_member_json_bytes_are_pinned(capsys):
+    digest = hashlib.sha256()
+    for rule in MEMBER_RULES:
+        for m in MEMBER_VALUES:
+            code = run(["member", "--group", rule, str(m), "--json"])
+            assert code in (0, 1), (rule, m)
+            digest.update(f"{code}\n{capture(capsys)[0]}".encode())
+    assert digest.hexdigest() == MEMBER_JSON_SHA256
 
 
 def test_lambda_rule(capsys):
@@ -465,13 +484,13 @@ def test_group_name_registry(capsys, monkeypatch, name, order, has_table, rule):
 
     # scan needs both, and decides with the rule member reports
     decided = set()
-    real_member = classify.member
+    real_decider = classify.decider
 
-    def recording_member(r, m):
+    def recording_decider(r):
         decided.add(r.name)
-        return real_member(r, m)
+        return real_decider(r)
 
-    monkeypatch.setattr(classify, "member", recording_member)
+    monkeypatch.setattr(classify, "decider", recording_decider)
     monkeypatch.delenv("GDET_THREADS", raising=False)
     code = run(["scan", "--group", name, "--range=-3:3", "--random", "20", "--json"])
     assert code == (0 if has_table and rule is not None else 2)

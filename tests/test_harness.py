@@ -1,19 +1,20 @@
 """Scan harness: exhaustive oracles, reproducibility, persistence."""
 
 import contextlib
-import dataclasses
 import hashlib
 import itertools
 import json
 import multiprocessing
 import random
+import tracemalloc
 import types
+from collections import Counter
 
 import pytest
 
 from gdet import (
-    ScanConfig, build_group, classify, det_int, group_matrix, harness, lambda_scan, parse_rule,
-    scan, write_report,
+    ScanConfig, ScanReport, build_group, classify, det_int, group_matrix, harness, lambda_scan,
+    parse_rule, scan, write_report,
 )
 from gdet.cli import run
 from gdet.detcalc import kernel_for
@@ -157,29 +158,34 @@ def test_exhaustive_shard_is_at_least_the_width(monkeypatch):
 @pytest.mark.parametrize("full", [False, True])
 def test_violations_follow_index_order(monkeypatch, threads, full):
     """Rejecting some values lists every vector that reaches them, in index order."""
-    member = classify.member
+    decider = classify.decider
 
-    def picky(rule, m):
-        verdict = member(rule, m)
-        return dataclasses.replace(verdict, member=False) if m % 7 == 3 else verdict
+    def picky(rule):
+        decide = decider(rule)
+
+        def reject_3_mod_7(m):
+            ok, v2, v3 = decide(m)
+            return ok and m % 7 != 3, v2, v3
+
+        return reject_3_mod_7
 
     if threads == "2":
-        # the workers must inherit the patched member, which only fork gives them
+        # the workers must inherit the patched decider, which only fork gives them
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("needs the fork start method")
         monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("fork").Pool)
-    monkeypatch.setattr(classify, "member", picky)
+    monkeypatch.setattr(classify, "decider", picky)
     monkeypatch.setattr(harness, "SHARD_SIZE", 4000)
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     monkeypatch.setenv("GDET_THREADS", threads)
     report = scan(ScanConfig(group="D:6", lo=-1, hi=3, mode="exhaustive", full=full))
 
-    evaluate, rule = kernel_for(build_group("D:6")), parse_rule("D:6")
+    evaluate, decide = kernel_for(build_group("D:6")), picky(parse_rule("D:6"))
     want, records = [], []
     for coeffs in itertools.product(range(-1, 4), repeat=6):
         value = evaluate(coeffs)
         records.append({"coeffs": list(coeffs), "det": value})
-        if value and not picky(rule, value).member:
+        if value and not decide(value)[0]:
             want.append({"coeffs": list(coeffs), "value": value})
     assert len(want) > 100
     assert report.violations == want
@@ -410,8 +416,68 @@ def test_lambda_scan_range_too_large():
         lambda_scan("S4", -1, 1)
 
 
+def _rendered_files(report):
+    """The report files with the report line from `to_json` and the CSV written pair by pair."""
+    header = {"format": "gdet-scan", "version": 1, "config": report.config}
+    jsonl = "".join(json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n"
+                    for line in [header, *report.records])
+    jsonl += report.to_json() + "\n"
+    csv = "# gdet-scan-summary v1\nvalue,multiplicity\n"
+    csv += "".join(f"{v},{n}\n" for v, n in report.distinct())
+    return jsonl, csv
+
+
+def _written_report(kind):
+    if kind == "empty":
+        return ScanReport(config={})
+    if kind == "one-value":
+        return ScanReport(config={"group": "S4"}, total=3, value_counts=Counter({5: 3}),
+                          residue_mod24=Counter({5: 3}), v2_hist=Counter({0: 3}),
+                          v3_hist=Counter({0: 3}))
+    if kind == "negative-values":
+        return ScanReport(
+            config={"group": "Z4"}, total=9, zeros=2,
+            value_counts=Counter({-1024: 1, -27: 3, 0: 2, 2: 1, 7: 2}),
+            violations=[{"coeffs": [1, 1, 0, 0], "value": 2}],
+            residue_mod24=Counter({8: 1, 21: 3, 2: 1, 7: 2}), v2_hist=Counter({10: 1, 0: 5, 1: 1}),
+            v3_hist=Counter({0: 4, 3: 3}),
+            records=[{"coeffs": [-1, 0, 0, 1], "det": -27}, {"coeffs": [0, 0, 0, 0], "det": 0}])
+    if kind == "chunks":
+        chunk = harness.PAIRS_PER_CHUNK
+        return ScanReport(config={"group": "S4"}, total=10**6,
+                          value_counts=Counter({v * 2**70 + 3: v % 5 + 1
+                                               for v in range(-chunk, chunk + 7)}))
+    assert kind == "full-s4-scan"
+    return scan(ScanConfig(group="S4", lo=-2, hi=2, mode="random", count=500, seed=9, full=True))
+
+
+@pytest.mark.parametrize("kind", ["empty", "one-value", "negative-values", "chunks",
+                                  "full-s4-scan"])
+def test_streamed_report_files_match_whole_rendering(tmp_path, kind):
+    report = _written_report(kind)
+    write_report(report, str(tmp_path / "r"))
+    jsonl, csv = _rendered_files(report)
+    written = (tmp_path / "r.jsonl").read_text()
+    assert written.splitlines()[-1] == report.to_json()
+    assert written == jsonl
+    assert (tmp_path / "r.csv").read_text() == csv
+
+
+def test_report_write_holds_one_chunk_of_text_at_a_time(tmp_path):
+    # 50,000 distinct 61-digit values: the report line alone is 3.5 MB of text
+    values = {v * 10**60 + 1: 1 for v in range(-25_000, 25_000)}
+    report = ScanReport(config={}, value_counts=Counter(values))
+    tracemalloc.start()
+    try:
+        write_report(report, str(tmp_path / "big"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * len(report.to_json())
+
+
 class _Unprintable(int):
-    """An int whose CSV formatting fails, so a write breaks after the JSONL file is done."""
+    """An int whose decimal formatting fails, so a write breaks in the CSV body."""
 
     def __format__(self, spec):
         raise OSError("disk full")
@@ -425,11 +491,11 @@ def test_failed_report_write_keeps_earlier_report(tmp_path, monkeypatch, stage):
     assert set(before) == {"scan.jsonl", "scan.csv"}
 
     report = scan(ScanConfig(group="K4", lo=-2, hi=2, mode="exhaustive"))
-    if stage == "jsonl":  # fails after the header line is written
-        def broken(*args):
+    if stage == "jsonl":  # fails after the header line, as the report line starts
+        def broken(*args, **kwargs):
             raise OSError("disk full")
 
-        monkeypatch.setattr(report, "to_json", broken)
+        monkeypatch.setattr(report, "as_dict", broken)
     else:
         report.value_counts[_Unprintable(7)] += 1
     with pytest.raises(OSError, match="disk full"):
