@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
 import sys
 
@@ -239,48 +238,39 @@ def _join_dash_values(argv):
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gdet",
-        description="Integer group determinants for small finite groups.",
-        allow_abbrev=False,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    command = functools.partial(sub.add_parser, allow_abbrev=False)
-
-    p = command("det", help="evaluate a group determinant")
+def _add_det(p):
     p.add_argument("--group", default="S4")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--coeffs", help="inline JSON or a path to a JSON file")
     src.add_argument("--expr", help="ring expression in x and y (S4 only)")
     p.add_argument("--factors", action="store_true", help="also print the S4 factor profile")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_det)
 
-    p = command("member", help="decide membership in an attainable set")
+
+def _add_member(p):
     p.add_argument("--group", required=True, help="rule name, e.g. S4, A4, D8, Zp:7")
     p.add_argument("m", type=integer)
     p.add_argument("--json", action="store_true", help="accepted for uniformity; the output is JSON")
-    p.set_defaults(func=_cmd_member)
 
-    p = command("lambda", help="smallest non-trivial |determinant|")
+
+def _add_lambda(p):
     p.add_argument("--group", required=True)
     p.add_argument("--scan-range", help="LO:HI for an exhaustive scan instead of the rule")
     p.add_argument("--support", help="comma-separated slots for the scan")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_lambda)
 
-    p = command("witness", help="synthesize an S4 witness certificate")
+
+def _add_witness(p):
     p.add_argument("m", type=integer)
     p.add_argument("--json", action="store_true", help="accepted for uniformity; the output is JSON")
-    p.set_defaults(func=_cmd_witness)
 
-    p = command("verify-identities", help="check the factor congruence identities")
+
+def _add_verify_identities(p):
     p.add_argument("--id", help="check a single identity by name")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verify_identities)
 
-    p = command("scan", help="scan determinants against the decider")
+
+def _add_scan(p):
     p.add_argument("--group", required=True)
     p.add_argument("--range", required=True, help="entry range LO:HI")
     mode = p.add_mutually_exclusive_group(required=True)
@@ -290,19 +280,58 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="persist report as JSONL + CSV at this path")
     p.add_argument("--full", action="store_true", help="persist one record per vector")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_scan)
 
-    p = command("parse", help="parse a ring expression to canonical coefficients")
+
+def _add_parse(p):
     p.add_argument("--expr", required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_parse)
 
+
+# name -> (help, function that adds the command's arguments, handler), in the
+# order `gdet --help` lists them
+COMMANDS = {
+    "det": ("evaluate a group determinant", _add_det, _cmd_det),
+    "member": ("decide membership in an attainable set", _add_member, _cmd_member),
+    "lambda": ("smallest non-trivial |determinant|", _add_lambda, _cmd_lambda),
+    "witness": ("synthesize an S4 witness certificate", _add_witness, _cmd_witness),
+    "verify-identities": ("check the factor congruence identities",
+                          _add_verify_identities, _cmd_verify_identities),
+    "scan": ("scan determinants against the decider", _add_scan, _cmd_scan),
+    "parse": ("parse a ring expression to canonical coefficients", _add_parse, _cmd_parse),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The gdet parser: only `command`'s subparser if it names one, else every command.
+
+    A lone subparser would shrink the usage line of the top-level errors to
+    `{det}`, so it is given the full tree's list of commands as its metavar.
+    The full tree keeps argparse's own, which its "invalid choice" error reads.
+    """
+    parser = argparse.ArgumentParser(
+        prog="gdet",
+        description="Integer group determinants for small finite groups.",
+        allow_abbrev=False,
+    )
+    if command in COMMANDS:
+        names = [command]
+        metavar = "{" + ",".join(COMMANDS) + "}"
+    else:
+        names, metavar = list(COMMANDS), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_arguments, handler = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
+    argv = _join_dash_values(sys.argv[1:] if argv is None else argv)
+    # a request builds only the parser of the command it names; a first token
+    # that names none (-h, nothing, an unknown word) gets the full tree
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, ParseError, OSError, json.JSONDecodeError) as exc:

@@ -85,9 +85,13 @@ class ScanReport:
     def merge(self, other: "ScanReport") -> "ScanReport":
         self.total += other.total
         self.zeros += other.zeros
-        # every count is positive, so update adds as += does, without its pass
-        # that drops counts below 1
-        self.value_counts.update(other.value_counts)
+        # Counter.update loops in Python over every value of `other`; sum only the
+        # few values both shards saw and copy the rest in with dict.update, which
+        # leaves the keys in the order Counter.update gives
+        counts, more = self.value_counts, other.value_counts
+        shared = {value: counts[value] + more[value] for value in counts.keys() & more.keys()}
+        dict.update(counts, more)
+        dict.update(counts, shared)
         self.violations += other.violations
         self.residue_mod24.update(other.residue_mod24)
         self.v2_hist.update(other.v2_hist)

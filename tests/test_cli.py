@@ -1,5 +1,6 @@
 """CLI dispatch, exit codes, and JSON output schemas."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -10,7 +11,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gdet import build_group, classify, det_exact, parse_expr, symmetric_group4
+from gdet import build_group, classify, cli, det_exact, parse_expr, symmetric_group4
 from gdet.cli import run
 from gdet.ring import MAX_NESTING
 
@@ -594,3 +595,88 @@ def test_json_output_is_one_tagged_canonical_object(command):
     obj = json.loads(line)
     assert obj.get("schema", obj.get("format")) == tag
     assert json.dumps(obj, sort_keys=True, separators=(",", ":")) == line[:-1]
+
+
+# the argv lists the one-command parser must treat exactly as the full tree does
+_PARSER_ARGVS = [
+    *([name, "-h"] for name in cli.COMMANDS),
+    ["det", "--group", "Z4", "--coeffs", "[1,2,0,0]", "--json"],
+    ["member", "--group", "S4", "5"],
+    ["lambda", "--group", "Z4", "--scan-range=0:1", "--support", "0,1", "--json"],
+    ["witness", "5", "--json"],
+    ["verify-identities", "--id", "L_MOD2"],
+    ["scan", "--group", "S4", "--range=-1:1", "--random", "10", "--seed", "3", "--full"],
+    ["parse", "--expr=-x"],
+    ["member", "5"],                                        # a missing required option
+    ["scan", "--group", "Z4", "--exhaustive"],
+    ["det", "--expr", "x", "--bogus"],                      # an unknown trailing option
+    ["witness", "5", "7"],
+    ["parse", "--ex", "x"],                                 # an abbreviated option
+    ["scan", "--group", "Z4", "--rang=0:1", "--exhaustive"],
+    ["member", "--group", "S4", "\u0661\u0663"],            # a non-ASCII integer
+    ["scan", "--group", "Z4", "--range=0:1", "--random", "\u0663"],
+    ["det", "--coeffs", "[1]", "--expr", "x"],              # options that exclude each other
+    ["det", "member"],
+]
+
+_EVERY_COMMAND = "{det,member,lambda,witness,verify-identities,scan,parse}"
+
+
+def _parse(parser, argv):
+    """(the namespace as a dict, or argparse's exit code), stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", _PARSER_ARGVS)
+def test_one_command_parser_reads_argv_as_the_full_tree_does(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its text to the terminal width
+    full = _parse(cli.build_parser(), argv)
+    assert _parse(cli.build_parser(argv[0] if argv else None), argv) == full
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["det", "--expr", "x", "--bogus"], "gdet: error: unrecognized arguments: --bogus"),
+    (["bogus"], "gdet: error: argument command: invalid choice: 'bogus'"),
+    ([], "gdet: error: the following arguments are required: command"),
+], ids=["unknown-option", "unknown-command", "no-command"])
+def test_top_level_errors_list_every_command(capsys, monkeypatch, argv, message):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    out, err = capture(capsys)
+    assert out == "" and err.startswith(f"usage: gdet [-h] {_EVERY_COMMAND} ...\n{message}")
+
+
+def _commands(parser):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+def test_build_parser_adds_only_the_named_command():
+    every = list(cli.COMMANDS)
+    assert every == ["det", "member", "lambda", "witness", "verify-identities", "scan", "parse"]
+    assert _commands(cli.build_parser()) == every
+    assert _commands(cli.build_parser("bogus")) == every
+    assert _commands(cli.build_parser("member")) == ["member"]
+
+
+def test_run_builds_the_parser_of_the_named_command(capsys, monkeypatch):
+    built = []
+    build_parser = cli.build_parser
+
+    def recording(command=None):
+        built.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    assert run(["member", "--group", "S4", "5"]) == 0
+    with pytest.raises(SystemExit):
+        run([])
+    assert built == ["member", None]

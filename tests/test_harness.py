@@ -83,6 +83,20 @@ def test_merge_is_shard_independent():
     assert merged.to_json() == whole.to_json()
 
 
+@pytest.mark.parametrize("first, second", [
+    ({}, {0: 2, 5: 1}),
+    ({5: 2, 0: 1, -3: 4, 2 ** 80: 1}, {2 ** 80: 3, 11: 1, 0: 2, -8: 5}),
+    ({5: 1, -3: 2}, {7: 1}),
+    ({5: 1, -3: 2}, {}),
+])
+def test_merge_adds_value_counts_as_counter_update_does(first, second):
+    expected = Counter(first)
+    expected.update(Counter(second))
+    merged = ScanReport(config={}, value_counts=Counter(first))
+    merged.merge(ScanReport(config={}, value_counts=Counter(second)))
+    assert list(merged.value_counts.items()) == list(expected.items())
+
+
 def _box_vector(lo, hi, n, j):
     """Vector j of the box [lo, hi]^n, read from the digits of j: the last slot runs fastest."""
     coeffs = [0] * n
