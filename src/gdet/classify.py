@@ -4,7 +4,8 @@ Each rule decides whether an integer is an attainable group determinant.
 Its clauses are written once, in `decider`, which also returns the 2- and
 3-adic valuations; `member` adds the structural reason (residues, class)
 to the verdict.  Zero is rejected everywhere: the closed forms describe the
-nonzero attainable values.
+nonzero attainable values.  `valuation` is defined here and `detcalc`
+imports it, so deciding membership loads no determinant code.
 """
 
 from __future__ import annotations
@@ -12,10 +13,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 
-from .detcalc import valuation
 from .groups import _is_prime, rule_spec
 
 RULE_KINDS = ("Zp", "Z2p", "Z9", "Z4", "Klein4", "D8", "S3", "A4", "S4")
+
+
+def valuation(m: int, p: int):
+    """p-adic valuation of m; None encodes the infinite valuation of 0."""
+    if p < 2:
+        raise ValueError(f"valuation needs a base p >= 2, got {p}")
+    if m == 0:
+        return None
+    if p == 2:
+        return (m & -m).bit_length() - 1
+    v = 0
+    while m % p == 0:
+        m //= p
+        v += 1
+    return v
 
 
 @dataclass(frozen=True)

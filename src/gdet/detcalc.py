@@ -27,6 +27,7 @@ from dataclasses import dataclass, asdict
 from functools import lru_cache
 from typing import Generic, TypeVar
 
+from .classify import valuation
 from .groups import GroupTable, _invert, _s4_perms_and_names, generating_set, symmetric_group4
 from .ring import RingElement
 
@@ -79,21 +80,6 @@ def det_exact(g: GroupTable, e: RingElement) -> int:
     if e.group.order != g.order or e.group.kind != g.kind:
         raise ValueError("element group does not match")
     return det_int(group_matrix(g, e.coeffs))
-
-
-def valuation(m: int, p: int):
-    """p-adic valuation of m; None encodes the infinite valuation of 0."""
-    if p < 2:
-        raise ValueError(f"valuation needs a base p >= 2, got {p}")
-    if m == 0:
-        return None
-    if p == 2:
-        return (m & -m).bit_length() - 1
-    v = 0
-    while m % p == 0:
-        m //= p
-        v += 1
-    return v
 
 
 # ---------------------------------------------------------------------------

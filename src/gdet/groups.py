@@ -244,6 +244,16 @@ def alternating_group4() -> GroupTable:
 # names
 
 
+def is_decimal(text: str) -> bool:
+    """Whether `text` is an integer written as an optional "-" and ASCII digits.
+
+    int() alone would also take "+5", " 5", "1_0" and the digits of other
+    scripts, such as "٣".
+    """
+    digits = text[1:] if text.startswith("-") else text
+    return digits.isascii() and digits.isdigit()
+
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 

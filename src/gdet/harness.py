@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from . import classify, detcalc
-from .groups import build_group
+from .groups import build_group, is_decimal
 
 EXHAUSTIVE_LIMIT = 10**7
 RNG_ALGO = "py-mt19937-pervec-v1"  # vector j drawn from Random((seed << 32) + j)
@@ -247,16 +247,6 @@ def _space_size(cfg: ScanConfig, order: int) -> int:
     if size > EXHAUSTIVE_LIMIT:
         raise ValueError(f"exhaustive scan of {size} vectors exceeds limit {EXHAUSTIVE_LIMIT}")
     return size
-
-
-def is_decimal(text: str) -> bool:
-    """Whether `text` is an integer written as an optional "-" and ASCII digits.
-
-    int() alone would also take "+5", " 5", "1_0" and the digits of other
-    scripts, such as "٣".
-    """
-    digits = text[1:] if text.startswith("-") else text
-    return digits.isascii() and digits.isdigit()
 
 
 def _worker_count() -> int:

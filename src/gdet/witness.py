@@ -23,7 +23,11 @@ from .ring import RingElement, convolve, ring_element
 
 
 class NotInSet(ValueError):
-    """The target is not an attainable S4 determinant."""
+    """The target is not an attainable S4 determinant; `verdict` is its membership verdict."""
+
+    def __init__(self, verdict):
+        super().__init__(f"{verdict.m} is not an attainable S4 determinant: {verdict.reason}")
+        self.verdict = verdict
 
 
 class SynthesisExhausted(RuntimeError):
@@ -126,7 +130,7 @@ def plan_trail(target: int) -> list[tuple[str, int]]:
     """
     verdict = member(_S4_RULE, target)
     if not verdict.member:
-        raise NotInSet(f"{target} is not an attainable S4 determinant: {verdict.reason}")
+        raise NotInSet(verdict)
     trail: list[tuple[str, int]] = []
     t = target
     v2 = valuation(t, 2)

@@ -5,8 +5,10 @@ import contextlib
 import hashlib
 import io
 import json
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -680,3 +682,74 @@ def test_run_builds_the_parser_of_the_named_command(capsys, monkeypatch):
     with pytest.raises(SystemExit):
         run([])
     assert built == ["member", None]
+
+
+def test_witness_classifies_a_non_member_once(capsys, monkeypatch):
+    from gdet import witness
+
+    calls = []
+    real_member = classify.member
+
+    def counting(rule, m):
+        calls.append(m)
+        return real_member(rule, m)
+
+    monkeypatch.setattr(classify, "member", counting)
+    monkeypatch.setattr(witness, "member", counting)
+    assert run(["witness", "6"]) == 1
+    assert calls == [6]
+    assert capture(capsys)[0] == (
+        '{"member":false,"reason":{"class":null,"mod4":2,"three_condition":false,'
+        '"v2":1,"v3":1},"schema":"gdet-witness/1","target":6}\n')
+
+
+def test_handlers_look_up_the_patch_points_at_call_time(capsys, monkeypatch):
+    """A tracer wraps `cli.build_group` and `cli.parse_expr`; a request must call the wrappers."""
+    calls = []
+    for name in ("build_group", "parse_expr"):
+        real = getattr(cli, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(cli, name, counting)
+    assert run(["det", "--expr", "1 + x", "--json"]) == 0
+    assert json.loads(capture(capsys)[0])["det"] == 0
+    assert calls == ["build_group", "parse_expr"]
+
+
+_BASE_MODULES = {"gdet", "gdet.cli", "gdet.groups", "gdet.ring", "gdet.s4data"}
+
+
+def _gdet_modules_after(code):
+    """The gdet modules a fresh interpreter has imported after running `code`.
+
+    A fresh process, since this one imported most of gdet already.
+    """
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    script = (f"import sys; sys.path.insert(0, {src!r}); {code}; "
+              "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'gdet'))")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, check=True)
+    return set(done.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("code, expected", [
+    ("import gdet", {"gdet"}),
+    ("import gdet.cli; gdet.cli.build_parser()", _BASE_MODULES),
+    ("import gdet.cli; gdet.cli.run(['member', '--group', 'S4', '5'])",
+     _BASE_MODULES | {"gdet.classify"}),
+], ids=["package", "parser", "member"])
+def test_import_budget_exact(code, expected):
+    assert _gdet_modules_after(code) == expected
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["det", "--expr", "1 + x"], {"gdet.sympoly", "gdet.witness", "gdet.harness"}),
+    (["witness", "1280"], {"gdet.sympoly", "gdet.harness"}),
+    (["verify-identities"], {"gdet.harness", "gdet.witness"}),
+], ids=["det", "witness", "verify-identities"])
+def test_import_budget_of_a_command(argv, absent):
+    loaded = _gdet_modules_after(f"import gdet.cli; gdet.cli.run({argv!r})")
+    assert _BASE_MODULES <= loaded and not loaded & absent
