@@ -31,7 +31,7 @@ _MORE = {
     "ring": "RingElement ParseError convolve identity_element element_from_json",
     "detcalc": "FactorProfile RepTable cofactor_det default_rep_table det_int group_matrix "
                "rep_is_homomorphism s4_det_fast",
-    "sympoly": "IdentityId IdentityReport SparsePoly cubic_corrections",
+    "sympoly": "IdentityId IdentityReport SparsePoly",
     "classify": "GroupRule MembershipVerdict lambda_of valuation",
     "witness": "FAMILIES FAMILY_IDS NotInSet SynthesisExhausted WitnessCertificate "
                "WitnessFamily family",

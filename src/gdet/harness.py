@@ -8,6 +8,12 @@ shards can run in parallel (GDET_THREADS) without changing the output.  An
 exhaustive shard is width^m vectors, for the largest power of the range
 width within SHARD_SIZE (at least the width itself), so it is one product
 block: its first slots hold fixed values and its last m slots every value.
+A product block is counted by one call of the kind's box walker, except
+that for Z<n>, n <= 16, one call of its necklace walker counts the whole
+rotation orbit of each vector that is its orbit's least member, so the
+zeros are set once the shards are merged.  When the merged shards reject a
+value, one more pass over every shard lists, in index order, each vector
+whose value the rule rejects.
 """
 
 from __future__ import annotations
@@ -81,6 +87,7 @@ class ScanReport:
     v2_hist: Counter = field(default_factory=Counter)
     v3_hist: Counter = field(default_factory=Counter)
     records: list = field(default_factory=list)  # per-vector, only when full
+    rejected: set = field(default_factory=set)  # values the rule rejects, for `_shard_violations`
 
     def merge(self, other: "ScanReport") -> "ScanReport":
         self.total += other.total
@@ -97,6 +104,7 @@ class ScanReport:
         self.v2_hist.update(other.v2_hist)
         self.v3_hist.update(other.v3_hist)
         self.records += other.records
+        self.rejected |= other.rejected
         return self
 
     def as_dict(self, distinct=None):
@@ -188,39 +196,48 @@ def _shard_vectors(cfg, n, start, stop):
 
 
 def _scan_shard(payload):
-    """The report of vectors start..stop-1.
+    """The report of vectors start..stop-1, without its violations.
 
     The loop over vectors only evaluates and counts; every other statistic
-    is a function of the value, so each distinct value is classified once.
-    An exhaustive shard is one product block (`_box_block`), counted by one
-    call of the kind's box walker; the other shards are counted by the
-    kernel.  Only when some value is rejected are the vectors walked again
-    in index order, by the kernel, to list the violations.
+    is a function of the value, so each distinct value is classified once,
+    and the values the rule rejects are kept in `rejected`.  An exhaustive
+    shard is one product block (`_box_block`).  Without --full, a Z<n>
+    shard with n <= 16 counts, by one call of the kind's necklace walker,
+    every vector of each rotation orbit whose least member (read from slot
+    n - 1 down) lies in the block: so its counts are not its own vectors',
+    and `scan` sets the zeros of the merged report.  Other exhaustive
+    shards are counted by one call of the kind's product walker, and
+    random shards and --full by the kernel.
     """
     cfg, start, stop = payload
     g = build_group(cfg.group)
     rule = classify.parse_rule(cfg.group)
-    evaluate = detcalc.kernel_for(g)
     report = ScanReport(config=cfg.as_dict())
     counts = report.value_counts
     if cfg.full:
+        evaluate = detcalc.kernel_for(g)
         records = report.records
         for coeffs in _shard_vectors(cfg, g.order, start, stop):
             value = evaluate(coeffs)
             records.append({"coeffs": list(coeffs), "det": value})
             counts[value] += 1
     elif cfg.mode == "random":
-        counts.update(map(evaluate, _shard_vectors(cfg, g.order, start, stop)))
+        counts.update(map(detcalc.kernel_for(g), _shard_vectors(cfg, g.order, start, stop)))
     else:
         from . import kernels  # imported on first use, as by `detcalc.kernel_for`
 
         block = _box_block(cfg.lo, cfg.hi, g.order, start, stop - start)
-        zeros = kernels.walker(g.kind)(block, counts)
-        if zeros:
-            counts[0] += zeros
+        necklaces = kernels.necklace_walker(g.kind)
+        if necklaces:  # each slot's run of entries as indices into the range
+            digits = [range(v[0] - cfg.lo, v[-1] - cfg.lo + 1) for v in block]
+            necklaces(range(cfg.lo, cfg.hi + 1), digits, counts)
+        else:
+            zeros = kernels.walker(g.kind)(block, counts)
+            if zeros:
+                counts[0] += zeros
     decide = classify.decider(rule)
     residues, v2_hist, v3_hist = report.residue_mod24, report.v2_hist, report.v3_hist
-    rejected = set()
+    rejected = report.rejected
     for value, n in counts.items():
         if value == 0:
             continue
@@ -230,14 +247,22 @@ def _scan_shard(payload):
         v3_hist[v3] += n
         if not ok:
             rejected.add(value)
-    if rejected:
-        for coeffs in _shard_vectors(cfg, g.order, start, stop):
-            value = evaluate(coeffs)
-            if value in rejected:
-                report.violations.append({"coeffs": list(coeffs), "value": value})
     report.total = stop - start
     report.zeros = counts[0]
     return report
+
+
+def _shard_violations(payload):
+    """The vectors start..stop-1 whose value is in `rejected`, as violations in index order."""
+    cfg, start, stop, rejected = payload
+    g = build_group(cfg.group)
+    evaluate = detcalc.kernel_for(g)
+    found = []
+    for coeffs in _shard_vectors(cfg, g.order, start, stop):
+        value = evaluate(coeffs)
+        if value in rejected:
+            found.append({"coeffs": list(coeffs), "value": value})
+    return found
 
 
 def _space_size(cfg: ScanConfig, order: int) -> int:
@@ -276,16 +301,26 @@ def scan(cfg: ScanConfig) -> ScanReport:
             m += 1
         step = width ** m
     shards = [(cfg, start, min(start + step, size)) for start in range(0, size, step)]
-    if workers > 1 and len(shards) > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(min(workers, len(shards))) as pool:
-            partials = pool.map(_scan_shard, shards)
-    else:
-        partials = map(_scan_shard, shards)
     report = ScanReport(config=cfg.as_dict())
-    for partial in partials:
-        report.merge(partial)
+    with contextlib.ExitStack() as stack:
+        run = map
+        if workers > 1 and len(shards) > 1:
+            import multiprocessing
+
+            run = stack.enter_context(multiprocessing.Pool(min(workers, len(shards)))).map
+        for partial in run(_scan_shard, shards):
+            report.merge(partial)
+        # a necklace-walked shard counts whole orbits, which can reach into other
+        # shards: only the merged counts give the zeros, and only the union of
+        # the rejected values lists every violation of a shard
+        counts = report.value_counts
+        report.zeros = report.total - sum(counts.values()) + counts[0]
+        if report.zeros:
+            counts[0] = report.zeros
+        if report.rejected:
+            jobs = [(*shard, report.rejected) for shard in shards]
+            for found in run(_shard_violations, jobs):
+                report.violations += found
     if cfg.out:
         write_report(report, cfg.out)
     return report

@@ -39,7 +39,7 @@ a<i> + b<i> in d1 and a<i> - b<i> in d2 (A4: a<i> alone).  A named sum is
 emitted just before the first statement that reads it, so an early exit
 still skips the sums of the later blocks.  Only norm blocks with
 phi(d) >= 8 call `det_int`.  The source is built from this module's
-integer tables alone.  Three renderings of the same list are compiled:
+integer tables alone.  Four renderings of the same list are compiled:
 
 - `kernel`, a straight-line coeffs -> int function, one line per
   statement; `detcalc.kernel_for` is its entry point, for single vectors,
@@ -52,15 +52,22 @@ integer tables alone.  Three renderings of the same list are compiled:
   innermost (every folded form of Z_p reads the last slot), each statement
   at the level of the deepest slot it reads and each sum split into a
   chain of partial sums, so that a loop adds only the terms of its own
-  slot; exhaustive scans count with it and `lambda --scan-range` takes its
-  minimum.  Python allows at most 20 statically nested blocks, so past 16
-  slots the outer slots share one loop over their product.
+  slot; exhaustive scans of the other kinds count with it and
+  `lambda --scan-range` takes its minimum.  Python allows at most 20
+  statically nested blocks, so past 16 slots the outer slots share one
+  loop over their product;
+- `necklace_walker`, for Z<n> with n <= 16: the walker's loops and
+  statements, run over one vector per rotation orbit of a box, its
+  necklace.  A one-slot rotation is left translation by the generator,
+  which multiplies the determinant by (-1)^(n-1), so one evaluation counts
+  the whole orbit; exhaustive Z<n> scans count with it.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from functools import lru_cache
 from math import inf, isqrt
 
@@ -330,8 +337,8 @@ def _product_text(result):
     return " * ".join(name if power == 1 else f"{name} ** {power}" for name, power in result)
 
 
-def _compile(kind, role, src):
-    namespace = {"det_int": det_int, "product": itertools.product, "inf": inf}
+def _compile(kind, role, src, det=det_int):
+    namespace = {"det_int": det, "product": itertools.product, "inf": inf, "Counter": Counter}
     exec(compile(src, f"<gdet {role} {kind}>", "exec"), namespace)
     return namespace[role]
 
@@ -399,7 +406,14 @@ def factors(kind: str):
     body = [stmt for stmt in stmts if stmt[1] not in ("check", "product")]
     returns = [_sum_text(terms) for terms in linear] + [name for name, _ in result[1:]]
     source = _kernel_source(order, body, f"({', '.join(returns)},)", "factors")
-    return _compile(kind, "factors", source)
+
+    def integer_det(rows):
+        if not all(isinstance(cell, int) for row in rows for cell in row):
+            raise ValueError(f"the factors of {kind} have a norm block of phi(d) >= 8, which needs "
+                             f"integer elimination (det_int): its entries must be integers")
+        return det_int(rows)
+
+    return _compile(kind, "factors", source, integer_det)
 
 
 # Python refuses more than 20 statically nested blocks, so past this many
@@ -407,18 +421,25 @@ def factors(kind: str):
 _MAX_LOOPS = 16
 
 
-def _walker_source(order, stmts, result, sink):
-    """The source of a box walker: one loop per slot, slot 0 innermost.
+def _levels(order):
+    """The slots of each loop level, outermost first.
 
-    Each statement goes to the loop level of the deepest slot it reads, and a
-    sum to a chain of partial sums, one per level that has terms: so a loop
-    only adds the terms of its own slot.  A check that fails at level d skips
-    every vector below it: the count sink adds the product of the widths of
-    the deeper levels to `zeros`.
+    Slot 0 is innermost, and past `_MAX_LOOPS` slots the outer ones share the
+    first level.
     """
     slots = list(reversed(range(order)))  # every folded form of Z_p reads the last slot
     outer = max(1, order - _MAX_LOOPS + 1)
-    levels = [tuple(slots[:outer])] + [(s,) for s in slots[outer:]]
+    return [tuple(slots[:outer])] + [(s,) for s in slots[outer:]]
+
+
+def _placed(levels, stmts, zeros):
+    """The lines of each loop level: each statement at the level of the deepest slot it reads.
+
+    A sum becomes a chain of partial sums, one per level that has terms: so a
+    loop only adds the terms of its own slot.  A check that fails at level d
+    skips every vector below it; with `zeros`, it first adds the product of
+    the widths of the deeper levels to `zeros`.
+    """
     depth = {f"c{s}": d for d, level in enumerate(levels) for s in level}
     body = [[] for _ in levels]
     partials = {}
@@ -446,7 +467,7 @@ def _walker_source(order, stmts, result, sink):
         if how == "check":
             d = deepest([name])
             body[d].append(f"if not {name}:")
-            if sink == "count":  # the number of vectors below one iteration of level d
+            if zeros:  # the number of vectors below one iteration of level d
                 below = " * ".join(f"len(v{s})" for level in levels[d + 1:] for s in level)
                 body[d].append(f"    zeros += {below or 1}")
             body[d].append("    continue")
@@ -461,6 +482,17 @@ def _walker_source(order, stmts, result, sink):
             text, d = arg[0], deepest(arg[1])
         depth[name] = d
         body[d].append(f"{name} = {text}")
+    return body
+
+
+def _walker_source(order, stmts, result, sink):
+    """The source of a box walker: one loop per slot, slot 0 innermost (`_levels`).
+
+    The statements are placed by `_placed`; the count sink adds the vectors
+    below a failed check to `zeros`.
+    """
+    levels = _levels(order)
+    body = _placed(levels, stmts, sink == "count")
     inner = body[-1]
     if sink == "count":  # Counter.update counts a list faster than a dict update per vector
         inner.append(f"append({result})")
@@ -488,6 +520,62 @@ def _walker_source(order, stmts, result, sink):
     return "\n".join(lines + tail + [""])
 
 
+def _necklace_source(order, stmts, result):
+    """The source of a necklace walker of Z<order>, order <= `_MAX_LOOPS`.
+
+    The loops and statements of `_walker_source`, slot order - 1 outermost,
+    run only over the prenecklaces of the box, in the order of Fredricksen,
+    Kessler and Maiorana (Ruskey, Savage and Wang 1992).  The digits
+    word[1], word[2], ... index `values`, for the slots from order - 1
+    down; level t starts at word[t - p], where p (`lyn`) is the period of
+    word[1..t-1], and a prenecklace of period p is a necklace when p
+    divides the order.  A one-slot rotation of the coefficients is left
+    translation by the generator, an n-cycle of the slots, so it multiplies
+    D by (-1)^(n-1).  So each necklace of period p stands for p vectors: p
+    of value D for odd n, and p/2 of D and p/2 of -D for even n, where an
+    odd period would force D = -D = 0.  (A group determinant is 0 on every
+    periodic vector, a multiple of the sum of a subgroup, so its checks
+    skip them.)  Zeros are not counted.
+    """
+    n = order
+    levels = _levels(n)
+    body = _placed(levels, stmts, False)
+    bounds = ", ".join(f"(f{s}, e{s})" for s in range(n))
+    lines = ["def walk(values, digits, counts):", "    values = list(values)",
+             f"    {bounds}, = [(r.start, r.stop) for r in digits]",
+             f"    word = [0] * {n + 1}", "    lyn0 = 1", "    out = []", "    append = out.append",
+             "    tally = Counter()"]
+    for t, ((s,), placed) in enumerate(zip(levels, body), 1):
+        pad = "    " * t
+        lines += [f"{pad}low{t} = word[{t} - lyn{t - 1}]",
+                  f"{pad}for j{t} in range(low{t} if low{t} > f{s} else f{s}, e{s}):"]
+        if t < n:
+            lines.append(f"{pad}    word[{t}] = j{t}")
+        lines.append(f"{pad}    lyn{t} = lyn{t - 1} if j{t} == low{t} else {t}")
+        if t == n:  # a prenecklace that is no necklace
+            lines += [f"{pad}    if {n} % lyn{n}:", f"{pad}        continue"]
+        lines.append(f"{pad}    c{s} = values[j{t}]")
+        lines += [f"{pad}    {line}" for line in placed]
+    pad = "    " * (n + 1)
+    # an aperiodic necklace is tallied, and its n rotations counted at the end
+    lines += [f"{pad}r = {result}", f"{pad}if lyn{n} == {n}:", f"{pad}    append(r)"]
+    if n % 2:
+        lines += [f"{pad}else:", f"{pad}    counts[r] += lyn{n}"]
+    else:
+        lines += [f"{pad}elif lyn{n} % 2:",
+                  f"{pad}    raise AssertionError(f'a nonzero determinant {{r}} of odd period {{lyn{n}}}')",
+                  f"{pad}else:", f"{pad}    counts[r] += lyn{n} // 2", f"{pad}    counts[-r] += lyn{n} // 2"]
+    if n > 3:  # tallied after each pass of the three innermost loops, as in `_walker_source`
+        pad = "    " * (n - 2)
+        lines += [f"{pad}tally.update(out)", f"{pad}out.clear()"]
+    lines += ["    tally.update(out)", "    for r, m in tally.items():"]
+    if n % 2:
+        lines.append(f"        counts[r] += {n} * m")
+    else:
+        lines += [f"        m *= {n // 2}", "        counts[r] += m", "        counts[-r] += m"]
+    return "\n".join(lines + [""])
+
+
 @lru_cache(maxsize=None)
 def walker(kind: str, sink: str = "count"):
     """The box walker of a table kind, built once per sink.
@@ -501,3 +589,22 @@ def walker(kind: str, sink: str = "count"):
     """
     order, stmts, result = _program(kind)
     return _compile(kind, "walk", _walker_source(order, stmts, _product_text(result), sink))
+
+
+@lru_cache(maxsize=None)
+def necklace_walker(kind: str):
+    """The necklace walker of a cyclic kind Z<n> with n <= 16, built once; None for other kinds.
+
+    `walk(values, digits, counts)` walks the box whose slot s takes the
+    entries values[j] for j in the range `digits[s]`, and adds to the
+    Counter `counts` each nonzero determinant of every vector whose
+    rotation orbit has its least member, read from slot n - 1 down, in the
+    box; zeros are not counted.  Over a box of whole ranges that is every
+    vector of it, and over the aligned blocks of one box (`harness._box_block`),
+    each orbit once.
+    """
+    m = _KIND.fullmatch(kind)
+    if not m or m.group(1) != "Z" or int(m.group(2)) > _MAX_LOOPS:
+        return None
+    order, stmts, result = _program(kind)
+    return _compile(kind, "walk", _necklace_source(order, stmts, _product_text(result)))

@@ -342,16 +342,6 @@ def _prod_mod4_by_symmetry(f: SymbolicFactors) -> bool:
             and _mirror(f.q1) == f.q1)
 
 
-def cubic_corrections(factors: SymbolicFactors | None = None):
-    """The cubic C with d1 = l1*(q1 + 2uv + 2w) + 4*C, and its b -> -b mirror sigma(C)."""
-    f = factors or build_symbolic()
-    report = check_identity(IdentityId.D1_EXPANSION, f)
-    if not report.holds:
-        raise ArithmeticError("cubic correction is not divisible by 4")
-    c_ab = report.quotient
-    return c_ab, _mirror(c_ab)
-
-
 # ---------------------------------------------------------------------------
 # symbolic determinants straight from the representation tables
 

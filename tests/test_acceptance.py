@@ -18,7 +18,6 @@ from gdet import (
     build_symbolic,
     check_identity,
     convolve,
-    cubic_corrections,
     default_rep_table,
     det_exact,
     family,
@@ -32,7 +31,7 @@ from gdet import (
     synthesize,
     verify_certificate,
 )
-from gdet.sympoly import symbolic_rep_det
+from gdet.sympoly import _mirror, symbolic_rep_det
 
 S4_RULE = GroupRule("S4")
 
@@ -86,7 +85,8 @@ def test_criterion_3_symbolic_identity_suite():
     ok = all(r.holds for r in reports)
     expansion = next(r for r in reports if r.identity is IdentityId.D1_EXPANSION)
     ok = ok and expansion.quotient is not None and expansion.quotient.is_homogeneous(3)
-    c_ab, c_neg = cubic_corrections(factors)
+    c_ab, _ = factors.d1_quotient
+    c_neg = _mirror(c_ab)
     ok = ok and all(c % 2 == 0 for c in (c_ab + c_neg).terms.values())
     _report(3, "8 congruence identities + exact division + even C(a,b)+C(a,-b)",
             ok, time.perf_counter() - start, 300.0)

@@ -171,7 +171,11 @@ def test_exhaustive_shard_is_at_least_the_width(monkeypatch):
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("full", [False, True])
 def test_violations_follow_index_order(monkeypatch, threads, full):
-    """Rejecting some values lists every vector that reaches them, in index order."""
+    """Rejecting some values lists every vector that reaches them, in index order.
+
+    D:6 has five shards of 5^5 vectors.  Z7 has 125 shards of 5^4, whose
+    necklace walks count orbits that reach into other shards.
+    """
     decider = classify.decider
 
     def picky(rule):
@@ -189,21 +193,23 @@ def test_violations_follow_index_order(monkeypatch, threads, full):
             pytest.skip("needs the fork start method")
         monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("fork").Pool)
     monkeypatch.setattr(classify, "decider", picky)
-    monkeypatch.setattr(harness, "SHARD_SIZE", 4000)
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     monkeypatch.setenv("GDET_THREADS", threads)
-    report = scan(ScanConfig(group="D:6", lo=-1, hi=3, mode="exhaustive", full=full))
+    for group, shard_size in [("D:6", 4000), ("Z7", 700)]:
+        monkeypatch.setattr(harness, "SHARD_SIZE", shard_size)
+        report = scan(ScanConfig(group=group, lo=-1, hi=3, mode="exhaustive", full=full))
 
-    evaluate, decide = kernel_for(build_group("D:6")), picky(parse_rule("D:6"))
-    want, records = [], []
-    for coeffs in itertools.product(range(-1, 4), repeat=6):
-        value = evaluate(coeffs)
-        records.append({"coeffs": list(coeffs), "det": value})
-        if value and not decide(value)[0]:
-            want.append({"coeffs": list(coeffs), "value": value})
-    assert len(want) > 100
-    assert report.violations == want
-    assert report.records == (records if full else [])
+        g = build_group(group)
+        evaluate, decide = kernel_for(g), picky(parse_rule(group))
+        want, records = [], []
+        for coeffs in itertools.product(range(-1, 4), repeat=g.order):
+            value = evaluate(coeffs)
+            records.append({"coeffs": list(coeffs), "det": value})
+            if value and not decide(value)[0]:
+                want.append({"coeffs": list(coeffs), "value": value})
+        assert len(want) > 100
+        assert report.violations == want, group
+        assert report.records == (records if full else []), group
 
 
 def test_distinct_values_monotone_under_range_inclusion():

@@ -8,8 +8,8 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gdet import (build_group, det_exact, kernels, rep_factor_check, ring_element, s4_det_fast,
-                  s4_factors, sympoly)
+from gdet import (build_group, det_exact, harness, kernels, rep_factor_check, ring_element,
+                  s4_det_fast, s4_factors, scan, sympoly)
 from gdet.detcalc import _CUBIC_CELLS
 from gdet.sympoly import IdentityId, check_identity
 from gdet.harness import ScanConfig, _box_block, _scan_shard, lambda_scan
@@ -79,14 +79,102 @@ def test_walker_counts_match_kernel_on_any_values(data):
     assert _walk_counts(kind, values) == want
 
 
+# every kind with a necklace walker
+CYCLIC_KINDS = [f"Z{n}" for n in range(1, 17)]
+_PRODUCT_COUNTS = {}
+
+
+def _product_counts(kind, lo, hi):
+    """The nonzero counts of the product walker over the whole box [lo, hi]^n, kept across examples."""
+    if (kind, lo, hi) not in _PRODUCT_COUNTS:
+        counts = Counter()
+        kernels.walker(kind)([range(lo, hi + 1)] * int(kind[1:]), counts)
+        _PRODUCT_COUNTS[kind, lo, hi] = counts
+    return _PRODUCT_COUNTS[kind, lo, hi]
+
+
+def _necklace_counts(walk, values, block):
+    """The counts of a necklace walker over a block of per-slot runs of `values`."""
+    counts = Counter()
+    walk(values, [range(v[0] - values[0], v[-1] - values[0] + 1) for v in block], counts)
+    return counts
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_necklace_walker_counts_what_the_product_walker_does(data):
+    """Over a whole box, and summed over all its aligned blocks: each orbit is counted once."""
+    kind = data.draw(st.sampled_from(CYCLIC_KINDS), label="kind")
+    n = int(kind[1:])
+    lo = data.draw(st.integers(-2, 1), label="lo")
+    hi = data.draw(st.integers(lo, lo + max(w for w in range(1, 8) if w ** n <= 2 ** 16) - 1),
+                   label="hi")
+    values = range(lo, hi + 1)
+    walk = kernels.necklace_walker(kind)
+    want = _product_counts(kind, lo, hi)
+    assert _necklace_counts(walk, values, [values] * n) == want
+    width = len(values)
+    fewest = next(m for m in range(n + 1) if width ** (n - m) <= 256)  # at most 256 blocks
+    size = width ** data.draw(st.integers(fewest, n), label="m")
+    total = Counter()
+    for start in range(0, width ** n, size):
+        total.update(_necklace_counts(walk, values, _box_block(lo, hi, n, start, size)))
+    assert total == want
+
+
+@pytest.mark.parametrize("kind", ["K4", "A4", "S4", "D6", "D8", "Z17", "Z24"])
+def test_only_cyclic_kinds_up_to_16_slots_have_a_necklace_walker(kind):
+    assert kernels.necklace_walker(kind) is None
+
+
+# rotation-invariant for odd order, negated by a one-slot rotation for even
+# order, like a group determinant, but not zero on periodic vectors: (1, 2, 1, 2)
+# has period 2 and value -2, and its rotation (2, 1, 2, 1) value 2
+_ROTATION_PROGRAMS = {
+    3: (3, [("value", "product", [[(1, ("c0",)), (1, ("c1",)), (2, ("c2",))],
+                                  [(1, ("c0",)), (2, ("c1",)), (1, ("c2",))],
+                                  [(2, ("c0",)), (1, ("c1",)), (1, ("c2",))]]),
+            ("value", "check", None)], "value"),
+    4: (4, [("value", "product", [[(1, ("c0",)), (-1, ("c1",)), (1, ("c2",)), (-1, ("c3",))]]),
+            ("value", "check", None)], "value"),
+}
+
+
+@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("lo, hi", [(0, 2), (-1, 2), (1, 3)])
+def test_necklace_walker_weighs_each_necklace_by_its_period(order, lo, hi):
+    """A group determinant is 0 on every periodic vector, so only programs like these show the weights."""
+    program = _ROTATION_PROGRAMS[order]
+    kernel = kernels._compile("test", "kernel", kernels._kernel_source(*program))
+    walk = kernels._compile("test", "walk", kernels._necklace_source(*program))
+    values = range(lo, hi + 1)
+    want = Counter(map(kernel, itertools.product(values, repeat=order)))
+    del want[0]
+    assert _necklace_counts(walk, values, [values] * order) == want
+
+
+def test_necklace_walker_refuses_a_nonzero_value_of_odd_period_for_even_order():
+    """A one-slot rotation negates D for even n, so a period-1 vector must have D = 0."""
+    program = (2, [("value", "product", [[(1, ("c0",)), (1, ("c1",))]]),
+                   ("value", "check", None)], "value")  # c0 + c1, not negated by a rotation
+    walk = kernels._compile("test", "walk", kernels._necklace_source(*program))
+    with pytest.raises(AssertionError, match="odd period 1"):
+        _necklace_counts(walk, range(1, 2), [range(1, 2)] * 2)
+
+
 RULE_GROUPS = ["Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z9", "Z10", "K4", "D:6", "D8", "A4"]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_exhaustive_shard_report_matches_kernel_path(data):
-    """An aligned shard counted by the walker reports what the kernel's index-order walk (--full) does."""
-    group = data.draw(st.sampled_from(RULE_GROUPS), label="group")
+    """An aligned shard counted by the walker reports what the kernel's index-order walk (--full) does.
+
+    A shard of a cyclic group counts whole rotation orbits, some of whose
+    vectors lie in other shards, so only the merged scans compare
+    (`test_cyclic_exhaustive_scan_matches_kernel_path`).
+    """
+    group = data.draw(st.sampled_from([g for g in RULE_GROUPS if g[0] != "Z"]), label="group")
     n = build_group(group).order
     lo = data.draw(st.integers(-2, 1), label="lo")
     hi = data.draw(st.integers(lo, lo + 3), label="hi")
@@ -95,6 +183,27 @@ def test_exhaustive_shard_report_matches_kernel_path(data):
     cfg = ScanConfig(group=group, lo=lo, hi=hi, mode="exhaustive")
     full = ScanConfig(group=group, lo=lo, hi=hi, mode="exhaustive", full=True)
     assert _scan_shard((cfg, start, stop)).to_json() == _scan_shard((full, start, stop)).to_json()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_cyclic_exhaustive_scan_matches_kernel_path(data):
+    """A multi-shard scan counted by the necklace walker reports what its --full scan does."""
+    group = data.draw(st.sampled_from([g for g in RULE_GROUPS if g[0] == "Z"]), label="group")
+    n = int(group[1:])
+    lo = data.draw(st.integers(-2, 1), label="lo")
+    hi = data.draw(st.integers(lo + 1, lo + 3), label="hi")
+    width = hi - lo + 1
+    assume(3 <= width ** (n - 1) and width ** n <= 6000)
+    m = data.draw(st.integers(1, max(m for m in range(1, n) if width ** (n - m) >= 3)), label="m")
+    threads = data.draw(st.sampled_from(["1", "2"]), label="GDET_THREADS")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "SHARD_SIZE", width ** m)  # width^(n - m) >= 3 shards
+        patch.setattr("os.cpu_count", lambda: 2)
+        patch.setenv("GDET_THREADS", threads)
+        report = scan(ScanConfig(group=group, lo=lo, hi=hi, mode="exhaustive"))
+        full = scan(ScanConfig(group=group, lo=lo, hi=hi, mode="exhaustive", full=True))
+    assert report.to_json() == full.to_json()
 
 
 def _kernel_minimum(kind, values):
@@ -294,7 +403,7 @@ def test_factors_multiply_to_the_kernel(kind):
         assert _block_product(kind, kernels.factors(kind)(c)) == kernels.kernel(kind)(c)
 
 
-@pytest.mark.parametrize("kind", ["K4", "D6", "Z7", "A4", "S4"])
+@pytest.mark.parametrize("kind", ["K4", "D6", "Z7", "Z9", "A4", "S4"])
 def test_factors_run_on_polynomial_variables(kind):
     """Each block, expanded on SparsePoly variables, takes the blocks' values at integer points."""
     n = kernels._program(kind)[0]
@@ -304,3 +413,11 @@ def test_factors_run_on_polynomial_variables(kind):
         c = [rng.randint(-3, 3) for _ in range(n)]
         point = c + [0] * (sympoly.NVARS - n)
         assert [p.evaluate(point) for p in polys] == list(kernels.factors(kind)(c))
+
+
+@pytest.mark.parametrize("kind", ["Z11", "Z16"])
+def test_factors_refuse_polynomials_where_a_block_needs_integer_elimination(kind):
+    """A norm block of phi(d) >= 8 calls det_int, whose exact division needs integers."""
+    n = kernels._program(kind)[0]
+    with pytest.raises(ValueError, match=f"factors of {kind} .* integer elimination"):
+        kernels.factors(kind)([sympoly.SparsePoly.var(i) for i in range(n)])

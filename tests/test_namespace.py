@@ -14,8 +14,7 @@ EXPORTED = {
             "element_from_json",
     "detcalc": "FactorProfile RepTable cofactor_det default_rep_table det_exact det_int "
                "group_matrix rep_factor_check rep_is_homomorphism s4_det_fast s4_factors",
-    "sympoly": "IdentityId IdentityReport SparsePoly build_symbolic check_identity "
-               "cubic_corrections",
+    "sympoly": "IdentityId IdentityReport SparsePoly build_symbolic check_identity",
     "classify": "GroupRule MembershipVerdict lambda_of member parse_rule valuation",
     "witness": "FAMILIES FAMILY_IDS NotInSet SynthesisExhausted WitnessCertificate "
                "WitnessFamily family synthesize verify_certificate",
@@ -26,7 +25,7 @@ SUBMODULES = "classify cli detcalc groups harness kernels ring s4data sympoly wi
 
 
 def test_every_exported_name_is_counted():
-    assert len(NAMES) == 53
+    assert len(NAMES) == 52
 
 
 @pytest.mark.parametrize("module, name", NAMES, ids=[name for _, name in NAMES])

@@ -14,7 +14,6 @@ from gdet import (
     build_symbolic,
     check_identity,
     cofactor_det,
-    cubic_corrections,
     default_rep_table,
     ring_element,
     s4_factors,
@@ -247,7 +246,7 @@ def test_d1_quotient_is_computed_once_per_suite(monkeypatch):
     build_symbolic.cache_clear()
     f = build_symbolic()
     assert all(check_identity(i, f).holds for i in IdentityId)
-    cubic_corrections(f)
+    _cubic_correction(f)
     assert calls == [4]
     # a copy computes its own quotient
     check_identity(IdentityId.D1_EXPANSION, dataclasses.replace(f))
@@ -262,15 +261,22 @@ def test_d1_expansion_quotient_is_cubic():
     assert len(report.quotient) > 0
 
 
+def _cubic_correction(f):
+    """The cubic C with d1 = l1*(q1 + 2uv + 2w) + 4*C, and its b -> -b mirror sigma(C)."""
+    c_ab, bad = f.d1_quotient
+    assert not bad
+    return c_ab, sympoly._mirror(c_ab)
+
+
 def test_cubic_correction_mirror_identity():
     f = build_symbolic()
-    c_ab, c_neg = cubic_corrections(f)
+    c_ab, c_neg = _cubic_correction(f)
     mirror = f.l2 * (f.q1 - 2 * f.u * f.v - 2 * f.w) + 4 * c_neg
     assert mirror == f.d2
 
 
 def test_cubic_correction_sum_is_even():
-    c_ab, c_neg = cubic_corrections()
+    c_ab, c_neg = _cubic_correction(build_symbolic())
     total = c_ab + c_neg
     assert all(coeff % 2 == 0 for coeff in total.terms.values())
 
