@@ -77,8 +77,8 @@ def _cmd_det(args) -> int:
 
     group = build_group(args.group)
     elem = _load_element(args, group)
-    value = detcalc.kernel_for(group)(elem.coeffs)
     profile = detcalc.s4_factors(elem) if args.factors else None
+    value = detcalc.kernel_for(group)(elem.coeffs) if profile is None else profile.det
     if args.json:
         out = {"schema": "gdet-det/1", "group": group.kind,
                "coeffs": list(elem.coeffs), "det": value}

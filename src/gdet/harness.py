@@ -10,10 +10,11 @@ width within SHARD_SIZE (at least the width itself), so it is one product
 block: its first slots hold fixed values and its last m slots every value.
 A product block is counted by one call of the kind's box walker, except
 that for Z<n>, n <= 16, one call of its necklace walker counts the whole
-rotation orbit of each vector that is its orbit's least member, so the
-zeros are set once the shards are merged.  When the merged shards reject a
-value, one more pass over every shard lists, in index order, each vector
-whose value the rule rejects.
+rotation orbit of each vector that is its orbit's least member.  Every
+shard counts only its nonzero values, and the zeros are set once, from the
+merged total.  When the merged shards reject a value, the violations are
+each vector, in index order, whose value the rule rejects: read from the
+records with --full, else found by one more pass over every shard.
 """
 
 from __future__ import annotations
@@ -87,11 +88,10 @@ class ScanReport:
     v2_hist: Counter = field(default_factory=Counter)
     v3_hist: Counter = field(default_factory=Counter)
     records: list = field(default_factory=list)  # per-vector, only when full
-    rejected: set = field(default_factory=set)  # values the rule rejects, for `_shard_violations`
+    rejected: set = field(default_factory=set)  # values the rule rejects, whose vectors `scan` lists
 
     def merge(self, other: "ScanReport") -> "ScanReport":
         self.total += other.total
-        self.zeros += other.zeros
         # Counter.update loops in Python over every value of `other`; sum only the
         # few values both shards saw and copy the rest in with dict.update, which
         # leaves the keys in the order Counter.update gives
@@ -196,18 +196,18 @@ def _shard_vectors(cfg, n, start, stop):
 
 
 def _scan_shard(payload):
-    """The report of vectors start..stop-1, without its violations.
+    """The report of vectors start..stop-1, without its violations and zeros.
 
-    The loop over vectors only evaluates and counts; every other statistic
-    is a function of the value, so each distinct value is classified once,
-    and the values the rule rejects are kept in `rejected`.  An exhaustive
-    shard is one product block (`_box_block`).  Without --full, a Z<n>
-    shard with n <= 16 counts, by one call of the kind's necklace walker,
-    every vector of each rotation orbit whose least member (read from slot
-    n - 1 down) lies in the block: so its counts are not its own vectors',
-    and `scan` sets the zeros of the merged report.  Other exhaustive
-    shards are counted by one call of the kind's product walker, and
-    random shards and --full by the kernel.
+    `value_counts` holds only the nonzero values, whatever path counts them:
+    `scan` sets the zeros of the merged report from its total.  Every other
+    statistic is a function of the value, so each distinct value is
+    classified once, and the values the rule rejects are kept in
+    `rejected`.  An exhaustive shard is one product block (`_box_block`).
+    Without --full, a Z<n> shard with n <= 16 counts, by one call of the
+    kind's necklace walker, every vector of each rotation orbit whose least
+    member (read from slot n - 1 down) lies in the block, so its counts are
+    not its own vectors'.  Other exhaustive shards are counted by one call
+    of the kind's product walker, and random shards and --full by the kernel.
     """
     cfg, start, stop = payload
     g = build_group(cfg.group)
@@ -220,27 +220,24 @@ def _scan_shard(payload):
         for coeffs in _shard_vectors(cfg, g.order, start, stop):
             value = evaluate(coeffs)
             records.append({"coeffs": list(coeffs), "det": value})
-            counts[value] += 1
+            if value:
+                counts[value] += 1
     elif cfg.mode == "random":
-        counts.update(map(detcalc.kernel_for(g), _shard_vectors(cfg, g.order, start, stop)))
+        vectors = _shard_vectors(cfg, g.order, start, stop)
+        counts.update(filter(None, map(detcalc.kernel_for(g), vectors)))
     else:
         from . import kernels  # imported on first use, as by `detcalc.kernel_for`
 
         block = _box_block(cfg.lo, cfg.hi, g.order, start, stop - start)
         necklaces = kernels.necklace_walker(g.kind)
-        if necklaces:  # each slot's run of entries as indices into the range
-            digits = [range(v[0] - cfg.lo, v[-1] - cfg.lo + 1) for v in block]
-            necklaces(range(cfg.lo, cfg.hi + 1), digits, counts)
+        if necklaces:
+            necklaces(range(cfg.lo, cfg.hi + 1), block, counts)
         else:
-            zeros = kernels.walker(g.kind)(block, counts)
-            if zeros:
-                counts[0] += zeros
+            kernels.walker(g.kind)(block, counts)
     decide = classify.decider(rule)
     residues, v2_hist, v3_hist = report.residue_mod24, report.v2_hist, report.v3_hist
     rejected = report.rejected
     for value, n in counts.items():
-        if value == 0:
-            continue
         residues[value % 24] += n
         ok, v2, v3 = decide(value)
         v2_hist[v2] += n
@@ -248,7 +245,6 @@ def _scan_shard(payload):
         if not ok:
             rejected.add(value)
     report.total = stop - start
-    report.zeros = counts[0]
     return report
 
 
@@ -310,15 +306,20 @@ def scan(cfg: ScanConfig) -> ScanReport:
             run = stack.enter_context(multiprocessing.Pool(min(workers, len(shards)))).map
         for partial in run(_scan_shard, shards):
             report.merge(partial)
-        # a necklace-walked shard counts whole orbits, which can reach into other
-        # shards: only the merged counts give the zeros, and only the union of
-        # the rejected values lists every violation of a shard
+        # shards count only nonzero values, and a necklace-walked shard whole
+        # orbits, which can reach into other shards: only the merged counts give
+        # the zeros, and only the union of the rejected values lists every
+        # violation of a shard
         counts = report.value_counts
-        report.zeros = report.total - sum(counts.values()) + counts[0]
+        report.zeros = report.total - sum(counts.values())
         if report.zeros:
             counts[0] = report.zeros
-        if report.rejected:
-            jobs = [(*shard, report.rejected) for shard in shards]
+        rejected = report.rejected
+        if rejected and cfg.full:  # the records hold every value, in index order
+            report.violations = [{"coeffs": r["coeffs"], "value": r["det"]}
+                                 for r in report.records if r["det"] in rejected]
+        elif rejected:
+            jobs = [(*shard, rejected) for shard in shards]
             for found in run(_shard_violations, jobs):
                 report.violations += found
     if cfg.out:

@@ -53,14 +53,16 @@ integer tables alone.  Four renderings of the same list are compiled:
   at the level of the deepest slot it reads and each sum split into a
   chain of partial sums, so that a loop adds only the terms of its own
   slot; exhaustive scans of the other kinds count with it and
-  `lambda --scan-range` takes its minimum.  Python allows at most 20
-  statically nested blocks, so past 16 slots the outer slots share one
-  loop over their product;
+  `lambda --scan-range` takes its minimum.  A check that fails skips the
+  vectors below it, so the count sink counts only nonzero values.  Python
+  allows at most 20 statically nested blocks, so past 16 slots the outer
+  slots share one loop over their product;
 - `necklace_walker`, for Z<n> with n <= 16: the walker's loops and
   statements, run over one vector per rotation orbit of a box, its
   necklace.  A one-slot rotation is left translation by the generator,
   which multiplies the determinant by (-1)^(n-1), so one evaluation counts
-  the whole orbit; exhaustive Z<n> scans count with it.
+  the whole orbit; exhaustive Z<n> scans count with it.  It takes the same
+  block as the product walker and also counts only nonzero values.
 """
 
 from __future__ import annotations
@@ -432,13 +434,12 @@ def _levels(order):
     return [tuple(slots[:outer])] + [(s,) for s in slots[outer:]]
 
 
-def _placed(levels, stmts, zeros):
+def _placed(levels, stmts):
     """The lines of each loop level: each statement at the level of the deepest slot it reads.
 
     A sum becomes a chain of partial sums, one per level that has terms: so a
     loop only adds the terms of its own slot.  A check that fails at level d
-    skips every vector below it; with `zeros`, it first adds the product of
-    the widths of the deeper levels to `zeros`.
+    skips every vector below it, and so counts none of them.
     """
     depth = {f"c{s}": d for d, level in enumerate(levels) for s in level}
     body = [[] for _ in levels]
@@ -466,11 +467,7 @@ def _placed(levels, stmts, zeros):
     for name, how, arg in stmts:
         if how == "check":
             d = deepest([name])
-            body[d].append(f"if not {name}:")
-            if zeros:  # the number of vectors below one iteration of level d
-                below = " * ".join(f"len(v{s})" for level in levels[d + 1:] for s in level)
-                body[d].append(f"    zeros += {below or 1}")
-            body[d].append("    continue")
+            body[d] += [f"if not {name}:", "    continue"]
             continue
         if how == "sum":
             text, d = chain(arg)
@@ -488,17 +485,16 @@ def _placed(levels, stmts, zeros):
 def _walker_source(order, stmts, result, sink):
     """The source of a box walker: one loop per slot, slot 0 innermost (`_levels`).
 
-    The statements are placed by `_placed`; the count sink adds the vectors
-    below a failed check to `zeros`.
+    The statements are placed by `_placed`, so the count sink counts only
+    the vectors that pass every check: the nonzero determinants.
     """
     levels = _levels(order)
-    body = _placed(levels, stmts, sink == "count")
+    body = _placed(levels, stmts)
     inner = body[-1]
     if sink == "count":  # Counter.update counts a list faster than a dict update per vector
         inner.append(f"append({result})")
-        head = ["def walk(values, counts):", "    out = []", "    append = out.append",
-                "    zeros = 0"]
-        tail = ["    counts.update(out)", "    return zeros"]
+        head = ["def walk(values, counts):", "    out = []", "    append = out.append"]
+        tail = ["    counts.update(out)"]
     else:
         inner += [f"r = {result}", "if r < 0:", "    r = -r", "if 1 < r < best:",
                   "    if r == 2:", "        return 2", "    best = r"]
@@ -525,26 +521,26 @@ def _necklace_source(order, stmts, result):
 
     The loops and statements of `_walker_source`, slot order - 1 outermost,
     run only over the prenecklaces of the box, in the order of Fredricksen,
-    Kessler and Maiorana (Ruskey, Savage and Wang 1992).  The digits
-    word[1], word[2], ... index `values`, for the slots from order - 1
-    down; level t starts at word[t - p], where p (`lyn`) is the period of
-    word[1..t-1], and a prenecklace of period p is a necklace when p
-    divides the order.  A one-slot rotation of the coefficients is left
+    Kessler and Maiorana (Ruskey, Savage and Wang 1992).  Each slot of the
+    block is a run of `values`, and the digits word[1], word[2], ... index
+    `values`, for the slots from order - 1 down; level t starts at
+    word[t - p], where p (`lyn`) is the period of word[1..t-1], and a
+    prenecklace of period p is a necklace when p divides the order.  A one-slot rotation of the coefficients is left
     translation by the generator, an n-cycle of the slots, so it multiplies
     D by (-1)^(n-1).  So each necklace of period p stands for p vectors: p
     of value D for odd n, and p/2 of D and p/2 of -D for even n, where an
     odd period would force D = -D = 0.  (A group determinant is 0 on every
     periodic vector, a multiple of the sum of a subgroup, so its checks
-    skip them.)  Zeros are not counted.
+    skip them.)  Like the product walker, it counts only nonzero values.
     """
     n = order
     levels = _levels(n)
-    body = _placed(levels, stmts, False)
+    body = _placed(levels, stmts)
     bounds = ", ".join(f"(f{s}, e{s})" for s in range(n))
-    lines = ["def walk(values, digits, counts):", "    values = list(values)",
-             f"    {bounds}, = [(r.start, r.stop) for r in digits]",
-             f"    word = [0] * {n + 1}", "    lyn0 = 1", "    out = []", "    append = out.append",
-             "    tally = Counter()"]
+    lines = ["def walk(values, block, counts):",
+             f"    {bounds}, = [(values.index(v[0]), values.index(v[-1]) + 1) for v in block]",
+             "    values = list(values)", f"    word = [0] * {n + 1}", "    lyn0 = 1", "    out = []",
+             "    append = out.append", "    tally = Counter()"]
     for t, ((s,), placed) in enumerate(zip(levels, body), 1):
         pad = "    " * t
         lines += [f"{pad}low{t} = word[{t} - lyn{t - 1}]",
@@ -583,9 +579,9 @@ def walker(kind: str, sink: str = "count"):
     `values` holds one sequence of entries per slot, and the walker visits
     every vector of their product, in an order of its own.  With sink
     "count", `walk(values, counts)` adds each nonzero determinant to the
-    Counter `counts` and returns the number of zeros.  With sink "min",
-    `walk(values)` returns the smallest |determinant| >= 2, or None; it
-    returns 2 as soon as it meets |det| = 2.
+    Counter `counts` and returns None: a scan derives its zeros from its
+    total.  With sink "min", `walk(values)` returns the smallest
+    |determinant| >= 2, or None; it returns 2 as soon as it meets |det| = 2.
     """
     order, stmts, result = _program(kind)
     return _compile(kind, "walk", _walker_source(order, stmts, _product_text(result), sink))
@@ -595,13 +591,13 @@ def walker(kind: str, sink: str = "count"):
 def necklace_walker(kind: str):
     """The necklace walker of a cyclic kind Z<n> with n <= 16, built once; None for other kinds.
 
-    `walk(values, digits, counts)` walks the box whose slot s takes the
-    entries values[j] for j in the range `digits[s]`, and adds to the
-    Counter `counts` each nonzero determinant of every vector whose
-    rotation orbit has its least member, read from slot n - 1 down, in the
-    box; zeros are not counted.  Over a box of whole ranges that is every
-    vector of it, and over the aligned blocks of one box (`harness._box_block`),
-    each orbit once.
+    `walk(values, block, counts)` takes the block as the product walker
+    does, one sequence of entries per slot, each a run of the sequence
+    `values`, and adds to the Counter `counts` each nonzero determinant of
+    every vector whose rotation orbit has its least member, read from slot
+    n - 1 down, in the block; it returns None.  Over the whole box that is
+    every vector of it, and over the aligned blocks of one box
+    (`harness._box_block`), each orbit once.
     """
     m = _KIND.fullmatch(kind)
     if not m or m.group(1) != "Z" or int(m.group(2)) > _MAX_LOOPS:

@@ -47,6 +47,26 @@ def test_det_inline_coeffs_with_factors(capsys):
     assert payload["factors"]["l1"] == 2 and payload["factors"]["val2"] == 8
 
 
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_det_factors_evaluates_the_kernel_once(capsys, monkeypatch, extra):
+    """The printed determinant is the profile's own, not a second evaluation."""
+    from gdet import detcalc
+
+    calls = []
+    kernel_for = detcalc.kernel_for
+
+    def counted(g):
+        calls.append(g.kind)
+        return kernel_for(g)
+
+    monkeypatch.setattr(detcalc, "kernel_for", counted)
+    assert run(["det", "--group", "S4", "--expr", "1 + x + x*y + 2*y^2*x", "--factors", *extra]) == 0
+    assert calls == ["S4"]
+    out = capture(capsys)[0]
+    det = json.loads(out)["det"] if extra else int(out.splitlines()[0])
+    assert det == 59887759360
+
+
 def test_det_coeffs_from_file(capsys, tmp_path):
     path = tmp_path / "elem.json"
     path.write_text(json.dumps({"group": "S4", "a": [1] + [0] * 11, "b": [0] * 12}))

@@ -212,6 +212,63 @@ def test_violations_follow_index_order(monkeypatch, threads, full):
         assert report.records == (records if full else []), group
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_full_scan_violations_come_from_its_records(monkeypatch, threads):
+    """A --full scan lists its violations from its records, without evaluating a vector again."""
+    def refuse(payload):
+        raise AssertionError("a --full scan evaluated its vectors a second time")
+
+    monkeypatch.setattr(harness, "_shard_violations", refuse)
+    test_violations_follow_index_order(monkeypatch, threads, True)
+
+
+# (config, SHARD_SIZE, whether it meets a zero): a random scan with zeros and
+# one without, the product walker (D8) and the necklace walker (Z7), each over
+# several shards
+CONTRACT_SCANS = [
+    (dict(group="S4", lo=-3, hi=3, mode="random", count=300, seed=5), 70, True),
+    (dict(group="S4", lo=-3, hi=3, mode="random", count=12, seed=1), 5, False),
+    (dict(group="D8", lo=0, hi=2, mode="exhaustive"), 729, True),
+    (dict(group="Z7", lo=-1, hi=2, mode="exhaustive"), 1024, True),
+]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize("fields, shard_size, has_zeros", CONTRACT_SCANS,
+                         ids=["random", "random-no-zeros", "product-walker", "necklace-walker"])
+def test_shards_count_only_nonzero_values(monkeypatch, threads, full, fields, shard_size,
+                                          has_zeros):
+    """Every shard's counts hold only nonzero values; the scan sets the zeros from its total."""
+    partials = []
+    merge = ScanReport.merge
+
+    def kept(self, other):  # runs in the parent, whichever process counted the shard
+        partials.append(other)
+        return merge(self, other)
+
+    monkeypatch.setattr(ScanReport, "merge", kept)
+    monkeypatch.setattr(harness, "SHARD_SIZE", shard_size)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setenv("GDET_THREADS", threads)
+    cfg = ScanConfig(**fields, full=full)
+    report = scan(cfg)
+
+    g = build_group(cfg.group)
+    if cfg.mode == "random":
+        vectors = _random_vectors(cfg.seed, 0, cfg.count, g.order, cfg.lo, cfg.hi)
+    else:
+        vectors = itertools.product(range(cfg.lo, cfg.hi + 1), repeat=g.order)
+    values = list(map(kernel_for(g), vectors))
+    zeros = values.count(0)
+    assert (zeros > 0) == has_zeros
+    assert len(partials) >= 3
+    assert all(0 not in partial.value_counts and partial.zeros == 0 for partial in partials)
+    assert report.zeros == zeros
+    assert (0 in report.value_counts) == (zeros > 0)
+    assert report.value_counts == Counter(values)
+
+
 def test_distinct_values_monotone_under_range_inclusion():
     small = scan(ScanConfig(group="Z3", lo=-1, hi=1, mode="exhaustive"))
     large = scan(ScanConfig(group="Z3", lo=-2, hi=2, mode="exhaustive"))

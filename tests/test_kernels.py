@@ -32,11 +32,15 @@ def _box_vector(lo, hi, n, j):
 
 
 def _walk_counts(kind, values):
+    """The counts of the kind's product walker, which returns None."""
     counts = Counter()
-    zeros = kernels.walker(kind)(values, counts)
-    if zeros:
-        counts[0] = zeros
+    assert kernels.walker(kind)(values, counts) is None
     return counts
+
+
+def _nonzero_counts(kernel, vectors):
+    """The counts of the kernel's nonzero values over the vectors."""
+    return Counter(filter(None, map(kernel, vectors)))
 
 
 def _draw_aligned_shard(data, n, lo, hi, most):
@@ -62,7 +66,7 @@ def test_walker_counts_match_kernel_on_any_index_range(data):
     block = _box_block(lo, hi, n, start, size)
     vectors = list(itertools.product(*block))
     assert vectors == [_box_vector(lo, hi, n, j) for j in range(start, start + size)]
-    assert _walk_counts(kind, block) == Counter(map(kernels.kernel(kind), vectors))
+    assert _walk_counts(kind, block) == _nonzero_counts(kernels.kernel(kind), vectors)
 
 
 @settings(max_examples=150, deadline=None)
@@ -75,7 +79,7 @@ def test_walker_counts_match_kernel_on_any_values(data):
     values = [tuple(data.draw(st.lists(st.integers(-3, 3), min_size=1,
                                        max_size=3 if slot in support else 1)))
               for slot in range(n)]
-    want = Counter(map(kernels.kernel(kind), itertools.product(*values)))
+    want = _nonzero_counts(kernels.kernel(kind), itertools.product(*values))
     assert _walk_counts(kind, values) == want
 
 
@@ -94,9 +98,9 @@ def _product_counts(kind, lo, hi):
 
 
 def _necklace_counts(walk, values, block):
-    """The counts of a necklace walker over a block of per-slot runs of `values`."""
+    """The counts of a necklace walker over a block of per-slot runs of `values`; it returns None."""
     counts = Counter()
-    walk(values, [range(v[0] - values[0], v[-1] - values[0] + 1) for v in block], counts)
+    assert walk(values, block, counts) is None
     return counts
 
 
@@ -256,14 +260,14 @@ _PROGRAM = (3, [
     [range(3), (-1, 2), range(0, 3)],
 ])
 def test_walker_counts_the_vectors_below_a_zero_block(values):
+    """The vectors below a zero block are skipped, so the counts hold only nonzero values."""
     kernel = kernels._compile("test", "kernel", kernels._kernel_source(*_PROGRAM))
     vectors = list(itertools.product(*values))
+    assert any(not kernel(v) for v in vectors)
     walk = kernels._compile("test", "walk", kernels._walker_source(*_PROGRAM, "count"))
     counts = Counter()
-    zeros = walk(values, counts)
-    assert zeros == sum(1 for v in vectors if not kernel(v))
-    counts[0] = zeros
-    assert counts == Counter(map(kernel, vectors))
+    assert walk(values, counts) is None
+    assert counts == _nonzero_counts(kernel, vectors)
     least = kernels._compile("test", "walk", kernels._walker_source(*_PROGRAM, "min"))
     assert least(values) == min(abs(kernel(v)) for v in vectors if abs(kernel(v)) >= 2)
 
