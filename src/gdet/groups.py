@@ -15,7 +15,6 @@ label.  Products apply the right factor first: mul[i][j] is "do j, then i".
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import s4data
@@ -27,16 +26,39 @@ PRIME_BOUND = 1 << 64  # the parameter of a Zp or Z2p rule is below it
 S4_GENERATORS = {"x": (12, (1, 2, 3, 0), 4), "y": (20, (1, 0, 2, 3), 2)}
 
 
-@dataclass(frozen=True)
 class GroupTable:
-    """A finite group of order n with elements indexed 0..n-1."""
+    """A finite group of order n with elements indexed 0..n-1, immutable.
 
-    kind: str
-    order: int
-    mul: tuple[tuple[int, ...], ...]
-    inv: tuple[int, ...]
-    identity_index: int
-    names: tuple[str, ...]
+    A plain class, not a dataclass, so that starting gdet does not import
+    `dataclasses`: equal when every field is, hashed on the fields.
+    """
+
+    __slots__ = ("kind", "order", "mul", "inv", "identity_index", "names")
+
+    def __init__(self, kind: str, order: int, mul: tuple[tuple[int, ...], ...],
+                 inv: tuple[int, ...], identity_index: int, names: tuple[str, ...]):
+        for name, value in zip(self.__slots__, (kind, order, mul, inv, identity_index, names)):
+            object.__setattr__(self, name, value)
+
+    def _fields(self):
+        return self.kind, self.order, self.mul, self.inv, self.identity_index, self.names
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return GroupTable, self._fields()
 
     def __repr__(self):
         return f"GroupTable({self.kind}, order={self.order})"

@@ -8,11 +8,13 @@ shards can run in parallel (GDET_THREADS) without changing the output.  An
 exhaustive shard is width^m vectors, for the largest power of the range
 width within SHARD_SIZE (at least the width itself), so it is one product
 block: its first slots hold fixed values and its last m slots every value.
-A product block is counted by one call of the kind's box walker, except
-that for Z<n>, n <= 16, one call of its necklace walker counts the whole
-rotation orbit of each vector that is its orbit's least member.  Every
-shard counts only its nonzero values, and the zeros are set once, from the
-merged total.  When the merged shards reject a value, the violations are
+A product block is counted by one call of the kind's count walker
+(`kernels.count_walker`): for D<2n>, n >= 3, the half walker pairs the
+distinct profiles of the block's two halves, and for Z<n>, n <= 16, the
+necklace walker counts the whole rotation orbit of each vector that is its
+orbit's least member; other kinds walk every vector.  Every shard counts
+only its nonzero values, and the zeros are set once, from the merged
+total.  When the merged shards reject a value, the violations are
 each vector, in index order, whose value the rule rejects: read from the
 records with --full, else found by one more pass over every shard.
 """
@@ -202,12 +204,13 @@ def _scan_shard(payload):
     `scan` sets the zeros of the merged report from its total.  Every other
     statistic is a function of the value, so each distinct value is
     classified once, and the values the rule rejects are kept in
-    `rejected`.  An exhaustive shard is one product block (`_box_block`).
-    Without --full, a Z<n> shard with n <= 16 counts, by one call of the
-    kind's necklace walker, every vector of each rotation orbit whose least
-    member (read from slot n - 1 down) lies in the block, so its counts are
-    not its own vectors'.  Other exhaustive shards are counted by one call
-    of the kind's product walker, and random shards and --full by the kernel.
+    `rejected`.  An exhaustive shard is one product block (`_box_block`),
+    counted without --full by one call of `kernels.count_walker(g.kind)`.
+    For a Z<n> shard with n <= 16 that counts every vector of each rotation
+    orbit whose least member (read from slot n - 1 down) lies in the block,
+    so its counts are not its own vectors'.  A D<2n> shard with n >= 3
+    (half walker) and every other shard (product walker) counts exactly its
+    own vectors.  Random shards and --full are counted by the kernel.
     """
     cfg, start, stop = payload
     g = build_group(cfg.group)
@@ -228,12 +231,7 @@ def _scan_shard(payload):
     else:
         from . import kernels  # imported on first use, as by `detcalc.kernel_for`
 
-        block = _box_block(cfg.lo, cfg.hi, g.order, start, stop - start)
-        necklaces = kernels.necklace_walker(g.kind)
-        if necklaces:
-            necklaces(range(cfg.lo, cfg.hi + 1), block, counts)
-        else:
-            kernels.walker(g.kind)(block, counts)
+        kernels.count_walker(g.kind)(_box_block(cfg.lo, cfg.hi, g.order, start, stop - start), counts)
     decide = classify.decider(rule)
     residues, v2_hist, v3_hist = report.residue_mod24, report.v2_hist, report.v3_hist
     rejected = report.rejected

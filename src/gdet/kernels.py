@@ -39,7 +39,7 @@ a<i> + b<i> in d1 and a<i> - b<i> in d2 (A4: a<i> alone).  A named sum is
 emitted just before the first statement that reads it, so an early exit
 still skips the sums of the later blocks.  Only norm blocks with
 phi(d) >= 8 call `det_int`.  The source is built from this module's
-integer tables alone.  Four renderings of the same list are compiled:
+integer tables alone.  Five renderings of the same list are compiled:
 
 - `kernel`, a straight-line coeffs -> int function, one line per
   statement; `detcalc.kernel_for` is its entry point, for single vectors,
@@ -52,17 +52,30 @@ integer tables alone.  Four renderings of the same list are compiled:
   innermost (every folded form of Z_p reads the last slot), each statement
   at the level of the deepest slot it reads and each sum split into a
   chain of partial sums, so that a loop adds only the terms of its own
-  slot; exhaustive scans of the other kinds count with it and
-  `lambda --scan-range` takes its minimum.  A check that fails skips the
-  vectors below it, so the count sink counts only nonzero values.  Python
-  allows at most 20 statically nested blocks, so past 16 slots the outer
-  slots share one loop over their product;
+  slot; exhaustive scans of K4, D:4, A4, S4 and Z<n> with n > 16 count
+  with it, and `lambda --scan-range` takes its minimum.  A check that
+  fails skips the vectors below it, so the count sink counts only nonzero
+  values.  Python allows at most 20 statically nested blocks, so past 16
+  slots the outer slots share one loop over their product;
 - `necklace_walker`, for Z<n> with n <= 16: the walker's loops and
   statements, run over one vector per rotation orbit of a box, its
   necklace.  A one-slot rotation is left translation by the generator,
   which multiplies the determinant by (-1)^(n-1), so one evaluation counts
   the whole orbit; exhaustive Z<n> scans count with it.  It takes the same
-  block as the product walker and also counts only nonzero values.
+  block as the product walker and also counts only nonzero values;
+- the half walker, for D<2n> with n >= 3 (`_half_source`): every block of
+  a dihedral kind reads the r^k half A of the slots and the s r^k half B
+  only through numbers of each half alone, A(+-1), B(+-1) and each half's
+  autocorrelations, which the norm cells read as s_A - s_B.  So a
+  statement is split by the half of the slots it reads (`_half_split`),
+  after each linear statement is added into the sums that read it; each
+  half's loops list the profile of each of its vectors, the parts of the
+  statements that read both halves, and the pair statements and checks
+  run once per pair of distinct profiles, counting the product of their
+  multiplicities.  Exhaustive scans of D:6 and up count with it; K4 and
+  D:4, whose half profile is the half itself, keep the product walker.
+
+`count_walker(kind)` picks the walker that counts an exhaustive shard.
 """
 
 from __future__ import annotations
@@ -423,14 +436,14 @@ def factors(kind: str):
 _MAX_LOOPS = 16
 
 
-def _levels(order):
-    """The slots of each loop level, outermost first.
+def _levels(order, first=0):
+    """The loop levels of slots first..order-1, each a tuple of slots, outermost first.
 
-    Slot 0 is innermost, and past `_MAX_LOOPS` slots the outer ones share the
-    first level.
+    The first slot is innermost, and past `_MAX_LOOPS` slots the outer ones
+    share the first level.
     """
-    slots = list(reversed(range(order)))  # every folded form of Z_p reads the last slot
-    outer = max(1, order - _MAX_LOOPS + 1)
+    slots = list(reversed(range(first, order)))  # every folded form of Z_p reads the last slot
+    outer = max(1, len(slots) - _MAX_LOOPS + 1)
     return [tuple(slots[:outer])] + [(s,) for s in slots[outer:]]
 
 
@@ -501,19 +514,25 @@ def _walker_source(order, stmts, result, sink):
         head = ["def walk(values):", "    best = inf"]
         tail = ["    return best if best < inf else None"]
     head.insert(1, f"    {''.join(f'v{s}, ' for s in range(order))}= values")
-    lines = head
-    for d, level in enumerate(levels):
-        pad = "    " * (d + 1)
-        names = ", ".join(f"c{s}" for s in level)
-        source = f"product({', '.join(f'v{s}' for s in level)})" if len(level) > 1 else f"v{level[0]}"
-        lines.append(f"{pad}for {names} in {source}:")
-        lines += [f"{pad}    {line}" for line in body[d]]
+    lines = head + _loops(levels, body)
     if sink == "count" and len(levels) > 3:
         # counted after each pass of the three innermost loops, so the list
         # never holds a heap int for every vector of a block
         pad = "    " * (len(levels) - 2)
         lines += [f"{pad}counts.update(out)", f"{pad}out.clear()"]
     return "\n".join(lines + tail + [""])
+
+
+def _loops(levels, body):
+    """The nested loops over `levels`, one indent in, each with its lines of `body` (`_placed`)."""
+    lines = []
+    for d, level in enumerate(levels):
+        pad = "    " * (d + 1)
+        names = ", ".join(f"c{s}" for s in level)
+        source = f"product({', '.join(f'v{s}' for s in level)})" if len(level) > 1 else f"v{level[0]}"
+        lines.append(f"{pad}for {names} in {source}:")
+        lines += [f"{pad}    {line}" for line in body[d]]
+    return lines
 
 
 def _necklace_source(order, stmts, result):
@@ -604,3 +623,138 @@ def necklace_walker(kind: str):
         return None
     order, stmts, result = _program(kind)
     return _compile(kind, "walk", _necklace_source(order, stmts, _product_text(result)))
+
+
+def _half_split(order, stmts, result):
+    """A D<2n> program split by the half of the slots each statement reads.
+
+    The slots 0..n-1 hold the r^k half A, the slots n..2n-1 the s r^k half
+    B.  A sum that reads one half only is that half's.  A sum over both
+    halves in which no term mixes them is their sum: its part in each half
+    is kept as a polynomial over that half's names, and a later sum that
+    reads it as a lone factor of a term reads its parts instead, so a
+    linear statement adds up the parts of the statements it reads.  Every
+    other statement is a pair statement (a dihedral kind's products are its
+    linear characters, which are sums of both halves); a name it reads from
+    the halves is the sum of one profile variable per half, x<i> over A and
+    y<j> over B, one per distinct part up to sign.  Returns (A statements,
+    B statements, A profile, B profile, pair statements): a half's
+    statements end with its profile variables.
+    """
+    n = order // 2
+    side = {f"c{s}": int(s >= n) for s in range(order)}  # the half of a one-half name
+    parts = {}  # a sum over both halves: its A part and B part, {sorted names: weight} each
+    halves, keys = ([], []), ({}, {})
+    pair, defined = [], set()
+
+    def split(terms):
+        """The parts (A, B) of a sum, or None when a term reads both halves or a pair name."""
+        out = ({}, {})
+        for w, names in terms:
+            if len(names) == 1 and names[0] in parts:
+                pieces = parts[names[0]]
+            else:
+                sides = {side.get(name) for name in names}
+                if None in sides or len(sides) > 1:
+                    return None
+                pieces = [{}, {}]
+                pieces[sides.pop()][tuple(sorted(names))] = 1
+            for half, poly in zip(out, pieces):
+                for mono, v in poly.items():
+                    half[mono] = half.get(mono, 0) + w * v
+        return tuple({mono: v for mono, v in half.items() if v} for half in out)
+
+    def profile(h, poly):
+        """The terms (sign, (variable,)) of a half's part: its profile variable, up to sign."""
+        if not poly:
+            return []
+        monos = sorted(poly)
+        sign = 1 if poly[monos[0]] > 0 else -1
+        key = tuple((mono, sign * poly[mono]) for mono in monos)
+        if key not in keys[h]:
+            keys[h][key] = var = f"{'xy'[h]}{len(keys[h])}"
+            halves[h].append((var, "sum", [(w, mono) for mono, w in key]))
+            defined.add(var)  # the pair loop's own
+        return [(sign, (keys[h][key],))]
+
+    def need(name):
+        """Define a name of the halves for the pair statements, as its profile variables."""
+        if name not in defined:
+            pieces = parts.get(name) or [{(name,): 1} if h == side[name] else {} for h in (0, 1)]
+            pair.append((name, "sum", profile(0, pieces[0]) + profile(1, pieces[1])))
+            defined.add(name)
+
+    for stmt in stmts:
+        name, how, arg = stmt
+        pieces = split(arg) if how == "sum" else None
+        if pieces and pieces[0] and pieces[1]:
+            parts[name] = pieces
+        elif pieces:
+            side[name] = h = int(not pieces[0])
+            halves[h].append((name, how, [(w, mono) for mono, w in pieces[h].items()]))
+        else:
+            if how == "product":
+                stmt = (name, how, [profile(0, a) + profile(1, b) for a, b in map(split, arg)])
+            for read in [name] if how == "check" else _reads(*stmt[1:]):
+                need(read)
+            pair.append(stmt)
+            defined.add(name)
+    for name, _ in result:
+        need(name)
+    return halves[0], halves[1], list(keys[0].values()), list(keys[1].values()), pair
+
+
+def _half_source(order, stmts, result):
+    """The source of a half walker of a D<2n> kind (`_half_split`).
+
+    Each half's loops (`_levels`) run over that half's slots of the block
+    and list its profile, the tuple of its profile variables, per vector;
+    the Counter of each list holds every distinct profile once, with its
+    multiplicity.  The pair statements then run once per pair of profiles,
+    and a pair that passes every check adds the product of the two
+    multiplicities to its value.
+    """
+    n = order // 2
+    a_stmts, b_stmts, a_keys, b_keys, pair = _half_split(order, stmts, result)
+    lines = ["def halves(values, counts):", f"    {''.join(f'v{s}, ' for s in range(order))}= values",
+             "    out = []", "    append = out.append"]
+    for half, levels, hstmts, hkeys in (("half_a", _levels(n), a_stmts, a_keys),
+                                        ("half_b", _levels(order, n), b_stmts, b_keys)):
+        body = _placed(levels, hstmts)
+        body[-1].append(f"append(({''.join(f'{key}, ' for key in hkeys)}))")
+        lines += [f"    {half} = Counter()"] + _loops(levels, body)
+        if len(levels) > 3:  # as in `_walker_source`, the list never holds a whole half
+            pad = "    " * (len(levels) - 2)
+            lines += [f"{pad}{half}.update(out)", f"{pad}out.clear()"]
+        lines += [f"    {half}.update(out)", "    out.clear()"]
+    lines += ["    half_b = list(half_b.items())", "    tally = {}", "    get = tally.get",
+              f"    for ({''.join(f'{key}, ' for key in a_keys)}), m_a in half_a.items():",
+              f"        for ({''.join(f'{key}, ' for key in b_keys)}), m_b in half_b:"]
+    (body,) = _placed([()], pair)
+    lines += [f"            {line}" for line in body]
+    lines += [f"            r = {_product_text(result)}", "            tally[r] = get(r, 0) + m_a * m_b",
+              "    counts.update(tally)", ""]
+    return "\n".join(lines)
+
+
+@lru_cache(maxsize=None)
+def count_walker(kind: str):
+    """The walker that counts an exhaustive shard of a table kind, built once.
+
+    `walk(block, counts)` takes an aligned block of a box (`harness._box_block`),
+    one sequence of entries per slot, whose last slot takes every value of
+    the box; it adds to the Counter `counts` the nonzero determinants it is
+    responsible for, and returns None.  For Z<n> with n <= 16 that is the
+    necklace walker (`necklace_walker`), which counts the whole rotation
+    orbit of each vector that is its orbit's least member; for D<2n> with
+    n >= 3 the half walker (`_half_source`), and for every other kind the
+    product walker (`walker`), which each count exactly the block's vectors.
+    """
+    necklaces = necklace_walker(kind)
+    if necklaces:
+        return lambda block, counts: necklaces(block[-1], block, counts)
+    m = _KIND.fullmatch(kind)
+    if m and m.group(1) == "D" and int(m.group(2)) >= 6:
+        order, stmts, result = _program(kind)
+        return _compile(kind, "halves", _half_source(order, stmts, result))
+    return walker(kind)

@@ -9,7 +9,6 @@ expressions in the S4 generators x and y.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .groups import GroupTable, S4_GENERATORS, build_group
 
@@ -21,17 +20,43 @@ MAX_NESTING = 100
 MAX_COEFF_BITS = 1 << 16
 
 
-@dataclass(frozen=True)
 class RingElement:
-    group: GroupTable
-    coeffs: tuple[int, ...]
+    """An element of Z[G], immutable: its group's table and one coefficient per element.
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.group.order:
+    A plain class, not a dataclass, so that starting gdet does not import
+    `dataclasses`: equal when group and coefficients are, hashed on them.
+    """
+
+    __slots__ = ("group", "coeffs")
+
+    def __init__(self, group: GroupTable, coeffs: tuple[int, ...]):
+        if len(coeffs) != group.order:
             raise ValueError(
-                f"coefficient vector has length {len(self.coeffs)}, "
-                f"group order is {self.group.order}"
+                f"coefficient vector has length {len(coeffs)}, "
+                f"group order is {group.order}"
             )
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group, self.coeffs) == (other.group, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.group, self.coeffs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return RingElement, (self.group, self.coeffs)
+
+    def __repr__(self):
+        return f"RingElement(group={self.group!r}, coeffs={self.coeffs!r})"
 
     def __add__(self, other):
         self._check_group(other)

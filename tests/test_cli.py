@@ -742,17 +742,27 @@ def test_handlers_look_up_the_patch_points_at_call_time(capsys, monkeypatch):
 _BASE_MODULES = {"gdet", "gdet.cli", "gdet.groups", "gdet.ring", "gdet.s4data"}
 
 
-def _gdet_modules_after(code):
-    """The gdet modules a fresh interpreter has imported after running `code`.
+def _modules_after(code):
+    """The modules a fresh interpreter has imported after running `code`.
 
     A fresh process, since this one imported most of gdet already.
     """
     src = str(Path(cli.__file__).resolve().parent.parent)
-    script = (f"import sys; sys.path.insert(0, {src!r}); {code}; "
-              "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'gdet'))")
+    script = f"import sys; sys.path.insert(0, {src!r}); {code}; print(*sorted(sys.modules))"
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120, check=True)
     return set(done.stdout.splitlines()[-1].split())
+
+
+def _gdet_modules_after(code):
+    """The gdet modules a fresh interpreter has imported after running `code`."""
+    return {m for m in _modules_after(code) if m.split(".")[0] == "gdet"}
+
+
+def test_start_up_imports_no_dataclasses():
+    """`GroupTable` and `RingElement` are plain classes: `dataclasses` (and `inspect`) cost start-up time."""
+    loaded = _modules_after("import gdet.cli; gdet.cli.build_parser(); gdet.build_group('D8')")
+    assert "gdet.groups" in loaded and "dataclasses" not in loaded
 
 
 @pytest.mark.parametrize("code, expected", [

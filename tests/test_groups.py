@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import pickle
 import re
 
 import pytest
@@ -289,3 +290,17 @@ def test_klein_table_is_the_d4_table():
 ])
 def test_build_group_returns_one_object_per_table(first, second):
     assert build_group(first) is build_group(second)
+
+
+def test_group_table_is_an_immutable_value():
+    """Equal and hashed on its fields, as a frozen dataclass was; assignment raises."""
+    g = build_group("D8")
+    copy = GroupTable(g.kind, g.order, g.mul, g.inv, g.identity_index, g.names)
+    assert copy is not g and copy == g and hash(copy) == hash(g)
+    assert hash(g) == hash((g.kind, g.order, g.mul, g.inv, g.identity_index, g.names))
+    assert g != build_group("Z8") and g != (g.kind, g.order) and repr(g) == "GroupTable(D8, order=8)"
+    assert pickle.loads(pickle.dumps(g)) == g
+    with pytest.raises(AttributeError):
+        g.order = 4
+    with pytest.raises(AttributeError):
+        del g.kind

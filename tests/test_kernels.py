@@ -166,6 +166,50 @@ def test_necklace_walker_refuses_a_nonzero_value_of_odd_period_for_even_order():
         _necklace_counts(walk, range(1, 2), [range(1, 2)] * 2)
 
 
+# dihedral kinds with a half walker; D6 to D14 take widths above 1 in a box of at most 2^14 vectors
+HALF_KINDS = [f"D{2 * n}" for n in range(3, 13)]
+
+
+def _counts(walk, block):
+    """The counts of a count walker (`kernels.count_walker`) over a block; it returns None."""
+    counts = Counter()
+    assert walk(block, counts) is None
+    return counts
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_half_walker_counts_what_the_product_walker_does(data):
+    """Over a whole box, and summed over all its aligned blocks: each vector once."""
+    kind = data.draw(st.sampled_from(HALF_KINDS), label="kind")
+    n = int(kind[1:])
+    lo = data.draw(st.integers(-2, 1), label="lo")
+    hi = data.draw(st.integers(lo, lo + max(w for w in range(1, 8) if w ** n <= 2 ** 14) - 1),
+                   label="hi")
+    values = range(lo, hi + 1)
+    walk = kernels.count_walker(kind)
+    want = _product_counts(kind, lo, hi)
+    assert _counts(walk, [values] * n) == want
+    width = len(values)
+    fewest = next(m for m in range(n + 1) if width ** (n - m) <= 256)  # at most 256 blocks
+    size = width ** data.draw(st.integers(fewest, n), label="m")
+    total = Counter()
+    for start in range(0, width ** n, size):
+        total.update(_counts(walk, _box_block(lo, hi, n, start, size)))
+    assert total == want
+
+
+@pytest.mark.parametrize("kind", CYCLIC_KINDS + HALF_KINDS + ["D4", "K4", "A4", "S4", "Z17", "Z24"])
+def test_count_walker_picks_necklaces_for_cyclic_halves_for_dihedral_else_products(kind):
+    walk = kernels.count_walker(kind)
+    if kind in CYCLIC_KINDS:  # the necklace walker, given the last slot's run as its values
+        assert kernels.necklace_walker(kind) in [cell.cell_contents for cell in walk.__closure__]
+    elif kind in HALF_KINDS:
+        assert walk.__code__.co_filename == f"<gdet halves {kind}>"
+    else:
+        assert walk is kernels.walker(kind)
+
+
 RULE_GROUPS = ["Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z9", "Z10", "K4", "D:6", "D8", "A4"]
 
 

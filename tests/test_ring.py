@@ -1,5 +1,6 @@
 """Group-ring convolution and the expression parser."""
 
+import pickle
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from gdet import (
     parse_expr,
     ring_element,
 )
-from gdet.ring import MAX_COEFF_BITS
+from gdet.ring import MAX_COEFF_BITS, RingElement
 
 
 def test_convolve_identity_is_neutral(s4):
@@ -186,3 +187,16 @@ def test_element_from_ab_object(s4):
 def test_element_from_json_rejects(s4, obj):
     with pytest.raises(ValueError):
         element_from_json(obj, s4)
+
+
+def test_ring_element_is_an_immutable_value(s4):
+    """Equal and hashed on group and coefficients, as a frozen dataclass was; assignment raises."""
+    a = ring_element(s4, range(24))
+    assert a == RingElement(s4, tuple(range(24))) and hash(a) == hash((s4, tuple(range(24))))
+    assert a != ring_element(s4, [0] * 24) and a != (s4, a.coeffs)
+    assert repr(a) == f"RingElement(group=GroupTable(S4, order=24), coeffs={tuple(range(24))!r})"
+    assert pickle.loads(pickle.dumps(a)) == a
+    with pytest.raises(AttributeError):
+        a.coeffs = (0,) * 24
+    with pytest.raises(ValueError, match="length 2, group order is 24"):
+        RingElement(s4, (1, 2))
