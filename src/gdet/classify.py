@@ -10,7 +10,6 @@ imports it, so deciding membership loads no determinant code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 
 from .groups import _is_prime, rule_spec
@@ -33,21 +32,47 @@ def valuation(m: int, p: int):
     return v
 
 
-@dataclass(frozen=True)
 class GroupRule:
-    kind: str
-    p: int | None = None
+    """A membership rule: a kind from `RULE_KINDS` and, for Zp and Z2p, its prime, immutable.
 
-    def __post_init__(self):
-        if self.kind not in RULE_KINDS:
-            raise ValueError(f"unknown rule kind: {self.kind!r}")
-        if self.kind in ("Zp", "Z2p"):
-            if self.p is None or not _is_prime(self.p):
-                raise ValueError(f"{self.kind} needs a prime parameter, got {self.p}")
-            if self.kind == "Z2p" and self.p < 3:
+    A plain class, not a dataclass, so that deciding membership does not
+    import `dataclasses`: equal when kind and p are, hashed on them.
+    """
+
+    __slots__ = ("kind", "p")
+
+    def __init__(self, kind: str, p: int | None = None):
+        if kind not in RULE_KINDS:
+            raise ValueError(f"unknown rule kind: {kind!r}")
+        if kind in ("Zp", "Z2p"):
+            if p is None or not _is_prime(p):
+                raise ValueError(f"{kind} needs a prime parameter, got {p}")
+            if kind == "Z2p" and p < 3:
                 raise ValueError("Z2p needs an odd prime")
-        elif self.p is not None:
-            raise ValueError(f"rule {self.kind} takes no parameter")
+        elif p is not None:
+            raise ValueError(f"rule {kind} takes no parameter")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "p", p)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.p) == (other.kind, other.p)
+
+    def __hash__(self):
+        return hash((self.kind, self.p))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return GroupRule, (self.kind, self.p)
+
+    def __repr__(self):
+        return f"GroupRule(kind={self.kind!r}, p={self.p!r})"
 
     @property
     def name(self) -> str:
@@ -62,12 +87,41 @@ def parse_rule(text: str) -> GroupRule:
     return GroupRule(*rule)
 
 
-@dataclass(frozen=True)
 class MembershipVerdict:
-    member: bool
-    rule: str
-    m: int
-    reason: dict
+    """The answer of `member`: the verdict, the rule's name, m and the reason fields, immutable.
+
+    A plain class, not a dataclass, for the reason `GroupRule` is one.
+    """
+
+    __slots__ = ("member", "rule", "m", "reason")
+
+    def __init__(self, member: bool, rule: str, m: int, reason: dict):
+        for name, value in zip(self.__slots__, (member, rule, m, reason)):
+            object.__setattr__(self, name, value)
+
+    def _fields(self):
+        return self.member, self.rule, self.m, self.reason
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return MembershipVerdict, self._fields()
+
+    def __repr__(self):
+        return (f"MembershipVerdict(member={self.member!r}, rule={self.rule!r}, "
+                f"m={self.m!r}, reason={self.reason!r})")
 
     def as_dict(self):
         return {"member": self.member, "rule": self.rule, "m": self.m, "reason": self.reason}

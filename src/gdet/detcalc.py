@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, asdict
 from functools import lru_cache
+from operator import mul
 from typing import Generic, TypeVar
 
 from .classify import valuation
@@ -292,10 +293,8 @@ def default_rep_table() -> RepTable:
 
 
 def _mat_mul_int(a, b):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
-        for i in range(len(a))
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def rep_is_homomorphism(tables: RepTable) -> bool:
@@ -322,7 +321,8 @@ def rep_factor_check(tables: RepTable | None = None) -> bool:
     factor matrices and the representations disagree.  When rho3 is sign *
     rho2, as in the default table, sum x_g rho3(g) is the rho2 matrix with
     the twelve odd variables b negated, so rho3's determinant is rho2's under
-    b -> -b (`sympoly._mirror`); any other rho3 is expanded itself.
+    b -> -b: once rho2's is d1, that is sigma(d1), which the factor set
+    caches (`SymbolicFactors.sigma_d1`).  Any other rho3 is expanded itself.
     """
     from . import sympoly
 
@@ -336,5 +336,5 @@ def rep_factor_check(tables: RepTable | None = None) -> bool:
     if det2 != named.d1:
         return False
     if tables.rho3 == _sign_twist(tables.rho2):
-        return sympoly._mirror(det2) == named.d2
+        return named.sigma_d1 == named.d2
     return sympoly.symbolic_rep_det(tables.rho3) == named.d2

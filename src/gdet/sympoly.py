@@ -231,6 +231,62 @@ class SymbolicFactors(S4Forms["SparsePoly"]):
         x = self.q1 + 2 * (self.u * self.v + self.w)
         return (self.d1 - self.l1 * x).divide_exact(4)
 
+    @cached_property
+    def sigma_d1(self):
+        """sigma(d1): d1 under the substitution b -> -b of the twelve b variables."""
+        return _mirror(self.d1)
+
+    @cached_property
+    def certificate(self) -> frozenset:
+        """The steps of the symmetry proof that hold for these factors, by name.
+
+        Let sigma negate the twelve b variables, Y = uv + w and X = q1 + 2Y.
+        The steps are exact identities:
+
+            d1 = l1*X + 4C     d1 - l1*X is divisible by 4, so C is integral (D1_EXPANSION)
+            sigma(d1) = d2     sigma(l1) = l2     sigma(q1) = q1
+            sigma(Y) = -Y      l1 = u + v         l2 = u - v
+
+        For any integer polynomial P, P + sigma(P) and P - sigma(P) have even
+        coefficients: twice the part of P of even, and of odd, degree in b.
+
+        D_MOD2 (sigma(d1) = d2): d1 - d2 = d1 - sigma(d1) is even.
+
+        PROD_MOD4 and SUM_MOD4 (the first four steps): d2 = sigma(d1)
+        = l2*sigma(X) + 4*sigma(C) and sigma(X) = q1 + 2*sigma(Y), so
+
+            d1*d2 - l1*l2*q1^2 = l1*l2*(X*sigma(X) - q1^2)
+                                 + 4*(l1*X*sigma(C) + l2*sigma(X)*C + 4*C*sigma(C)),
+            X*sigma(X) - q1^2 = 2*q1*(Y + sigma(Y)) + 4*Y*sigma(Y),
+            d1 + d2 - (l1 + l2)*q1 = 2*(l1*Y + sigma(l1*Y)) + 4*(C + sigma(C)),
+
+        and Y + sigma(Y) and l1*Y + sigma(l1*Y) are even: no condition on Y.
+
+        SUM_MOD8 and DIFF_MOD8 (all seven steps): sigma(X) = q1 - 2Y, so
+        d2 = l2*(q1 - 2Y) + 4*sigma(C), and with l1 + l2 = 2u, l1 - l2 = 2v,
+
+            d1 + d2 = 2u*q1 + 4uv^2 + 4vw + 4*(C + sigma(C)),
+            d1 - d2 = 2v*q1 + 4u^2v + 4uw + 4*(C - sigma(C)),
+
+        where C + sigma(C) and C - sigma(C) are even.
+
+        Every step is computed once per factor set, d1_quotient's division
+        included.  The proof is sufficient, not necessary: an identity whose
+        steps do not all hold is decided by expanding its residual.
+        """
+        _, bad = self.d1_quotient
+        y = self.u * self.v + self.w
+        steps = {
+            "d1 = l1*X + 4C": not bad,
+            "sigma(d1) = d2": self.sigma_d1 == self.d2,
+            "sigma(l1) = l2": _mirror(self.l1) == self.l2,
+            "sigma(q1) = q1": _mirror(self.q1) == self.q1,
+            "sigma(Y) = -Y": _mirror(y) == -y,
+            "l1 = u + v": self.l1 == self.u + self.v,
+            "l2 = u - v": self.l2 == self.u - self.v,
+        }
+        return frozenset(name for name, holds in steps.items() if holds)
+
 
 @lru_cache(maxsize=None)
 def build_symbolic() -> SymbolicFactors:
@@ -262,6 +318,18 @@ class IdentityReport:
     quotient: SparsePoly | None = None  # the cubic C for D1_EXPANSION
 
 
+# the steps of `SymbolicFactors.certificate` that prove each identity
+_SYMMETRY_STEPS = frozenset({"d1 = l1*X + 4C", "sigma(d1) = d2", "sigma(l1) = l2", "sigma(q1) = q1"})
+_ALL_STEPS = _SYMMETRY_STEPS | {"sigma(Y) = -Y", "l1 = u + v", "l2 = u - v"}
+_PROOF_STEPS = {
+    IdentityId.D_MOD2: frozenset({"sigma(d1) = d2"}),
+    IdentityId.PROD_MOD4: _SYMMETRY_STEPS,
+    IdentityId.SUM_MOD4: _SYMMETRY_STEPS,
+    IdentityId.SUM_MOD8: _ALL_STEPS,
+    IdentityId.DIFF_MOD8: _ALL_STEPS,
+}
+
+
 def _residual(id_: IdentityId, f: SymbolicFactors):
     """Exact integer polynomial and modulus whose vanishing is the identity."""
     l1, l2, q1, d1, d2 = f.l1, f.l2, f.q1, f.d1, f.d2
@@ -286,9 +354,10 @@ def _residual(id_: IdentityId, f: SymbolicFactors):
 def check_identity(id_: IdentityId, factors: SymbolicFactors | None = None) -> IdentityReport:
     """Verify one congruence identity exactly over the integers, then reduce.
 
-    PROD_MOD4 is first proved from D1_EXPANSION and the b -> -b symmetry
-    (`_prod_mod4_by_symmetry`); only when that proof does not apply is the
-    product `d1*d2` expanded, and then it alone decides.
+    D_MOD2, PROD_MOD4, SUM_MOD4, SUM_MOD8 and DIFF_MOD8 are first proved from
+    the steps `_PROOF_STEPS` names (`SymbolicFactors.certificate`); only when
+    one of them does not hold is the residual expanded, and then it alone
+    decides.  So `d1*d2` is never formed for factors that pass the proof.
     """
     f = factors or build_symbolic()
     t0 = time.perf_counter()
@@ -302,7 +371,7 @@ def check_identity(id_: IdentityId, factors: SymbolicFactors | None = None) -> I
             elapsed=time.perf_counter() - t0,
             quotient=quotient,
         )
-    if id_ is IdentityId.PROD_MOD4 and _prod_mod4_by_symmetry(f):
+    if id_ in _PROOF_STEPS and _PROOF_STEPS[id_] <= f.certificate:
         return IdentityReport(identity=id_, holds=True, residual_term_count=0,
                               elapsed=time.perf_counter() - t0)
     residual, modulus = _residual(id_, f)
@@ -318,28 +387,6 @@ def check_identity(id_: IdentityId, factors: SymbolicFactors | None = None) -> I
 def _mirror(p: SparsePoly) -> SparsePoly:
     """sigma: the substitution b -> -b of the twelve b variables."""
     return p.negate_vars(_B_VARS)
-
-
-def _prod_mod4_by_symmetry(f: SymbolicFactors) -> bool:
-    """A proof of d1*d2 = l1*l2*q1^2 (mod 4) that never forms d1*d2.
-
-    It checks four exact identities: d1 - l1*X is divisible by 4, so
-    d1 = l1*X + 4*C with C integral; sigma(d1) = d2; sigma(l1) = l2; and
-    sigma(q1) = q1.  Then d2 = l2*sigma(X) + 4*sigma(C), and
-
-        d1*d2 - l1*l2*q1^2 = l1*l2*(X*sigma(X) - q1^2)
-                             + 4*(l1*X*sigma(C) + l2*sigma(X)*C + 4*C*sigma(C)).
-
-    With X = q1 + 2Y, X*sigma(X) = q1^2 + 2*q1*(Y + sigma(Y)) + 4*Y*sigma(Y),
-    and Y + sigma(Y) is twice the part of Y of even degree in b, so the whole
-    difference is 4 times an integer polynomial.  No condition on Y is needed.
-
-    The proof is sufficient, not necessary: False only means it does not
-    apply, and the caller must expand the product to decide.
-    """
-    _, bad = f.d1_quotient
-    return (not bad and _mirror(f.d1) == f.d2 and _mirror(f.l1) == f.l2
-            and _mirror(f.q1) == f.q1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Closed-form membership rules and the smallest non-trivial values."""
 
 import math
+import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -100,6 +102,46 @@ def test_prime_validation():
         GroupRule("Z2p", 2)
     with pytest.raises(ValueError):
         parse_rule("Zp:15")
+
+
+def test_group_rule_is_an_immutable_value():
+    rule = GroupRule("Zp", 7)
+    assert repr(rule) == "GroupRule(kind='Zp', p=7)"
+    assert repr(GroupRule("S4")) == "GroupRule(kind='S4', p=None)"
+    assert rule == GroupRule("Zp", 7) == parse_rule("Z7")
+    assert hash(rule) == hash(GroupRule("Zp", 7))
+    assert rule != GroupRule("Zp", 5) and rule != ("Zp", 7)
+    assert len({rule, GroupRule("Zp", 7), GroupRule("S4")}) == 2
+    with pytest.raises(AttributeError):
+        rule.p = 5
+    with pytest.raises(AttributeError):
+        del rule.kind
+    assert pickle.loads(pickle.dumps(rule)) == rule
+
+
+@pytest.mark.parametrize("kind, p, message", [
+    ("Z5", None, "unknown rule kind: 'Z5'"),
+    ("Zp", None, "Zp needs a prime parameter, got None"),
+    ("Zp", 9, "Zp needs a prime parameter, got 9"),
+    ("Z2p", 2, "Z2p needs an odd prime"),
+    ("S4", 3, "rule S4 takes no parameter"),
+])
+def test_group_rule_rejects_bad_parameters(kind, p, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GroupRule(kind, p)
+
+
+def test_membership_verdict_is_an_immutable_value():
+    v = verdict("S4", 5)
+    assert repr(v) == ("MembershipVerdict(member=True, rule='S4', m=5, reason={'v2': 0, 'v3': 0, "
+                       "'mod4': 1, 'three_condition': True, 'class': 'odd', 'cofactor_mod4': 1})")
+    assert v == verdict("S4", 5) and v != verdict("S4", 7)
+    assert v.as_dict() == {"member": True, "rule": "S4", "m": 5, "reason": v.reason}
+    with pytest.raises(AttributeError):
+        v.member = False
+    with pytest.raises(TypeError):
+        hash(v)  # the reason is a dict
+    assert pickle.loads(pickle.dumps(v)) == v
 
 
 def test_rule_parsing_shorthands():

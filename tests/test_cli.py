@@ -760,9 +760,15 @@ def _gdet_modules_after(code):
 
 
 def test_start_up_imports_no_dataclasses():
-    """`GroupTable` and `RingElement` are plain classes: `dataclasses` (and `inspect`) cost start-up time."""
-    loaded = _modules_after("import gdet.cli; gdet.cli.build_parser(); gdet.build_group('D8')")
-    assert "gdet.groups" in loaded and "dataclasses" not in loaded
+    """`GroupTable`, `RingElement`, `GroupRule` and `MembershipVerdict` are plain classes:
+    `dataclasses` (and `inspect`) cost start-up time."""
+    for code, module in [
+        ("import gdet.cli; gdet.cli.build_parser(); gdet.build_group('D8')", "gdet.groups"),
+        ("import gdet.cli; gdet.cli.run(['member', '--group', 'S4', '5'])", "gdet.classify"),
+        ("import gdet.classify; gdet.classify.parse_rule('S4')", "gdet.classify"),
+    ]:
+        loaded = _modules_after(code)
+        assert module in loaded and "dataclasses" not in loaded, code
 
 
 @pytest.mark.parametrize("code, expected", [

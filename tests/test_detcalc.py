@@ -26,7 +26,7 @@ from gdet import (
     symmetric_group4,
     valuation,
 )
-from gdet.detcalc import _CUBIC_CELLS, RepTable, cofactor_det, kernel_for
+from gdet.detcalc import _CUBIC_CELLS, RepTable, _mat_mul_int, cofactor_det, kernel_for
 from gdet.groups import generating_set
 
 
@@ -373,6 +373,29 @@ def coset_mutants():
 def test_rep_tables_are_homomorphisms():
     assert rep_is_homomorphism(default_rep_table())
     assert homomorphism_on_all_pairs(default_rep_table())
+
+
+@st.composite
+def _matrix_pairs(draw):
+    """An n x k and a k x m integer matrix, as tuples of rows."""
+    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    entries = st.integers(-50, 50)
+
+    def matrix(rows, cols):
+        return tuple(tuple(draw(entries) for _ in range(cols)) for _ in range(rows))
+
+    return matrix(n, k), matrix(k, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrix_pairs())
+def test_mat_mul_int_matches_the_triple_loop(pair):
+    a, b = pair
+    expected = tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+    assert _mat_mul_int(a, b) == expected
 
 
 def test_rep_is_homomorphism_matches_all_pairs_on_mutants():

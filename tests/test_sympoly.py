@@ -21,8 +21,10 @@ from gdet import (
 from gdet import sympoly
 from gdet.detcalc import S4Forms
 from gdet.sympoly import (
+    _ALL_STEPS,
+    _PROOF_STEPS,
+    _SYMMETRY_STEPS,
     _mono_degree,
-    _prod_mod4_by_symmetry,
     _residual,
     pack_monomial,
     symbolic_rep_det,
@@ -164,7 +166,7 @@ def test_prod_mod4_products_are_pinned():
 
 def test_prod_mod4_proof_applies_to_the_factors(monkeypatch):
     f = build_symbolic()
-    assert _prod_mod4_by_symmetry(f)
+    assert _PROOF_STEPS[IdentityId.PROD_MOD4] <= f.certificate
 
     def no_expansion(id_, factors):
         raise AssertionError(f"{id_.name} expanded its residual")
@@ -172,6 +174,26 @@ def test_prod_mod4_proof_applies_to_the_factors(monkeypatch):
     monkeypatch.setattr(sympoly, "_residual", no_expansion)
     report = check_identity(IdentityId.PROD_MOD4, f)
     assert report.holds and report.residual_term_count == 0
+
+
+def _recording_residual(monkeypatch):
+    """Wrap `sympoly._residual` so that it records the id of every residual expanded."""
+    expanded = []
+
+    def recorded(id_, factors):
+        expanded.append(id_)
+        return _residual(id_, factors)
+
+    monkeypatch.setattr(sympoly, "_residual", recorded)
+    return expanded
+
+
+def test_only_l_mod2_and_q_mod3_expand_on_the_factors(monkeypatch):
+    f = build_symbolic()
+    assert f.certificate == _ALL_STEPS
+    expanded = _recording_residual(monkeypatch)
+    assert all(check_identity(i, f).holds for i in IdentityId)
+    assert expanded == [IdentityId.L_MOD2, IdentityId.Q_MOD3]
 
 
 def _vanish_outside(p, keep):
@@ -185,43 +207,85 @@ def small_factors():
     """The factors with all but a1, a2, a5, a6, a9, a10 and b1, b2, b5, b6, b9, b10 set to 0.
 
     Setting variables to 0 is a ring map that commutes with b -> -b, so these
-    factors keep every identity of the suite, and d1*d2 has 268 by 268 terms
-    where the full one has 1832 by 1832.
+    factors keep every identity of the suite and every step of the
+    certificate, and d1*d2 has 268 by 268 terms where the full one has 1832
+    by 1832.
     """
     keep = {0, 1, 4, 5, 8, 9, 12, 13, 16, 17, 20, 21}
     f = build_symbolic()
     small = dataclasses.replace(
         f, **{field.name: _vanish_outside(getattr(f, field.name), keep)
               for field in dataclasses.fields(f)})
-    assert len(small.d1) == 268 and _prod_mod4_by_symmetry(small)
+    assert len(small.d1) == 268 and small.certificate == _ALL_STEPS
     return small
 
 
 _A1B1 = a(1) * b(1)  # odd in b
-# each perturbation breaks at least one step of the PROD_MOD4 proof; d2=d1,
-# l2=l1, division and sigma(q1) break only the step they name, so the proof
-# without that step would wrongly accept them
-_PROD_MOD4_PERTURBATIONS = {
-    "d2=d1": lambda f: {"d2": f.d1},  # sigma(d1) = d2
-    "l2=l1": lambda f: {"l2": f.l1},  # sigma(l1) = l2
-    "q1+a1b1": lambda f: {"q1": f.q1 + _A1B1},
-    "w+a1^2": lambda f: {"w": f.w + a(1) * a(1)},  # w is not in the PROD_MOD4 residual
-    "d1+a1^3": lambda f: {"d1": f.d1 + a(1) ** 3},
-    "division": lambda f: {"d1": f.d1 + a(1) ** 3, "d2": f.d2 + a(1) ** 3},  # (d1 - l1*X) / 4
-    "sigma(q1)": lambda f: {"q1": f.q1 + _A1B1, "d1": f.d1 + f.l1 * _A1B1,
-                            "d2": f.d2 - f.l2 * _A1B1},  # sigma(q1) = q1
+_A1SQ = a(1) * a(1)  # even in b
+
+
+def _keep_y(f, u, v):
+    """u and v replaced, and w moved so that Y = uv + w stays what it was."""
+    return {"u": u, "v": v, "w": f.w + f.u * f.v - u * v}
+
+
+# each perturbation, with the certificate steps it breaks; d2=d1, division,
+# sigma(q1), sigma(Y), l1=u+v and l2=u-v break only the step they name, and
+# l2=l1 only sigma(l1) = l2 of the PROD_MOD4 steps, so a proof without that
+# step would wrongly accept them
+_PERTURBATIONS = {
+    "d2=d1": (lambda f: {"d2": f.d1}, {"sigma(d1) = d2"}),
+    "l2=l1": (lambda f: {"l2": f.l1}, {"sigma(l1) = l2", "l2 = u - v"}),
+    "q1+a1b1": (lambda f: {"q1": f.q1 + _A1B1}, {"d1 = l1*X + 4C", "sigma(q1) = q1"}),
+    # w is not in the PROD_MOD4 residual
+    "w+a1^2": (lambda f: {"w": f.w + _A1SQ}, {"d1 = l1*X + 4C", "sigma(Y) = -Y"}),
+    "d1+a1^3": (lambda f: {"d1": f.d1 + a(1) ** 3}, {"d1 = l1*X + 4C", "sigma(d1) = d2"}),
+    "division": (lambda f: {"d1": f.d1 + a(1) ** 3, "d2": f.d2 + a(1) ** 3},
+                 {"d1 = l1*X + 4C"}),
+    "sigma(q1)": (lambda f: {"q1": f.q1 + _A1B1, "d1": f.d1 + f.l1 * _A1B1,
+                             "d2": f.d2 - f.l2 * _A1B1}, {"sigma(q1) = q1"}),
+    "sigma(Y)": (lambda f: {"w": f.w + _A1SQ, "d1": f.d1 + 2 * f.l1 * _A1SQ,
+                            "d2": f.d2 + 2 * f.l2 * _A1SQ}, {"sigma(Y) = -Y"}),
+    "l1=u+v": (lambda f: _keep_y(f, f.u + a(1), f.v + a(1)), {"l1 = u + v"}),
+    "l2=u-v": (lambda f: _keep_y(f, f.u + a(1), f.v - a(1)), {"l2 = u - v"}),
 }
 
 
-@pytest.mark.parametrize("case", list(_PROD_MOD4_PERTURBATIONS))
+def _perturbed(f, case):
+    perturb, broken = _PERTURBATIONS[case]
+    return dataclasses.replace(f, **perturb(f)), broken
+
+
+@pytest.mark.parametrize("case", [c for c, (_, broken) in _PERTURBATIONS.items()
+                                  if broken & _SYMMETRY_STEPS])
 def test_prod_mod4_falls_back_to_the_expansion(small_factors, case):
-    broken = dataclasses.replace(small_factors, **_PROD_MOD4_PERTURBATIONS[case](small_factors))
-    assert not _prod_mod4_by_symmetry(broken)
+    broken, _ = _perturbed(small_factors, case)
+    assert not _PROOF_STEPS[IdentityId.PROD_MOD4] <= broken.certificate
     report = check_identity(IdentityId.PROD_MOD4, broken)
     reduced = _residual(IdentityId.PROD_MOD4, broken)[0].reduce_mod(4)
     assert (report.holds, report.residual_term_count) == (reduced.is_zero(), len(reduced))
     # a step that fails is never a failure by itself: the expansion decides
     assert report.holds == (case == "w+a1^2")
+
+
+@pytest.mark.parametrize("case", list(_PERTURBATIONS))
+def test_every_identity_matches_its_expansion_on_mutants(small_factors, monkeypatch, case):
+    mutant, broken_steps = _perturbed(small_factors, case)
+    assert mutant.certificate == _ALL_STEPS - broken_steps
+    expanded = _recording_residual(monkeypatch)
+    reports = {i: check_identity(i, mutant) for i in IdentityId}
+    # exactly the identities that need a broken step, and L_MOD2 and Q_MOD3, expand
+    assert set(expanded) == {IdentityId.L_MOD2, IdentityId.Q_MOD3} | {
+        i for i, steps in _PROOF_STEPS.items() if steps & broken_steps}
+    for i, report in reports.items():
+        if i is IdentityId.D1_EXPANSION:
+            continue
+        residual, modulus = _residual(i, mutant)
+        reduced = residual.reduce_mod(modulus)
+        assert (report.holds, report.residual_term_count) == (reduced.is_zero(), len(reduced)), i
+    if len(broken_steps) == 1:
+        # the step is needed: an identity that names it fails
+        assert any(not reports[i].holds for i, steps in _PROOF_STEPS.items() if steps & broken_steps)
 
 
 def test_identity_perturbation_fails():
