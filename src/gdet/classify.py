@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import count
 
-from .groups import _is_prime, rule_spec
+from .groups import Record, _is_prime, rule_spec
 
 RULE_KINDS = ("Zp", "Z2p", "Z9", "Z4", "Klein4", "D8", "S3", "A4", "S4")
 
@@ -32,12 +32,8 @@ def valuation(m: int, p: int):
     return v
 
 
-class GroupRule:
-    """A membership rule: a kind from `RULE_KINDS` and, for Zp and Z2p, its prime, immutable.
-
-    A plain class, not a dataclass, so that deciding membership does not
-    import `dataclasses`: equal when kind and p are, hashed on them.
-    """
+class GroupRule(Record):
+    """A membership rule: a kind from `RULE_KINDS` and, for Zp and Z2p, its prime."""
 
     __slots__ = ("kind", "p")
 
@@ -51,28 +47,7 @@ class GroupRule:
                 raise ValueError("Z2p needs an odd prime")
         elif p is not None:
             raise ValueError(f"rule {kind} takes no parameter")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "p", p)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.p) == (other.kind, other.p)
-
-    def __hash__(self):
-        return hash((self.kind, self.p))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return GroupRule, (self.kind, self.p)
-
-    def __repr__(self):
-        return f"GroupRule(kind={self.kind!r}, p={self.p!r})"
+        super().__init__(kind, p)
 
     @property
     def name(self) -> str:
@@ -87,44 +62,10 @@ def parse_rule(text: str) -> GroupRule:
     return GroupRule(*rule)
 
 
-class MembershipVerdict:
-    """The answer of `member`: the verdict, the rule's name, m and the reason fields, immutable.
-
-    A plain class, not a dataclass, for the reason `GroupRule` is one.
-    """
+class MembershipVerdict(Record):
+    """The answer of `member`: the verdict, the rule's name, m and the reason fields."""
 
     __slots__ = ("member", "rule", "m", "reason")
-
-    def __init__(self, member: bool, rule: str, m: int, reason: dict):
-        for name, value in zip(self.__slots__, (member, rule, m, reason)):
-            object.__setattr__(self, name, value)
-
-    def _fields(self):
-        return self.member, self.rule, self.m, self.reason
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return MembershipVerdict, self._fields()
-
-    def __repr__(self):
-        return (f"MembershipVerdict(member={self.member!r}, rule={self.rule!r}, "
-                f"m={self.m!r}, reason={self.reason!r})")
-
-    def as_dict(self):
-        return {"member": self.member, "rule": self.rule, "m": self.m, "reason": self.reason}
 
 
 def decider(rule: GroupRule):

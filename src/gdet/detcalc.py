@@ -23,13 +23,13 @@ representations computed from the permutations check the polynomials
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
 from functools import lru_cache
 from operator import mul
-from typing import Generic, TypeVar
 
 from .classify import valuation
-from .groups import GroupTable, _invert, _s4_perms_and_names, generating_set, symmetric_group4
+from .groups import (
+    GroupTable, Record, _invert, _s4_perms_and_names, generating_set, symmetric_group4,
+)
 from .ring import RingElement
 
 
@@ -146,11 +146,7 @@ _SIX_TERM_FORMS = tuple(
 )
 
 
-R = TypeVar("R")
-
-
-@dataclass(frozen=True)
-class S4Forms(Generic[R]):
+class S4Forms(Record):
     """The five S4 factors and the auxiliary forms of the congruence analysis, in one ring.
 
     u1..u3 and v1..v3 are the sums of the six quartets a1-a4, ..., b9-b12;
@@ -158,26 +154,8 @@ class S4Forms(Generic[R]):
     w = u1*B1 + u2*B2 + u3*B3 + v1*A1 + v2*A2 + v3*A3.
     """
 
-    l1: R
-    l2: R
-    q1: R
-    d1: R
-    d2: R
-    u1: R
-    u2: R
-    u3: R
-    v1: R
-    v2: R
-    v3: R
-    u: R
-    v: R
-    w: R
-    A1: R
-    A2: R
-    A3: R
-    B1: R
-    B2: R
-    B3: R
+    __slots__ = ("l1", "l2", "q1", "d1", "d2", "u1", "u2", "u3", "v1", "v2", "v3",
+                 "u", "v", "w", "A1", "A2", "A3", "B1", "B2", "B3")
 
 
 def s4_forms(c) -> dict:
@@ -203,16 +181,10 @@ def s4_forms(c) -> dict:
     )
 
 
-@dataclass(frozen=True)
-class FactorProfile(S4Forms[int]):
+class FactorProfile(S4Forms):
     """The S4 forms of an integer element, its determinant and that value's 2-/3-adic valuations."""
 
-    det: int
-    val2: int | None
-    val3: int | None
-
-    def as_dict(self):
-        return asdict(self)
+    __slots__ = ("det", "val2", "val3")
 
 
 def s4_factors(e: RingElement) -> FactorProfile:
@@ -251,13 +223,13 @@ def kernel_for(g: GroupTable):
 # representations from the permutations, and the cross-check against the factor matrices
 
 
-@dataclass(frozen=True)
-class RepTable:
-    """Integer matrices of the degree-2 and the two degree-3 representations, per element."""
+class RepTable(Record):
+    """Integer matrices of the degree-2 and the two degree-3 representations, per element.
 
-    rho1: tuple  # 24 entries, each a 2x2 integer tuple
-    rho2: tuple  # 24 entries, each a 3x3 integer tuple
-    rho3: tuple
+    rho1 holds 24 2x2 integer tuples, rho2 and rho3 24 3x3 ones.
+    """
+
+    __slots__ = ("rho1", "rho2", "rho3")
 
 
 def _sum_zero_action(p):

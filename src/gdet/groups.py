@@ -26,30 +26,54 @@ PRIME_BOUND = 1 << 64  # the parameter of a Zp or Z2p rule is below it
 S4_GENERATORS = {"x": (12, (1, 2, 3, 0), 4), "y": (20, (1, 0, 2, 3), 2)}
 
 
-class GroupTable:
-    """A finite group of order n with elements indexed 0..n-1, immutable.
+class Record:
+    """An immutable value whose fields a subclass names in `__slots__`, after its bases' fields.
 
-    A plain class, not a dataclass, so that starting gdet does not import
-    `dataclasses`: equal when every field is, hashed on the fields.
+    A record is built by position or keyword, each field given exactly once,
+    and is equal only to a record of its own class with equal fields; it is
+    hashed, pickled and shown (`Name(field=value, ...)`) by its fields, and
+    assigning or deleting a field raises AttributeError.  gdet's value
+    classes are records rather than frozen dataclasses so that starting
+    gdet does not import `dataclasses`, nor `inspect` through it.  A subclass
+    that declares no `__slots__` adds no field and keeps a `__dict__`, which
+    `functools.cached_property` needs.
     """
 
-    __slots__ = ("kind", "order", "mul", "inv", "identity_index", "names")
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
-    def __init__(self, kind: str, order: int, mul: tuple[tuple[int, ...], ...],
-                 inv: tuple[int, ...], identity_index: int, names: tuple[str, ...]):
-        for name, value in zip(self.__slots__, (kind, order, mul, inv, identity_index, names)):
-            object.__setattr__(self, name, value)
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = cls._fields + cls.__dict__.get("__slots__", ())
+        # the slots' own setters, which bypass __setattr__ below
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
-    def _fields(self):
-        return self.kind, self.order, self.mul, self.inv, self.identity_index, self.names
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs:
+            try:
+                args += tuple(map(kwargs.pop, names[len(args):]))
+            except KeyError:  # a field is missing, so args stays short
+                pass
+        if kwargs or len(args) != len(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}, "
+                            "each exactly once")
+        for set_field, value in zip(self._setters, args):
+            set_field(self, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def as_dict(self):
+        return dict(zip(self._fields, self._values()))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._values() == other._values()
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._values())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -58,7 +82,21 @@ class GroupTable:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return GroupTable, self._fields()
+        return self.__class__, self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class GroupTable(Record):
+    """A finite group of order n with elements indexed 0..n-1.
+
+    mul[i][j] and inv[i] are element indices, identity_index is e's and
+    names[i] labels element i.
+    """
+
+    __slots__ = ("kind", "order", "mul", "inv", "identity_index", "names")
 
     def __repr__(self):
         return f"GroupTable({self.kind}, order={self.order})"

@@ -27,11 +27,10 @@ import json
 import os
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from operator import itemgetter
 
 from . import classify, detcalc
-from .groups import build_group, is_decimal
+from .groups import Record, build_group, is_decimal
 
 EXHAUSTIVE_LIMIT = 10**7
 RNG_ALGO = "py-mt19937-pervec-v1"  # vector j drawn from Random((seed << 32) + j)
@@ -40,30 +39,24 @@ FORMAT_VERSION = 1
 PAIRS_PER_CHUNK = 4096  # distinct values put into decimal and written at a time
 
 
-@dataclass(frozen=True)
-class ScanConfig:
-    group: str
-    lo: int
-    hi: int
-    mode: str  # "exhaustive" or "random"
-    count: int = 0
-    seed: int = 0
-    out: str | None = None
-    full: bool = False
+class ScanConfig(Record):
+    __slots__ = ("group", "lo", "hi", "mode", "count", "seed", "out", "full")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty entry range [{self.lo}, {self.hi}]")
-        if self.mode not in ("exhaustive", "random"):
-            raise ValueError(f"unknown scan mode: {self.mode!r}")
-        if self.mode == "random" and self.count <= 0:
+    def __init__(self, group: str, lo: int, hi: int, mode: str, count: int = 0, seed: int = 0,
+                 out: str | None = None, full: bool = False):
+        if lo > hi:
+            raise ValueError(f"empty entry range [{lo}, {hi}]")
+        if mode not in ("exhaustive", "random"):
+            raise ValueError(f"unknown scan mode: {mode!r}")
+        if mode == "random" and count <= 0:
             raise ValueError("random mode needs a positive vector count")
         # vector j is seeded with (seed << 32) + j: the index must fit in 32 bits, and
         # Random seeds on |x|, so a negative seed would replay a non-negative one
-        if self.mode == "random" and self.count >= 1 << 32:
-            raise ValueError(f"random mode draws fewer than 2**32 vectors, got {self.count}")
-        if self.seed < 0:
-            raise ValueError(f"scan seed must be non-negative, got {self.seed}")
+        if mode == "random" and count >= 1 << 32:
+            raise ValueError(f"random mode draws fewer than 2**32 vectors, got {count}")
+        if seed < 0:
+            raise ValueError(f"scan seed must be non-negative, got {seed}")
+        super().__init__(group, lo, hi, mode, count, seed, out, full)
 
     def as_dict(self):
         d = {
@@ -79,18 +72,20 @@ class ScanConfig:
         return d
 
 
-@dataclass
 class ScanReport:
-    config: dict
-    total: int = 0
-    zeros: int = 0
-    value_counts: Counter = field(default_factory=Counter)
-    violations: list = field(default_factory=list)
-    residue_mod24: Counter = field(default_factory=Counter)
-    v2_hist: Counter = field(default_factory=Counter)
-    v3_hist: Counter = field(default_factory=Counter)
-    records: list = field(default_factory=list)  # per-vector, only when full
-    rejected: set = field(default_factory=set)  # values the rule rejects, whose vectors `scan` lists
+    """The mutable tallies of a scan, or of one of its shards, under a config's `as_dict()`."""
+
+    def __init__(self, config: dict):
+        self.config = config
+        self.total = 0
+        self.zeros = 0
+        self.value_counts = Counter()
+        self.violations = []
+        self.residue_mod24 = Counter()
+        self.v2_hist = Counter()
+        self.v3_hist = Counter()
+        self.records = []  # per-vector, only when full
+        self.rejected = set()  # values the rule rejects, whose vectors `scan` lists
 
     def merge(self, other: "ScanReport") -> "ScanReport":
         self.total += other.total
@@ -215,7 +210,7 @@ def _scan_shard(payload):
     cfg, start, stop = payload
     g = build_group(cfg.group)
     rule = classify.parse_rule(cfg.group)
-    report = ScanReport(config=cfg.as_dict())
+    report = ScanReport(cfg.as_dict())
     counts = report.value_counts
     if cfg.full:
         evaluate = detcalc.kernel_for(g)
@@ -295,7 +290,7 @@ def scan(cfg: ScanConfig) -> ScanReport:
             m += 1
         step = width ** m
     shards = [(cfg, start, min(start + step, size)) for start in range(0, size, step)]
-    report = ScanReport(config=cfg.as_dict())
+    report = ScanReport(cfg.as_dict())
     with contextlib.ExitStack() as stack:
         run = map
         if workers > 1 and len(shards) > 1:

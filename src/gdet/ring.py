@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from .groups import GroupTable, S4_GENERATORS, build_group
+from .groups import GroupTable, Record, S4_GENERATORS, build_group
 
 MAX_EXPONENT = 4096
 # parentheses and unary minus signs open at once; each level costs the
@@ -20,12 +20,8 @@ MAX_NESTING = 100
 MAX_COEFF_BITS = 1 << 16
 
 
-class RingElement:
-    """An element of Z[G], immutable: its group's table and one coefficient per element.
-
-    A plain class, not a dataclass, so that starting gdet does not import
-    `dataclasses`: equal when group and coefficients are, hashed on them.
-    """
+class RingElement(Record):
+    """An element of Z[G]: its group's table and one coefficient per element."""
 
     __slots__ = ("group", "coeffs")
 
@@ -35,28 +31,9 @@ class RingElement:
                 f"coefficient vector has length {len(coeffs)}, "
                 f"group order is {group.order}"
             )
+        # set directly, not through Record.__init__: parsing builds many elements
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.group, self.coeffs) == (other.group, other.coeffs)
-
-    def __hash__(self):
-        return hash((self.group, self.coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return RingElement, (self.group, self.coeffs)
-
-    def __repr__(self):
-        return f"RingElement(group={self.group!r}, coeffs={self.coeffs!r})"
 
     def __add__(self, other):
         self._check_group(other)

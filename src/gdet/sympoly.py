@@ -18,11 +18,11 @@ d1 and d2 (`detcalc.rep_factor_check`).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 
 from .detcalc import S4Forms, cofactor_det, s4_forms
+from .groups import Record
 
 NVARS = 24
 FIELD_BITS = 4
@@ -217,16 +217,17 @@ class SparsePoly:
 # the named factor polynomials
 
 
-@dataclass(frozen=True)
-class SymbolicFactors(S4Forms["SparsePoly"]):
-    """The S4 forms as polynomials in the 24 coefficient variables."""
+class SymbolicFactors(S4Forms):
+    """The S4 forms as polynomials in the 24 coefficient variables.
+
+    It declares no `__slots__`, so it keeps a `__dict__` for its cached properties.
+    """
 
     @cached_property
     def d1_quotient(self):
         """(C, residual monomials) of (d1 - l1*X) / 4 with X = q1 + 2*(uv + w): D1_EXPANSION.
 
-        Computed once per factor set; a copy made with `dataclasses.replace`
-        computes its own.
+        Computed once per factor set.
         """
         x = self.q1 + 2 * (self.u * self.v + self.w)
         return (self.d1 - self.l1 * x).divide_exact(4)
@@ -309,13 +310,17 @@ class IdentityId(Enum):
     DIFF_MOD8 = "DIFF_MOD8"
 
 
-@dataclass
-class IdentityReport:
-    identity: IdentityId
-    holds: bool
-    residual_term_count: int
-    elapsed: float
-    quotient: SparsePoly | None = None  # the cubic C for D1_EXPANSION
+class IdentityReport(Record):
+    """One identity's verdict, its residual's term count and the seconds it took.
+
+    `quotient` is the cubic C for D1_EXPANSION, None for the other identities.
+    """
+
+    __slots__ = ("identity", "holds", "residual_term_count", "elapsed", "quotient")
+
+    def __init__(self, identity: IdentityId, holds: bool, residual_term_count: int,
+                 elapsed: float, quotient: SparsePoly | None = None):
+        super().__init__(identity, holds, residual_term_count, elapsed, quotient)
 
 
 # the steps of `SymbolicFactors.certificate` that prove each identity

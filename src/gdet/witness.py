@@ -12,13 +12,12 @@ the S4 block kernel, which shares no code with the families' closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from math import prod
 
 from .classify import GroupRule, member
 from .detcalc import det_exact, s4_det_fast, valuation
-from .groups import symmetric_group4
+from .groups import Record, symmetric_group4
 from .ring import RingElement, convolve, ring_element
 
 
@@ -34,15 +33,14 @@ class SynthesisExhausted(RuntimeError):
     """The synthesizer could not realize a target it accepted (a bug guard)."""
 
 
-@dataclass(frozen=True)
-class WitnessFamily:
-    """A parametrized coefficient pattern with determinant c0 + c1*k."""
+class WitnessFamily(Record):
+    """A parametrized coefficient pattern with determinant c0 + c1*k.
 
-    id: str
-    ones: tuple[int, ...]           # slots set to 1 + k; all others get k
-    fixed: tuple[tuple[int, int], ...]  # constant patterns: (slot, value) pairs
-    c0: int
-    c1: int
+    `ones` lists the slots set to 1 + k, all others getting k; a constant
+    pattern instead lists its (slot, value) pairs in `fixed`.
+    """
+
+    __slots__ = ("id", "ones", "fixed", "c0", "c1")
 
     def pattern(self, k: int = 0):
         coeffs = [0] * 24
@@ -95,11 +93,10 @@ def family(family_id: str, k: int = 0) -> tuple[RingElement, int]:
     return ring_element(g, fam.pattern(k)), fam.value(k)
 
 
-@dataclass(frozen=True)
-class WitnessCertificate:
-    target: int
-    element: RingElement
-    trail: tuple[tuple[str, int], ...]
+class WitnessCertificate(Record):
+    """A target, its S4 element and the trail of (family id, k) factors that built it."""
+
+    __slots__ = ("target", "element", "trail")
 
     def as_dict(self):
         return {

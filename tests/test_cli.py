@@ -760,15 +760,23 @@ def _gdet_modules_after(code):
 
 
 def test_start_up_imports_no_dataclasses():
-    """`GroupTable`, `RingElement`, `GroupRule` and `MembershipVerdict` are plain classes:
-    `dataclasses` (and `inspect`) cost start-up time."""
+    """Every value class is a `groups.Record`, so no command imports `dataclasses` or,
+    through it, `inspect`: both cost start-up time."""
+    run = "import gdet.cli; gdet.cli.run({!r})".format
     for code, module in [
         ("import gdet.cli; gdet.cli.build_parser(); gdet.build_group('D8')", "gdet.groups"),
-        ("import gdet.cli; gdet.cli.run(['member', '--group', 'S4', '5'])", "gdet.classify"),
+        (run(["member", "--group", "S4", "5"]), "gdet.classify"),
         ("import gdet.classify; gdet.classify.parse_rule('S4')", "gdet.classify"),
+        (run(["det", "--group", "S4", "--expr", "1 + x", "--factors"]), "gdet.detcalc"),
+        (run(["witness", "1280"]), "gdet.witness"),
+        (run(["verify-identities"]), "gdet.sympoly"),
+        (run(["scan", "--group", "S4", "--range=-1:1", "--random", "50", "--seed", "1"]),
+         "gdet.harness"),
+        (run(["scan", "--group", "Z4", "--range=0:1", "--exhaustive"]), "gdet.harness"),
+        (run(["lambda", "--group", "S3", "--scan-range=-1:1"]), "gdet.harness"),
     ]:
         loaded = _modules_after(code)
-        assert module in loaded and "dataclasses" not in loaded, code
+        assert module in loaded and not loaded & {"dataclasses", "inspect"}, code
 
 
 @pytest.mark.parametrize("code, expected", [

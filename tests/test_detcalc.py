@@ -4,7 +4,6 @@ import hashlib
 import random
 import re
 import threading
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -345,7 +344,7 @@ def single_entry_mutants():
             m = [list(row) for row in rho[i]]
             m[i % len(m)][(i // len(m)) % len(m)] += 1 if i % 2 else -1
             rho[i] = tuple(map(tuple, m))
-            yield name, i, replace(t, **{name: tuple(rho)})
+            yield name, i, type(t)(**{**t.as_dict(), name: tuple(rho)})
 
 
 def coset_mutants():
@@ -367,7 +366,7 @@ def coset_mutants():
         if len(subgroup) < 24:
             rho2 = tuple(m if i in subgroup else tuple(tuple(-x for x in row) for row in m)
                          for i, m in enumerate(t.rho2))
-            yield left_out, replace(t, rho2=rho2)
+            yield left_out, type(t)(**{**t.as_dict(), "rho2": rho2})
 
 
 def test_rep_tables_are_homomorphisms():
@@ -430,7 +429,7 @@ def test_rep_factor_check_detects_swapped_entries(name, i, j):
     t = default_rep_table()
     rho = list(getattr(t, name))
     rho[i], rho[j] = rho[j], rho[i]
-    broken = replace(t, **{name: tuple(rho)})
+    broken = type(t)(**{**t.as_dict(), name: tuple(rho)})
     assert getattr(broken, name) != getattr(t, name)
     assert not rep_factor_check(broken)
 
@@ -440,7 +439,7 @@ def test_rep_factor_check_detects_sign_flip(name):
     t = default_rep_table()
     rho = list(getattr(t, name))
     rho[5] = tuple(tuple(-x for x in row) for row in rho[5])
-    broken = replace(t, **{name: tuple(rho)})
+    broken = type(t)(**{**t.as_dict(), name: tuple(rho)})
     assert getattr(broken, name) != getattr(t, name)
     assert not rep_is_homomorphism(broken)
     assert not rep_factor_check(broken)
@@ -475,8 +474,9 @@ def test_rep_factor_check_mirrors_rho2_only_for_sign_times_rho2(monkeypatch, rho
 
     t = default_rep_table()
     p, p_inv = ((1, 1, 0), (0, 1, 0), (0, 0, 1)), ((1, -1, 0), (0, 1, 0), (0, 0, 1))
-    tables = {"default": t, "conjugated": replace(t, rho3=_conjugated(t.rho3, p, p_inv)),
-              "rho2": replace(t, rho3=t.rho2)}[rho3]
+    tables = {"default": t,
+              "conjugated": type(t)(**{**t.as_dict(), "rho3": _conjugated(t.rho3, p, p_inv)}),
+              "rho2": type(t)(**{**t.as_dict(), "rho3": t.rho2})}[rho3]
     assert rep_is_homomorphism(tables)
     expand = sympoly.symbolic_rep_det
     calls = []

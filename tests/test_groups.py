@@ -11,10 +11,15 @@ from gdet import (
     build_group,
     check_group_laws,
     cyclic_group,
+    detcalc,
     dihedral_group,
+    harness,
     klein_group,
     parse_expr,
     parse_gen_word,
+    ring_element,
+    sympoly,
+    witness,
 )
 from gdet.groups import (
     S4_GENERATORS,
@@ -304,3 +309,55 @@ def test_group_table_is_an_immutable_value():
         g.order = 4
     with pytest.raises(AttributeError):
         del g.kind
+
+
+_COEFFS = list(range(-11, 13))
+
+# one instance of each value class that was a dataclass, by class name
+_RECORDS = {
+    "ScanConfig": lambda: harness.ScanConfig("S4", -1, 1, "random", 5, 7, None, False),
+    "RepTable": detcalc.default_rep_table,
+    "WitnessFamily": lambda: witness.FAMILIES["res5"],
+    "WitnessCertificate": lambda: witness.synthesize(1280),
+    "IdentityReport": lambda: sympoly.check_identity(sympoly.IdentityId.L_MOD2),
+    "S4Forms": lambda: detcalc.S4Forms(**detcalc.s4_forms(_COEFFS)),
+    "FactorProfile": lambda: detcalc.s4_factors(ring_element(build_group("S4"), _COEFFS)),
+    "SymbolicFactors": sympoly.build_symbolic,
+}
+
+
+@pytest.mark.parametrize("name", list(_RECORDS))
+def test_records_are_immutable_values(name):
+    """Each is equal and hashed on its fields, as a frozen dataclass was, and built from them
+    by position or keyword, each given once; assignment and deletion raise."""
+    r = _RECORDS[name]()
+    cls, fields = type(r), type(r)._fields
+    assert cls.__name__ == name
+    values = tuple(getattr(r, f) for f in fields)
+    same = cls(*values)
+    assert same is not r and same == r and cls(**dict(zip(fields, values))) == r
+    assert hash(same) == hash(r) == hash(values)
+    assert r != values
+    assert repr(r) == f"{name}(" + ", ".join(f"{f}={v!r}" for f, v in zip(fields, values)) + ")"
+    assert pickle.loads(pickle.dumps(r)) == r
+    with pytest.raises(AttributeError):
+        setattr(r, fields[0], values[0])
+    with pytest.raises(AttributeError):
+        delattr(r, fields[-1])
+    with pytest.raises(TypeError):
+        cls(**dict(zip(fields[1:], values[1:])))  # the first field missing
+    with pytest.raises(TypeError):
+        cls(*values, unknown=0)
+    with pytest.raises(TypeError):
+        cls(*values, **{fields[0]: values[0]})  # the first field given twice
+
+
+def test_factor_profile_as_dict_lists_the_fields_in_order():
+    """The keys and values `dataclasses.asdict` gave when FactorProfile was a dataclass."""
+    e = parse_expr("1 + x + x*y + 2*y^2*x", build_group("S4"))
+    assert list(detcalc.s4_factors(e).as_dict().items()) == [
+        ("l1", 5), ("l2", -1), ("q1", -8), ("d1", -22), ("d2", 26),
+        ("u1", 1), ("u2", 1), ("u3", 0), ("v1", 3), ("v2", 0), ("v3", 0),
+        ("u", 2), ("v", 3), ("w", 9), ("A1", 2), ("A2", 1), ("A3", 1),
+        ("B1", 3), ("B2", 0), ("B3", 3), ("det", 59887759360), ("val2", 12), ("val3", 0),
+    ]

@@ -92,8 +92,8 @@ def test_merge_is_shard_independent():
 def test_merge_adds_value_counts_as_counter_update_does(first, second):
     expected = Counter(first)
     expected.update(Counter(second))
-    merged = ScanReport(config={}, value_counts=Counter(first))
-    merged.merge(ScanReport(config={}, value_counts=Counter(second)))
+    merged = _filled_report({}, value_counts=Counter(first))
+    merged.merge(_filled_report({}, value_counts=Counter(second)))
     assert list(merged.value_counts.items()) == list(expected.items())
 
 
@@ -504,16 +504,23 @@ def _rendered_files(report):
     return jsonl, csv
 
 
+def _filled_report(config, **fields):
+    report = ScanReport(config)
+    for name, value in fields.items():
+        setattr(report, name, value)
+    return report
+
+
 def _written_report(kind):
     if kind == "empty":
-        return ScanReport(config={})
+        return ScanReport({})
     if kind == "one-value":
-        return ScanReport(config={"group": "S4"}, total=3, value_counts=Counter({5: 3}),
-                          residue_mod24=Counter({5: 3}), v2_hist=Counter({0: 3}),
-                          v3_hist=Counter({0: 3}))
+        return _filled_report({"group": "S4"}, total=3, value_counts=Counter({5: 3}),
+                              residue_mod24=Counter({5: 3}), v2_hist=Counter({0: 3}),
+                              v3_hist=Counter({0: 3}))
     if kind == "negative-values":
-        return ScanReport(
-            config={"group": "Z4"}, total=9, zeros=2,
+        return _filled_report(
+            {"group": "Z4"}, total=9, zeros=2,
             value_counts=Counter({-1024: 1, -27: 3, 0: 2, 2: 1, 7: 2}),
             violations=[{"coeffs": [1, 1, 0, 0], "value": 2}],
             residue_mod24=Counter({8: 1, 21: 3, 2: 1, 7: 2}), v2_hist=Counter({10: 1, 0: 5, 1: 1}),
@@ -521,9 +528,9 @@ def _written_report(kind):
             records=[{"coeffs": [-1, 0, 0, 1], "det": -27}, {"coeffs": [0, 0, 0, 0], "det": 0}])
     if kind == "chunks":
         chunk = harness.PAIRS_PER_CHUNK
-        return ScanReport(config={"group": "S4"}, total=10**6,
-                          value_counts=Counter({v * 2**70 + 3: v % 5 + 1
-                                               for v in range(-chunk, chunk + 7)}))
+        return _filled_report({"group": "S4"}, total=10**6,
+                              value_counts=Counter({v * 2**70 + 3: v % 5 + 1
+                                                   for v in range(-chunk, chunk + 7)}))
     assert kind == "full-s4-scan"
     return scan(ScanConfig(group="S4", lo=-2, hi=2, mode="random", count=500, seed=9, full=True))
 
@@ -543,7 +550,7 @@ def test_streamed_report_files_match_whole_rendering(tmp_path, kind):
 def test_report_write_holds_one_chunk_of_text_at_a_time(tmp_path):
     # 50,000 distinct 61-digit values: the report line alone is 3.5 MB of text
     values = {v * 10**60 + 1: 1 for v in range(-25_000, 25_000)}
-    report = ScanReport(config={}, value_counts=Counter(values))
+    report = _filled_report({}, value_counts=Counter(values))
     tracemalloc.start()
     try:
         write_report(report, str(tmp_path / "big"))

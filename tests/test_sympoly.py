@@ -1,6 +1,5 @@
 """Sparse polynomial engine and the congruence identity suite."""
 
-import dataclasses
 import hashlib
 import random
 from operator import add
@@ -114,8 +113,8 @@ def test_symbolic_evaluation_matches_integer_profiles(s4):
     for _ in range(100):
         point = [rng.randint(-6, 6) for _ in range(24)]
         p = s4_factors(ring_element(s4, point))
-        for field in dataclasses.fields(S4Forms):
-            assert getattr(f, field.name).evaluate(point) == getattr(p, field.name), field.name
+        for name in S4Forms._fields:
+            assert getattr(f, name).evaluate(point) == getattr(p, name), name
 
 
 def test_symbolic_det_identity_matrix():
@@ -213,9 +212,7 @@ def small_factors():
     """
     keep = {0, 1, 4, 5, 8, 9, 12, 13, 16, 17, 20, 21}
     f = build_symbolic()
-    small = dataclasses.replace(
-        f, **{field.name: _vanish_outside(getattr(f, field.name), keep)
-              for field in dataclasses.fields(f)})
+    small = type(f)(**{name: _vanish_outside(value, keep) for name, value in f.as_dict().items()})
     assert len(small.d1) == 268 and small.certificate == _ALL_STEPS
     return small
 
@@ -253,7 +250,7 @@ _PERTURBATIONS = {
 
 def _perturbed(f, case):
     perturb, broken = _PERTURBATIONS[case]
-    return dataclasses.replace(f, **perturb(f)), broken
+    return type(f)(**{**f.as_dict(), **perturb(f)}), broken
 
 
 @pytest.mark.parametrize("case", [c for c, (_, broken) in _PERTURBATIONS.items()
@@ -290,9 +287,7 @@ def test_every_identity_matches_its_expansion_on_mutants(small_factors, monkeypa
 
 def test_identity_perturbation_fails():
     f = build_symbolic()
-    import dataclasses
-
-    broken = dataclasses.replace(f, d2=f.d1)
+    broken = type(f)(**{**f.as_dict(), "d2": f.d1})
     report = check_identity(IdentityId.PROD_MOD4, broken)
     assert not report.holds
     assert report.residual_term_count > 0
@@ -313,7 +308,7 @@ def test_d1_quotient_is_computed_once_per_suite(monkeypatch):
     _cubic_correction(f)
     assert calls == [4]
     # a copy computes its own quotient
-    check_identity(IdentityId.D1_EXPANSION, dataclasses.replace(f))
+    check_identity(IdentityId.D1_EXPANSION, type(f)(**f.as_dict()))
     assert calls == [4, 4]
 
 
