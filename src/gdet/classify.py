@@ -62,8 +62,30 @@ def parse_rule(text: str) -> GroupRule:
     return GroupRule(*rule)
 
 
+class Reason(dict):
+    """An immutable, hashable dict: a verdict's reason fields.
+
+    It is shown and written to JSON as the dict it holds; any change raises
+    TypeError.
+    """
+
+    __slots__ = ()
+
+    def _immutable(self, *args, **kwargs):
+        raise TypeError("a verdict's reason cannot be changed")
+
+    __setitem__ = __delitem__ = __ior__ = _immutable
+    clear = pop = popitem = setdefault = update = _immutable
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        return self.__class__, (dict(self),)
+
+
 class MembershipVerdict(Record):
-    """The answer of `member`: the verdict, the rule's name, m and the reason fields."""
+    """The answer of `member`: the verdict, the rule's name, m and the reason fields (a `Reason`)."""
 
     __slots__ = ("member", "rule", "m", "reason")
 
@@ -135,7 +157,7 @@ def member(rule: GroupRule, m: int) -> MembershipVerdict:
     fields name the residue, the class and the condition the rule read.
     """
     if m == 0:
-        return MembershipVerdict(False, rule.name, 0, {"zero": True})
+        return MembershipVerdict(False, rule.name, 0, Reason(zero=True))
     ok, v2, v3 = decider(rule)(m)
     reason: dict = {"v2": v2, "v3": v3, "mod4": m % 4}
     kind = rule.kind
@@ -157,7 +179,7 @@ def member(rule: GroupRule, m: int) -> MembershipVerdict:
             reason["cofactor_mod4"] = (m >> v2) % 4
         else:
             reason["class"] = "2^12" if v2 >= 12 else None
-    return MembershipVerdict(ok, rule.name, m, reason)
+    return MembershipVerdict(ok, rule.name, m, Reason(reason))
 
 
 def lambda_of(rule: GroupRule) -> int:

@@ -315,37 +315,50 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The gdet parser: only `command`'s subparser if it names one, else every command.
+def _add_command(parser, name):
+    """Fill `parser` with command `name`'s arguments and handler."""
+    add_arguments, handler = COMMANDS[name][1:]
+    add_arguments(parser)
+    parser.set_defaults(func=handler, command=name)
+    return parser
 
-    A lone subparser would shrink the usage line of the top-level errors to
-    `{det}`, so it is given the full tree's list of commands as its metavar.
-    The full tree keeps argparse's own, which its "invalid choice" error reads.
-    """
+
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of command `name` alone, as the full tree's subparser reads it."""
+    return _add_command(argparse.ArgumentParser(prog=f"gdet {name}", allow_abbrev=False), name)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full gdet parser: every command, as `gdet --help` lists them."""
     parser = argparse.ArgumentParser(
         prog="gdet",
         description="Integer group determinants for small finite groups.",
         allow_abbrev=False,
     )
-    if command in COMMANDS:
-        names = [command]
-        metavar = "{" + ",".join(COMMANDS) + "}"
-    else:
-        names, metavar = list(COMMANDS), None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_text, add_arguments, handler = COMMANDS[name]
-        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        add_arguments(p)
-        p.set_defaults(func=handler)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text, allow_abbrev=False), name)
     return parser
 
 
+def parse_args(argv):
+    """The namespace of argv, read as the full tree reads it.
+
+    When the first word names a command, only that command's parser is
+    built.  It leaves any argument it does not know, and then the full tree
+    parses argv again, to print its "unrecognized arguments" usage line and
+    exit 2.  A first word that names no command (nothing, -h, an unknown
+    word) goes to the full tree.
+    """
+    if argv and argv[0] in COMMANDS:
+        args, extra = command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def run(argv=None) -> int:
-    argv = _join_dash_values(sys.argv[1:] if argv is None else argv)
-    # a request builds only the parser of the command it names; a first token
-    # that names none (-h, nothing, an unknown word) gets the full tree
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ValueError, ParseError, OSError, json.JSONDecodeError) as exc:

@@ -77,10 +77,28 @@ def group_matrix(g: GroupTable, coeffs):
 
 
 def det_exact(g: GroupTable, e: RingElement) -> int:
-    """Group determinant of a ring element, by exact elimination."""
+    """Group determinant of a ring element, by exact elimination.
+
+    Every row and column of the group matrix holds each coefficient once.
+    So when the coefficients sit close to a common large value c, as every
+    witness certificate does (c·Σg plus a pattern of small coefficients,
+    since Σg is central), every entry carries the same c.  Then, when their
+    range (max - min) is below their largest |x|, row 0 is subtracted from
+    every other row and column 0 from every other column, and row 0 and
+    column 0 are moved last.  Only the last entry stays large, so Bareiss's
+    pivots, which are leading minors, stay small.  The subtractions keep
+    the determinant, and the two cyclic moves of equal length have equal
+    signs, so the value is exact.
+    """
     if e.group.order != g.order or e.group.kind != g.kind:
         raise ValueError("element group does not match")
-    return det_int(group_matrix(g, e.coeffs))
+    m = group_matrix(g, e.coeffs)
+    c = e.coeffs
+    if max(c) - min(c) < max(map(abs, c)):
+        top = m[0]
+        m = [[x - t for x, t in zip(row, top)] for row in m[1:]] + [top]
+        m = [[x - row[0] for x in row[1:]] + [row[0]] for row in m]
+    return det_int(m)
 
 
 # ---------------------------------------------------------------------------

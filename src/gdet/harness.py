@@ -58,7 +58,8 @@ class ScanConfig(Record):
             raise ValueError(f"scan seed must be non-negative, got {seed}")
         super().__init__(group, lo, hi, mode, count, seed, out, full)
 
-    def as_dict(self):
+    def report_config(self):
+        """The config as a scan report records it."""
         d = {
             "group": self.group,
             "lo": self.lo,
@@ -73,7 +74,7 @@ class ScanConfig(Record):
 
 
 class ScanReport:
-    """The mutable tallies of a scan, or of one of its shards, under a config's `as_dict()`."""
+    """The mutable tallies of a scan, or of one of its shards, under a config's `report_config()`."""
 
     def __init__(self, config: dict):
         self.config = config
@@ -210,7 +211,7 @@ def _scan_shard(payload):
     cfg, start, stop = payload
     g = build_group(cfg.group)
     rule = classify.parse_rule(cfg.group)
-    report = ScanReport(cfg.as_dict())
+    report = ScanReport(cfg.report_config())
     counts = report.value_counts
     if cfg.full:
         evaluate = detcalc.kernel_for(g)
@@ -290,7 +291,7 @@ def scan(cfg: ScanConfig) -> ScanReport:
             m += 1
         step = width ** m
     shards = [(cfg, start, min(start + step, size)) for start in range(0, size, step)]
-    report = ScanReport(cfg.as_dict())
+    report = ScanReport(cfg.report_config())
     with contextlib.ExitStack() as stack:
         run = map
         if workers > 1 and len(shards) > 1:

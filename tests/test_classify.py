@@ -8,7 +8,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gdet import GroupRule, build_group, convolve, lambda_of, member, parse_rule, ring_element
+from gdet import GroupRule, build_group, classify, convolve, lambda_of, member, parse_rule, ring_element
 from gdet.classify import decider
 from gdet.detcalc import kernel_for
 
@@ -139,9 +139,16 @@ def test_membership_verdict_is_an_immutable_value():
     assert v.as_dict() == {"member": True, "rule": "S4", "m": 5, "reason": v.reason}
     with pytest.raises(AttributeError):
         v.member = False
+    assert hash(v) == hash(verdict("S4", 5))  # the reason is an immutable mapping
     with pytest.raises(TypeError):
-        hash(v)  # the reason is a dict
+        v.reason["v2"] = 1
+    with pytest.raises(TypeError):
+        v.reason.update(v2=1)
+    with pytest.raises(TypeError):
+        del v.reason["v2"]
+    assert type(v.reason) is classify.Reason and v.reason == dict(v.reason)
     assert pickle.loads(pickle.dumps(v)) == v
+    assert type(pickle.loads(pickle.dumps(v)).reason) is classify.Reason
 
 
 def test_rule_parsing_shorthands():

@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 import threading
@@ -639,34 +640,66 @@ _PARSER_ARGVS = [
     ["scan", "--group", "Z4", "--range=0:1", "--random", "\u0663"],
     ["det", "--coeffs", "[1]", "--expr", "x"],              # options that exclude each other
     ["det", "member"],
+    *([name, "--json", "-h"] for name in cli.COMMANDS),     # -h after an option
+    ["member", "--group", "S4", "5", "--bogus"],            # unknown options
+    ["witness", "5", "--bogus"],
+    ["witness", "--bogus", "5"],
+    ["member", "--group", "S4", "--", "5"],                 # -- before a positional
+    ["witness", "--", "-5"],
+    ["witness", "5", "--json", "--json"],                   # a repeated flag
+    ["parse", "--expr", "-x"],                              # a value that starts with -
 ]
 
 _EVERY_COMMAND = "{det,member,lambda,witness,verify-identities,scan,parse}"
 
 
-def _parse(parser, argv):
-    """(the namespace as a dict, or argparse's exit code), stdout and stderr."""
+def _outcome(call):
+    """(call's result, or argparse's exit code), stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            result = vars(parser.parse_args(argv))
+            result = call()
         except SystemExit as exc:
             result = exc.code
     return result, out.getvalue(), err.getvalue()
 
 
+def _full_tree_parse(argv):
+    return cli.build_parser().parse_args(argv)
+
+
 @pytest.mark.parametrize("argv", _PARSER_ARGVS)
 def test_one_command_parser_reads_argv_as_the_full_tree_does(monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its text to the terminal width
-    full = _parse(cli.build_parser(), argv)
-    assert _parse(cli.build_parser(argv[0] if argv else None), argv) == full
+    argv = cli._join_dash_values(argv)  # as `run` reads it
+    full = _outcome(lambda: vars(_full_tree_parse(argv)))
+    assert _outcome(lambda: vars(cli.parse_args(argv))) == full
+
+
+# the time each identity took, which `verify-identities` prints
+_ELAPSED = re.compile(r" \d+\.\d+s$", re.MULTILINE)
+
+
+@pytest.mark.parametrize("argv", _PARSER_ARGVS)
+def test_run_answers_as_the_full_tree_does(monkeypatch, argv):
+    """The exit code, stdout and stderr of `run`, help and usage errors included."""
+    monkeypatch.setenv("COLUMNS", "80")
+    ours = _outcome(lambda: run(argv))
+    monkeypatch.setattr(cli, "parse_args", _full_tree_parse)
+    full = _outcome(lambda: run(argv))
+    assert [_ELAPSED.sub(" ELAPSED", text) for text in ours[1:]] == \
+        [_ELAPSED.sub(" ELAPSED", text) for text in full[1:]]
+    assert ours[0] == full[0]
 
 
 @pytest.mark.parametrize("argv, message", [
     (["det", "--expr", "x", "--bogus"], "gdet: error: unrecognized arguments: --bogus"),
+    (["member", "--group", "S4", "5", "--bogus"], "gdet: error: unrecognized arguments: --bogus"),
+    (["witness", "5", "--bogus"], "gdet: error: unrecognized arguments: --bogus"),
     (["bogus"], "gdet: error: argument command: invalid choice: 'bogus'"),
     ([], "gdet: error: the following arguments are required: command"),
-], ids=["unknown-option", "unknown-command", "no-command"])
+], ids=["unknown-option", "unknown-member-option", "unknown-witness-option", "unknown-command",
+        "no-command"])
 def test_top_level_errors_list_every_command(capsys, monkeypatch, argv, message):
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
@@ -676,32 +709,52 @@ def test_top_level_errors_list_every_command(capsys, monkeypatch, argv, message)
     assert out == "" and err.startswith(f"usage: gdet [-h] {_EVERY_COMMAND} ...\n{message}")
 
 
-def _commands(parser):
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return list(sub.choices)
+def _subparsers(parser):
+    return [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
 
 
-def test_build_parser_adds_only_the_named_command():
+def _arguments(parser):
+    """Each argument of a parser as (option strings, dest, required, nargs, type, default)."""
+    return [(a.option_strings, a.dest, a.required, a.nargs, a.type, a.default)
+            for a in parser._actions]
+
+
+def test_command_parser_adds_only_the_named_command():
     every = list(cli.COMMANDS)
     assert every == ["det", "member", "lambda", "witness", "verify-identities", "scan", "parse"]
-    assert _commands(cli.build_parser()) == every
-    assert _commands(cli.build_parser("bogus")) == every
-    assert _commands(cli.build_parser("member")) == ["member"]
+    (sub,) = _subparsers(cli.build_parser())
+    assert list(sub.choices) == every
+    for name in every:
+        one = cli.command_parser(name)
+        assert one.prog == f"gdet {name}" and not one.allow_abbrev and not _subparsers(one)
+        assert _arguments(one) == _arguments(sub.choices[name])
+        for parser in (one, sub.choices[name]):
+            assert parser.get_default("func") is cli.COMMANDS[name][2]
+            assert parser.get_default("command") == name
+    with pytest.raises(TypeError):
+        cli.build_parser("member")  # the full tree has no one-command mode
 
 
 def test_run_builds_the_parser_of_the_named_command(capsys, monkeypatch):
     built = []
-    build_parser = cli.build_parser
+    for name in ("build_parser", "command_parser"):
+        real = getattr(cli, name)
 
-    def recording(command=None):
-        built.append(command)
-        return build_parser(command)
+        def recording(*args, _name=name, _real=real):
+            built.append((_name, *args))
+            return _real(*args)
 
-    monkeypatch.setattr(cli, "build_parser", recording)
+        monkeypatch.setattr(cli, name, recording)
     assert run(["member", "--group", "S4", "5"]) == 0
+    assert built == [("command_parser", "member")]
+    built.clear()
     with pytest.raises(SystemExit):
         run([])
-    assert built == ["member", None]
+    assert built == [("build_parser",)]
+    built.clear()
+    with pytest.raises(SystemExit):
+        run(["member", "--group", "S4", "5", "--bogus"])  # the full tree reports the extra
+    assert built == [("command_parser", "member"), ("build_parser",)]
 
 
 def test_witness_classifies_a_non_member_once(capsys, monkeypatch):

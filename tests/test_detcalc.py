@@ -605,3 +605,92 @@ def test_every_readme_table_gets_a_kernel():
         g = build_group(name)
         coeffs = tuple(rng.randint(-1, 1) for _ in range(g.order))
         assert kernel_for(g)(coeffs) == det_int(group_matrix(g, coeffs)), name
+
+
+# det_exact eliminates on differences when the coefficients sit close to a common value
+
+
+def _odd_cofactor(rng, bits, mod4):
+    """A random odd integer of `bits` bits, prime to 3, that is `mod4` mod 4 (1 or 3)."""
+    c = rng.randrange(1 << (bits - 1), 1 << bits) | 1
+    c = c if c % 4 == mod4 else -c  # negating an odd number swaps 1 and 3 mod 4
+    return c if c % 3 else c + (4 if c > 0 else -4)
+
+
+def _member_targets(rng):
+    """Members of each class the witness trail plans for, |m| up to 2^64."""
+    for _ in range(4):
+        v3 = rng.randint(3, 9)
+        yield _odd_cofactor(rng, rng.randint(3, 62), 1)                       # odd
+        yield 3 ** v3 * _odd_cofactor(rng, rng.randint(3, 62 - 2 * v3),
+                                      3 if v3 % 2 else 1)                     # 3-adic >= 3
+        yield _odd_cofactor(rng, rng.randint(3, 54), 1) << 8                  # 2^8
+        yield _odd_cofactor(rng, rng.randint(3, 52), 3) << 10                 # 2^10
+        yield _odd_cofactor(rng, rng.randint(3, 50), rng.choice((1, 3))) << 12  # 2^12
+        v2 = rng.randint(13, 48)
+        yield _odd_cofactor(rng, rng.randint(3, 62 - v2), rng.choice((1, 3))) << v2  # 2^>=13
+    yield (1 << 64) - 3  # odd and 1 mod 4
+    yield 1 << 64
+
+
+_CERT_TARGETS = list(_member_targets(random.Random(20180223)))
+
+
+@pytest.mark.parametrize("target", _CERT_TARGETS)
+def test_det_exact_on_certificates_equals_bareiss(target):
+    from gdet import classify, witness
+
+    assert classify.member(classify.GroupRule("S4"), target).member
+    e = witness.synthesize(target).element
+    c = e.coeffs
+    assert max(c) - min(c) < max(map(abs, c))  # the difference path
+    assert det_exact(e.group, e) == det_int(group_matrix(e.group, c)) == target
+
+
+def test_det_exact_leaves_one_large_entry_for_bareiss(monkeypatch):
+    """On a certificate only the last entry of the eliminated matrix carries c·Σg."""
+    from gdet import detcalc, witness
+
+    seen = []
+    monkeypatch.setattr(detcalc, "det_int", lambda rows: seen.append(rows) or det_int(rows))
+    e = witness.synthesize(_CERT_TARGETS[0]).element
+    assert det_exact(e.group, e) == _CERT_TARGETS[0]
+    (rows,) = seen
+    c = e.coeffs
+    spread = max(c) - min(c)
+    assert rows[-1][-1] == c[e.group.identity_index]
+    assert all(abs(x) <= 2 * spread for row in rows for x in row[:-1])
+    assert all(abs(row[-1]) <= spread for row in rows[:-1])
+
+
+@pytest.mark.parametrize("c", [7, -(10 ** 15)])
+def test_det_exact_of_a_multiple_of_the_group_sum_is_zero(s4, c):
+    coeffs = [c] * 24  # c·Σg: every nontrivial block vanishes
+    assert det_exact(s4, ring_element(s4, coeffs)) == det_int(group_matrix(s4, coeffs)) == 0
+
+
+def test_det_exact_on_a_high_power_equals_bareiss(s4):
+    from gdet import parse_expr
+
+    e = parse_expr("(3+x+y)^400", s4)
+    c = e.coeffs
+    assert max(c) - min(c) < max(c)  # the difference path
+    assert det_exact(s4, e) == det_int(group_matrix(s4, c)) == s4_det_fast(e)
+
+
+@pytest.mark.parametrize("name, shift", [
+    (name, shift) for name in ("Z7", "D8", "A4", "K4", "S4") for shift in (10 ** 12, -(10 ** 12))
+])
+def test_det_exact_on_shifted_random_vectors_equals_bareiss(name, shift):
+    g = build_group(name)
+    rng = random.Random(f"{name}/{shift}")
+    for _ in range(5):
+        coeffs = [shift + rng.randint(-3, 3) for _ in range(g.order)]
+        assert det_exact(g, ring_element(g, coeffs)) == det_int(group_matrix(g, coeffs))
+
+
+def test_det_exact_on_small_random_vectors_equals_bareiss(s4):
+    rng = random.Random(7)
+    for _ in range(200):
+        coeffs = [rng.randint(-3, 3) for _ in range(24)]
+        assert det_exact(s4, ring_element(s4, coeffs)) == det_int(group_matrix(s4, coeffs))

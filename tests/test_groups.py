@@ -10,6 +10,7 @@ import pytest
 from gdet import (
     build_group,
     check_group_laws,
+    classify,
     cyclic_group,
     detcalc,
     dihedral_group,
@@ -316,6 +317,7 @@ _COEFFS = list(range(-11, 13))
 # one instance of each value class that was a dataclass, by class name
 _RECORDS = {
     "ScanConfig": lambda: harness.ScanConfig("S4", -1, 1, "random", 5, 7, None, False),
+    "MembershipVerdict": lambda: classify.member(classify.GroupRule("S4"), 5),
     "RepTable": detcalc.default_rep_table,
     "WitnessFamily": lambda: witness.FAMILIES["res5"],
     "WitnessCertificate": lambda: witness.synthesize(1280),

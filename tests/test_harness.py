@@ -63,6 +63,19 @@ def test_equal_seeds_give_identical_reports():
     assert r1.to_json() == r2.to_json()
 
 
+def test_scan_config_copies_from_its_fields_and_reports_its_json_config():
+    random_cfg = ScanConfig("S4", -3, 3, "random", 500, 4, "out", True)
+    exhaustive = ScanConfig(group="Z4", lo=-2, hi=2, mode="exhaustive")
+    for cfg in (random_cfg, exhaustive):
+        assert type(cfg)(**cfg.as_dict()) == cfg
+    assert random_cfg.report_config() == {
+        "group": "S4", "lo": -3, "hi": 3, "mode": "random", "rng": harness.RNG_ALGO,
+        "count": 500, "seed": 4}
+    assert exhaustive.report_config() == {
+        "group": "Z4", "lo": -2, "hi": 2, "mode": "exhaustive", "rng": None}
+    assert scan(exhaustive).config == exhaustive.report_config()
+
+
 def test_different_seeds_differ():
     r1 = scan(ScanConfig(group="S4", lo=-3, hi=3, mode="random", count=500, seed=4))
     r2 = scan(ScanConfig(group="S4", lo=-3, hi=3, mode="random", count=500, seed=5))
