@@ -85,7 +85,7 @@ class Reason(dict):
 
 
 class MembershipVerdict(Record):
-    """The answer of `member`: the verdict, the rule's name, m and the reason fields (a `Reason`)."""
+    """The answer of `member`: the verdict, the rule's name, m and its `Reason`."""
 
     __slots__ = ("member", "rule", "m", "reason")
 

@@ -92,8 +92,8 @@ def det_exact(g: GroupTable, e: RingElement) -> int:
     """
     if e.group.order != g.order or e.group.kind != g.kind:
         raise ValueError("element group does not match")
-    m = group_matrix(g, e.coeffs)
     c = e.coeffs
+    m = group_matrix(g, c)
     if max(c) - min(c) < max(map(abs, c)):
         top = m[0]
         m = [[x - t for x, t in zip(row, top)] for row in m[1:]] + [top]

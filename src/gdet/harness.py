@@ -74,7 +74,7 @@ class ScanConfig(Record):
 
 
 class ScanReport:
-    """The mutable tallies of a scan, or of one of its shards, under a config's `report_config()`."""
+    """The mutable tallies of a scan, or of one of its shards, under its `report_config()`."""
 
     def __init__(self, config: dict):
         self.config = config
