@@ -66,10 +66,20 @@ class Reason(dict):
     """An immutable, hashable dict: a verdict's reason fields.
 
     It is shown and written to JSON as the dict it holds; any change raises
-    TypeError.
+    TypeError.  It is filled once, in `__new__`: `__init__`, which the class
+    call runs next with the same arguments, only checks that they match.
     """
 
     __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = dict.__new__(cls)
+        dict.update(self, *args, **kwargs)
+        return self
+
+    def __init__(self, *args, **kwargs):
+        if dict(*args, **kwargs) != self:
+            raise TypeError("a verdict's reason cannot be changed")
 
     def _immutable(self, *args, **kwargs):
         raise TypeError("a verdict's reason cannot be changed")

@@ -80,24 +80,21 @@ def det_exact(g: GroupTable, e: RingElement) -> int:
     """Group determinant of a ring element, by exact elimination.
 
     Every row and column of the group matrix holds each coefficient once.
-    So when the coefficients sit close to a common large value c, as every
-    witness certificate does (c·Σg plus a pattern of small coefficients,
-    since Σg is central), every entry carries the same c.  Then, when their
-    range (max - min) is below their largest |x|, row 0 is subtracted from
-    every other row and column 0 from every other column, and row 0 and
-    column 0 are moved last.  Only the last entry stays large, so Bareiss's
-    pivots, which are leading minors, stay small.  The subtractions keep
+    Row 0 is subtracted from every other row and column 0 from every other
+    column, and row 0 and column 0 are moved last.  The subtractions keep
     the determinant, and the two cyclic moves of equal length have equal
-    signs, so the value is exact.
+    signs, so the value is exact for every element.  It pays on witness
+    certificates, the one caller outside the tests: each is c·Σg plus a
+    pattern of small coefficients (Σg is central), so every entry carries
+    the same large c, and after the steps only the last entry does.
+    Bareiss's pivots, which are leading minors, then stay small.
     """
     if e.group.order != g.order or e.group.kind != g.kind:
         raise ValueError("element group does not match")
-    c = e.coeffs
-    m = group_matrix(g, c)
-    if max(c) - min(c) < max(map(abs, c)):
-        top = m[0]
-        m = [[x - t for x, t in zip(row, top)] for row in m[1:]] + [top]
-        m = [[x - row[0] for x in row[1:]] + [row[0]] for row in m]
+    m = group_matrix(g, e.coeffs)
+    top = m[0]
+    m = [[x - t for x, t in zip(row, top)] for row in m[1:]] + [top]
+    m = [[x - row[0] for x in row[1:]] + [row[0]] for row in m]
     return det_int(m)
 
 

@@ -146,6 +146,12 @@ def test_membership_verdict_is_an_immutable_value():
         v.reason.update(v2=1)
     with pytest.raises(TypeError):
         del v.reason["v2"]
+    fields = dict(v.reason)
+    with pytest.raises(TypeError):
+        v.reason.__init__(v2=1)
+    with pytest.raises(TypeError):
+        v.reason.__init__()
+    assert v.reason == fields and hash(v) == hash(verdict("S4", 5))
     assert type(v.reason) is classify.Reason and v.reason == dict(v.reason)
     assert pickle.loads(pickle.dumps(v)) == v
     assert type(pickle.loads(pickle.dumps(v)).reason) is classify.Reason

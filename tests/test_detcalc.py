@@ -607,7 +607,7 @@ def test_every_readme_table_gets_a_kernel():
         assert kernel_for(g)(coeffs) == det_int(group_matrix(g, coeffs)), name
 
 
-# det_exact eliminates on differences when the coefficients sit close to a common value
+# det_exact eliminates on differences; certificates sit close to a common value
 
 
 def _odd_cofactor(rng, bits, mod4):
@@ -643,7 +643,7 @@ def test_det_exact_on_certificates_equals_bareiss(target):
     assert classify.member(classify.GroupRule("S4"), target).member
     e = witness.synthesize(target).element
     c = e.coeffs
-    assert max(c) - min(c) < max(map(abs, c))  # the difference path
+    assert max(c) - min(c) < max(map(abs, c))  # close to a common value
     assert det_exact(e.group, e) == det_int(group_matrix(e.group, c)) == target
 
 
@@ -674,7 +674,7 @@ def test_det_exact_on_a_high_power_equals_bareiss(s4):
 
     e = parse_expr("(3+x+y)^400", s4)
     c = e.coeffs
-    assert max(c) - min(c) < max(c)  # the difference path
+    assert max(c) - min(c) < max(c)  # close to a common value
     assert det_exact(s4, e) == det_int(group_matrix(s4, c)) == s4_det_fast(e)
 
 
