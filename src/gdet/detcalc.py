@@ -281,7 +281,7 @@ def default_rep_table() -> RepTable:
 
 def _mat_mul_int(a, b):
     cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
 
 
 def rep_is_homomorphism(tables: RepTable) -> bool:

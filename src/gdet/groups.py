@@ -157,7 +157,7 @@ def _table_from_perms(kind, perms, names):
 
 def _compose(p, q):
     # apply q first, then p
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple(map(p.__getitem__, q))
 
 
 def _invert(p):

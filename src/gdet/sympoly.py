@@ -1,10 +1,13 @@
 """Sparse multivariate polynomials over the 24 S4 coefficient variables.
 
 Variables 0..11 are a1..a12 and 12..23 are b1..b12.  A monomial is one packed
-int: the exponent of variable i sits in the 4-bit field at bits 4i..4i+3, so
-the product of two monomials is the sum of their keys.  A field would carry
+int: the exponent of variable i sits in the 4-bit field at bits 4i..4i+3, and
+the total degree sits above the 24 fields, from bit 96 up.  The product of two
+monomials is the sum of their keys, degrees included.  A field would carry
 into the next only at exponent 16, so every product is guarded to total
-degree at most 15 and raises beyond it; no exponent is ever wrapped.
+degree at most 15 and raises beyond it; no exponent is ever wrapped.  Since
+the degree is the key's top part, a polynomial's largest key has its largest
+degree and its smallest key its smallest.
 
 Coefficients are exact integers; `reduce_mod(m)` reduces them into [0, m).
 `build_symbolic` evaluates `detcalc.s4_forms` on the 24 variables, so l1, l2,
@@ -27,11 +30,9 @@ from .groups import Record
 NVARS = 24
 FIELD_BITS = 4
 MAX_DEGREE = (1 << FIELD_BITS) - 1  # a field's largest exponent and bit mask; the product bound
+DEGREE_SHIFT = FIELD_BITS * NVARS  # the total degree sits above the 24 exponent fields
+_FIELDS = (1 << DEGREE_SHIFT) - 1  # the 24 exponent fields of a key, without its degree
 _B_VARS = range(12, NVARS)  # b1..b12
-
-# masks for summing the 24 exponent fields: nibbles into bytes, then bytes into 16-bit words
-_NIBBLES_LOW = int("0f" * (NVARS // 2), 16)
-_BYTES_LOW = int("00ff" * (NVARS // 4), 16)
 
 
 def pack_monomial(exponents) -> int:
@@ -44,26 +45,47 @@ def pack_monomial(exponents) -> int:
         if not 0 <= e <= MAX_DEGREE:
             raise ValueError(f"exponent {e} of variable {i} is outside 0..{MAX_DEGREE}")
         key |= e << (FIELD_BITS * i)
-    return key
+    return sum(exponents) << DEGREE_SHIFT | key
 
 
 def _mono_degree(key: int) -> int:
-    """Total degree: the sum of the 24 exponent fields.
+    """Total degree: the bits above the 24 exponent fields."""
+    return key >> DEGREE_SHIFT
 
-    Nibbles are summed into bytes and bytes into 16-bit words, each word at
-    most 60; `% 0xFFFF` then sums the six words, at most 360, with no carry.
+
+def _is_key(m) -> bool:
+    """Whether m is a packed monomial: its degree bits hold the sum of its fields.
+
+    Each hex digit of the 24 fields is one exponent.
     """
-    key = (key & _NIBBLES_LOW) + ((key >> 4) & _NIBBLES_LOW)
-    return ((key & _BYTES_LOW) + ((key >> 8) & _BYTES_LOW)) % 0xFFFF
+    return isinstance(m, int) and m >= 0 and _mono_degree(m) == sum(
+        int(h, 16) for h in f"{m & _FIELDS:x}")
+
+
+def _check_int(n, what):
+    if not isinstance(n, int):
+        raise TypeError(f"{what} must be an int, got {type(n).__name__}")
 
 
 class SparsePoly:
-    """Map from packed monomial to nonzero coefficient; no zero terms stored."""
+    """Map from packed monomial to nonzero int coefficient; no zero terms stored.
+
+    The constructor checks every key and coefficient and drops zeros.  The
+    ring operations, `var` and `linear` build each result's dict once, keys
+    valid and zeros already dropped, and wrap it with `_of`, which checks
+    nothing.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {} if terms is None else {m: c for m, c in terms.items() if c}
+        if terms is None:
+            terms = {}
+        for m, c in terms.items():
+            if not _is_key(m):
+                raise ValueError(f"{m!r} is not a packed monomial (see pack_monomial)")
+            _check_int(c, "a coefficient")
+        self.terms = {m: c for m, c in terms.items() if c}
 
     # -- constructors
 
@@ -86,9 +108,10 @@ class SparsePoly:
         for i, c in entries:
             if not 0 <= i < NVARS:
                 raise ValueError(f"variable index {i} is outside 0..{NVARS - 1}")
-            mono = 1 << (FIELD_BITS * i)
+            _check_int(c, "a coefficient")
+            mono = 1 << DEGREE_SHIFT | 1 << (FIELD_BITS * i)
             terms[mono] = terms.get(mono, 0) + c
-        return SparsePoly(terms)
+        return _of({m: c for m, c in terms.items() if c})
 
     # -- ring operations
 
@@ -96,6 +119,8 @@ class SparsePoly:
         """self + sign*other in one pass over other's terms."""
         if isinstance(other, int):
             other = SparsePoly.const(other)
+        elif not isinstance(other, SparsePoly):
+            return NotImplemented
         out = dict(self.terms)
         get = out.get
         for m, c in other.terms.items():
@@ -104,9 +129,7 @@ class SparsePoly:
                 out[m] = c
             else:
                 out.pop(m, None)
-        result = SparsePoly()
-        result.terms = out  # already free of zeros
-        return result
+        return _of(out)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -117,11 +140,13 @@ class SparsePoly:
         return self._combine(other, -1)
 
     def __neg__(self):
-        return SparsePoly({m: -c for m, c in self.terms.items()})
+        return _of({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return SparsePoly({m: c * other for m, c in self.terms.items()})
+        if not isinstance(other, SparsePoly):
+            if not isinstance(other, int):
+                return NotImplemented
+            return _of({m: c * other for m, c in self.terms.items()} if other else {})
         degree = self.degree() + other.degree()
         if degree > MAX_DEGREE:
             raise ValueError(f"product of degree {degree} exceeds the packed-monomial bound {MAX_DEGREE}")
@@ -132,7 +157,9 @@ class SparsePoly:
             for m2, c2 in right:
                 key = m1 + m2
                 out[key] = get(key, 0) + c1 * c2
-        return SparsePoly(out)
+        for key in [key for key, c in out.items() if not c]:
+            del out[key]
+        return _of(out)
 
     __rmul__ = __mul__
 
@@ -146,9 +173,10 @@ class SparsePoly:
 
     def reduce_mod(self, m: int) -> SparsePoly:
         """The coefficients reduced into [0, m), as a plain integer polynomial."""
+        _check_int(m, "the modulus")
         if m <= 0:
             raise ValueError("modulus must be positive")
-        return SparsePoly({mono: c % m for mono, c in self.terms.items()})
+        return _of({mono: r for mono, c in self.terms.items() if (r := c % m)})
 
     # -- queries
 
@@ -165,10 +193,11 @@ class SparsePoly:
         return hash(frozenset(self.terms.items()))
 
     def degree(self):
-        return max(map(_mono_degree, self.terms), default=0)
+        return _mono_degree(max(self.terms, default=0))
 
     def is_homogeneous(self, d: int) -> bool:
-        return all(_mono_degree(m) == d for m in self.terms)
+        terms = self.terms
+        return not terms or _mono_degree(min(terms)) == d == _mono_degree(max(terms))
 
     def coefficient(self, mono) -> int:
         """Coefficient of the monomial given by its 24 exponents."""
@@ -180,6 +209,7 @@ class SparsePoly:
         total = 0
         for mono, c in self.terms.items():
             prod = c
+            mono &= _FIELDS
             i = 0
             while mono:
                 e = mono & MAX_DEGREE
@@ -197,20 +227,28 @@ class SparsePoly:
         low_bits = 0
         for i in set(indices):
             low_bits |= 1 << (FIELD_BITS * i)
-        out = {}
-        for mono, c in self.terms.items():
-            out[mono] = -c if (mono & low_bits).bit_count() & 1 else c
-        return SparsePoly(out)
+        return _of({mono: -c if (mono & low_bits).bit_count() & 1 else c
+                    for mono, c in self.terms.items()})
 
     def divide_exact(self, n: int):
         """Divide every coefficient by n; returns (quotient, residual monomials)."""
+        _check_int(n, "the divisor")
+        if not n:
+            raise ValueError("divisor must be nonzero")
         bad = [m for m, c in self.terms.items() if c % n]
         if bad:
             return None, bad
-        return SparsePoly({m: c // n for m, c in self.terms.items()}), []
+        return _of({m: c // n for m, c in self.terms.items()}), []
 
     def __repr__(self):
         return f"SparsePoly({len(self.terms)} terms, degree {self.degree()})"
+
+
+def _of(terms: dict) -> SparsePoly:
+    """The polynomial with these terms, taken as they are: int coefficients, none zero."""
+    p = object.__new__(SparsePoly)
+    p.terms = terms
+    return p
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from gdet import (
     s4_factors,
 )
 from gdet import sympoly
-from gdet.detcalc import S4Forms
+from gdet.detcalc import S4Forms, kernel_for
 from gdet.sympoly import (
     _ALL_STEPS,
     _PROOF_STEPS,
@@ -143,8 +143,9 @@ def test_identity_holds(identity):
 
 
 def _digest(p):
+    """sha256 of the terms by their exponent fields alone, so the pins predate the degree bits."""
     h = hashlib.sha256()
-    for key, c in sorted(p.terms.items()):
+    for key, c in sorted((key & sympoly._FIELDS, c) for key, c in p.terms.items()):
         h.update(f"{key}:{c};".encode())
     return h.hexdigest()
 
@@ -354,6 +355,57 @@ def test_divide_exact_reports_residuals():
     assert not bad and quotient == a(1) + 2 * a(2)
 
 
+def test_divide_exact_by_zero_is_a_value_error():
+    with pytest.raises(ValueError, match="nonzero"):
+        (4 * a(1)).divide_exact(0)
+
+
+def test_divisor_and_modulus_must_be_ints():
+    p = 4 * a(1)
+    with pytest.raises(TypeError, match="divisor"):
+        p.divide_exact(2.0)
+    with pytest.raises(TypeError, match="modulus"):
+        p.reduce_mod(1.5)
+
+
+# -- integer coefficients only
+
+
+def test_constructor_rejects_a_coefficient_that_is_not_an_int():
+    key = pack_monomial([1] + [0] * 23)
+    for bad in (2.5, None, "3"):
+        with pytest.raises(TypeError, match="coefficient"):
+            SparsePoly({key: bad})
+    with pytest.raises(TypeError):
+        SparsePoly.const(0.5)
+    with pytest.raises(TypeError):
+        SparsePoly.linear([(0, 1.0)])
+
+
+def test_constructor_rejects_a_key_that_is_not_a_packed_monomial():
+    # a1^15 without its degree bits would read as degree 0 and pass the product guard
+    for bad in (15, 1 << (4 * 23), -1, pack_monomial([1] + [0] * 23) + 1, "a1"):
+        with pytest.raises(ValueError, match="packed monomial"):
+            SparsePoly({bad: 1})
+    assert SparsePoly({pack_monomial([15] + [0] * 23): 1}).degree() == 15
+
+
+@pytest.mark.parametrize("other", [1.5, None, "x"])
+def test_sum_with_an_operand_that_is_not_an_int_is_a_type_error(other):
+    x = a(1)
+    for apply in (lambda: x + other, lambda: other + x, lambda: x - other):
+        with pytest.raises(TypeError):
+            apply()
+
+
+@pytest.mark.parametrize("other", [1.5, None, "x"])
+def test_product_with_an_operand_that_is_not_an_int_is_a_type_error(other):
+    x = a(1)
+    for apply in (lambda: x * other, lambda: other * x):
+        with pytest.raises(TypeError):
+            apply()
+
+
 # -- packed monomials against a tuple-keyed reference
 
 
@@ -458,7 +510,8 @@ def test_graded_product_matches_tuple_reference(p, q):
 
 def test_grade_is_additive_up_to_degree_15():
     for i in range(24):
-        assert _mono_degree(1 << (4 * i)) == 1
+        (key,) = SparsePoly.var(i).terms
+        assert _mono_degree(key) == 1
     # degree 15 in the first four variables (a1..a4) and in the last four (b9..b12)
     for lo in (0, 20):
         m1 = pack_monomial(_exponents([(lo, 7), (lo + 1, 3)]))
@@ -468,6 +521,66 @@ def test_grade_is_additive_up_to_degree_15():
     m1 = pack_monomial(_exponents([(0, 1), (5, 2), (10, 1), (15, 2), (16, 1), (23, 1)]))
     m2 = pack_monomial(_exponents([(23, 7)]))
     assert _mono_degree(m1 + m2) == _mono_degree(m1) + _mono_degree(m2) == 15
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 15), min_size=24, max_size=24))
+def test_packed_degree_is_the_exponent_sum(exponents):
+    assert _mono_degree(pack_monomial(exponents)) == sum(exponents)
+
+
+def _counts(variables):
+    """The 24 exponents of the product of these variables, one factor per entry."""
+    return [variables.count(i) for i in range(24)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 23), max_size=8), st.lists(st.integers(0, 23), max_size=7))
+def test_packed_degree_adds_up_to_degree_15(left, right):
+    # at most 15 factors in all, so no field carries
+    k1, k2 = pack_monomial(_counts(left)), pack_monomial(_counts(right))
+    assert _mono_degree(k1 + k2) == _mono_degree(k1) + _mono_degree(k2) == len(left) + len(right)
+    assert k1 + k2 == pack_monomial(_counts(left + right))
+
+
+# one other term, by where its exponent fields rank among those of the degree-2 terms
+_RANKED_BY_FIELDS = {
+    "smallest": [0],  # a1
+    "middle": [6, 7, 8],  # a7*a8*a9
+    "largest": [23] * 3,  # b12^3
+}
+
+
+@pytest.mark.parametrize("rank", list(_RANKED_BY_FIELDS))
+@pytest.mark.parametrize("degree", [1, 3])
+def test_is_homogeneous_sees_a_term_of_another_degree(rank, degree):
+    base = a(2) * a(3) - 2 * a(5) * b(3) + b(11) * b(11)
+    assert base.is_homogeneous(2)
+    variables = (_RANKED_BY_FIELDS[rank] * degree)[:degree]
+    key = pack_monomial(_counts(variables))
+    p = base + SparsePoly({key: 5})
+    assert not p.is_homogeneous(2)
+    assert not p.is_homogeneous(degree)
+    # the degree bits put the odd term at an end of the key order, wherever its fields rank
+    assert key == (min(p.terms) if degree < 2 else max(p.terms))
+
+
+def test_evaluate_on_linear_forms_matches_the_s4_kernel(s4):
+    # l1, l2 and the determinants of the representations, whose entries are
+    # built by `linear`, give the kernel's determinant l1*l2*q1^2*d1^3*d2^3
+    t = default_rep_table()
+    l1 = SparsePoly.linear([(g, 1) for g in range(24)])
+    l2 = SparsePoly.linear([(g, 1 if g < 12 else -1) for g in range(24)])
+    q1, d1, d2 = (symbolic_rep_det(rho) for rho in (t.rho1, t.rho2, t.rho3))
+    kernel = kernel_for(s4)
+    rng = random.Random(32)
+    for _ in range(100):
+        point = [rng.randint(-4, 4) for _ in range(24)]
+        values = [p.evaluate(point) for p in (l1, l2, q1, d1, d2)]
+        profile = s4_factors(ring_element(s4, point))
+        assert values == [profile.l1, profile.l2, profile.q1, profile.d1, profile.d2]
+        v1, v2, vq, vd1, vd2 = values
+        assert v1 * v2 * vq ** 2 * vd1 ** 3 * vd2 ** 3 == kernel(point)
 
 
 def test_product_beyond_degree_15_raises():
