@@ -152,6 +152,9 @@ def decider(rule: GroupRule):
             return False, None, None
         v2 = (m & -m).bit_length() - 1
         v3, rest = 0, m
+        while not rest % 27:  # S4 values cluster at v3 = 0, 3, 6 and 9
+            rest //= 27
+            v3 += 3
         while not rest % 3:
             rest //= 3
             v3 += 1

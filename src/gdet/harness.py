@@ -12,11 +12,15 @@ A product block is counted by one call of the kind's count walker
 (`kernels.count_walker`): for D<2n>, n >= 3, the half walker pairs the
 distinct profiles of the block's two halves, and for Z<n>, n <= 16, the
 necklace walker counts the whole rotation orbit of each vector that is its
-orbit's least member; other kinds walk every vector.  Every shard counts
-only its nonzero values, and the zeros are set once, from the merged
-total.  When the merged shards reject a value, the violations are
-each vector, in index order, whose value the rule rejects: read from the
-records with --full, else found by one more pass over every shard.
+orbit's least member; other kinds walk every vector.  A random shard is
+counted by one call of the kind's random walker (`kernels.random_walker`),
+which draws, evaluates and counts each vector in one compiled loop, by the
+draw `RNG_ALGO` names.  Every shard counts only its nonzero values, and
+the zeros are set once, from the merged total.  When the merged shards
+reject a value, the violations are each vector, in index order, whose
+value the rule rejects: read from the records with --full, else found by
+one more pass over every shard, drawn by `_random_vectors` or
+`_box_block` and evaluated by the kernel.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import contextlib
 import itertools
 import json
 import os
-import random
 from collections import Counter
 from operator import itemgetter
 
@@ -134,32 +137,15 @@ def _dumps(obj) -> str:
 
 
 def _random_vectors(seed, start, stop, n, lo, hi):
-    """Vectors start..stop-1 of a random scan, n entries each, in [lo, hi].
+    """Vectors start..stop-1 of a random scan, n entries each, in [lo, hi], as tuples.
 
-    Vector j is the stream of `Random((seed << 32) + j).randint(lo, hi)`,
-    drawn the way CPython's randint draws it (randrange ->
-    _randbelow_with_getrandbits): getrandbits(k) for k = width.bit_length(),
-    redrawn while it is not below the width.  One generator is reseeded per
-    vector instead of built per vector, and randint's argument checks are
-    skipped.  The reseed calls the C-level `_random.Random.seed` that
-    `random.Random.seed` ends in: for an int seed the wrapper only checks
-    the seed's type and clears the Gaussian cache, which getrandbits never
-    reads, so both set the same state.
+    Vector j is the stream of `Random((seed << 32) + j).randint(lo, hi)`.
+    The draw is compiled once per n (`kernels.random_vectors`) from the same
+    text as the random walker's, which counts a random shard without --full.
     """
-    rng = random.Random()
-    reseed, getrandbits = super(random.Random, rng).seed, rng.getrandbits
-    width = hi - lo + 1
-    k = width.bit_length()
-    slots = range(n)
-    for j in range(start, stop):
-        reseed((seed << 32) + j)
-        coeffs = []
-        for _ in slots:
-            r = getrandbits(k)
-            while r >= width:
-                r = getrandbits(k)
-            coeffs.append(lo + r)
-        yield tuple(coeffs)
+    from . import kernels  # imported on first use, as by `detcalc.kernel_for`
+
+    return kernels.random_vectors(n)(seed, start, stop, lo, hi)
 
 
 def _box_block(lo, hi, n, start, size):
@@ -199,14 +185,18 @@ def _scan_shard(payload):
     `value_counts` holds only the nonzero values, whatever path counts them:
     `scan` sets the zeros of the merged report from its total.  Every other
     statistic is a function of the value, so each distinct value is
-    classified once, and the values the rule rejects are kept in
-    `rejected`.  An exhaustive shard is one product block (`_box_block`),
-    counted without --full by one call of `kernels.count_walker(g.kind)`.
+    classified once, into plain dicts that fill the report's Counters at the
+    end, and the values the rule rejects are kept in `rejected`.  With
+    --full, the kernel (`detcalc.kernel_for`) evaluates each vector in index
+    order, for its record.  Without it, a random shard is counted by one call
+    of `kernels.random_walker(g.kind)`, which draws, evaluates and counts
+    each vector in one compiled loop, and an exhaustive shard, one product
+    block (`_box_block`), by one call of `kernels.count_walker(g.kind)`.
     For a Z<n> shard with n <= 16 that counts every vector of each rotation
     orbit whose least member (read from slot n - 1 down) lies in the block,
     so its counts are not its own vectors'.  A D<2n> shard with n >= 3
     (half walker) and every other shard (product walker) counts exactly its
-    own vectors.  Random shards and --full are counted by the kernel.
+    own vectors.
     """
     cfg, start, stop = payload
     g = build_group(cfg.group)
@@ -221,23 +211,29 @@ def _scan_shard(payload):
             records.append({"coeffs": list(coeffs), "det": value})
             if value:
                 counts[value] += 1
-    elif cfg.mode == "random":
-        vectors = _shard_vectors(cfg, g.order, start, stop)
-        counts.update(filter(None, map(detcalc.kernel_for(g), vectors)))
     else:
         from . import kernels  # imported on first use, as by `detcalc.kernel_for`
 
-        kernels.count_walker(g.kind)(_box_block(cfg.lo, cfg.hi, g.order, start, stop - start), counts)
+        if cfg.mode == "random":
+            kernels.random_walker(g.kind)(cfg.seed, start, stop, cfg.lo, cfg.hi, counts)
+        else:
+            block = _box_block(cfg.lo, cfg.hi, g.order, start, stop - start)
+            kernels.count_walker(g.kind)(block, counts)
     decide = classify.decider(rule)
-    residues, v2_hist, v3_hist = report.residue_mod24, report.v2_hist, report.v3_hist
+    residues, v2_hist, v3_hist = {}, {}, {}
+    residue_get, v2_get, v3_get = residues.get, v2_hist.get, v3_hist.get
     rejected = report.rejected
     for value, n in counts.items():
-        residues[value % 24] += n
+        r = value % 24
+        residues[r] = residue_get(r, 0) + n
         ok, v2, v3 = decide(value)
-        v2_hist[v2] += n
-        v3_hist[v3] += n
+        v2_hist[v2] = v2_get(v2, 0) + n
+        v3_hist[v3] = v3_get(v3, 0) + n
         if not ok:
             rejected.add(value)
+    report.residue_mod24.update(residues)
+    report.v2_hist.update(v2_hist)
+    report.v3_hist.update(v3_hist)
     report.total = stop - start
     return report
 

@@ -39,11 +39,16 @@ a<i> + b<i> in d1 and a<i> - b<i> in d2 (A4: a<i> alone).  A named sum is
 emitted just before the first statement that reads it, so an early exit
 still skips the sums of the later blocks.  Only norm blocks with
 phi(d) >= 8 call `det_int`.  The source is built from this module's
-integer tables alone.  Five renderings of the same list are compiled:
+integer tables alone.  Six renderings of the same list are compiled:
 
 - `kernel`, a straight-line coeffs -> int function, one line per
-  statement; `detcalc.kernel_for` is its entry point, for single vectors,
-  random scans and index-order walks;
+  statement; `detcalc.kernel_for` is its entry point, for single vectors
+  and index-order walks (--full, and the violations of a scan);
+- `random_walker`, the same lines in one loop over the vectors of a random
+  shard: each vector is drawn into c0, c1, ... by the scan's RNG
+  (`_random_source`, the one text of the draw, which `random_vectors`
+  renders as a stream of tuples), a check that fails goes on to the next
+  vector, and each nonzero value is counted; random scans count with it;
 - `factors`, the same lines without the checks, returning each linear
   character and each larger block instead of their product:
   `detcalc.s4_forms` runs it on integers and on polynomial variables, so
@@ -75,7 +80,8 @@ integer tables alone.  Five renderings of the same list are compiled:
   multiplicities.  Exhaustive scans of D:6 and up count with it; K4 and
   D:4, whose half profile is the half itself, keep the product walker.
 
-`count_walker(kind)` picks the walker that counts an exhaustive shard.
+`count_walker(kind)` picks the walker that counts an exhaustive shard, and
+`random_walker(kind)` counts a random one.
 """
 
 from __future__ import annotations
@@ -85,6 +91,7 @@ import re
 from collections import Counter
 from functools import lru_cache
 from math import inf, isqrt
+from random import Random
 
 from .detcalc import _CUBIC_CELLS, det_int
 
@@ -353,7 +360,8 @@ def _product_text(result):
 
 
 def _compile(kind, role, src, det=det_int):
-    namespace = {"det_int": det, "product": itertools.product, "inf": inf, "Counter": Counter}
+    namespace = {"det_int": det, "product": itertools.product, "inf": inf, "Counter": Counter,
+                 "Random": Random}
     exec(compile(src, f"<gdet {role} {kind}>", "exec"), namespace)
     return namespace[role]
 
@@ -389,15 +397,81 @@ def _blocks(kind):
     return order, blocks, named
 
 
+def _straight_lines(stmts, on_zero):
+    """One line per statement, in order; a check that fails runs `on_zero`."""
+    lines = []
+    for target, how, arg in stmts:
+        if how == "check":
+            lines += [f"if not {target}:", f"    {on_zero}"]
+        else:
+            lines.append(f"{target} = {_text(how, arg)}")
+    return lines
+
+
 def _kernel_source(order, stmts, returns, name="kernel"):
     """The source of a straight-line function `name`: one line per statement, in order."""
     lines = [f"def {name}(c):", f"    {''.join(f'c{s}, ' for s in range(order))}= c"]
-    for target, how, arg in stmts:
-        if how == "check":
-            lines.append(f"    if not {target}:\n        return 0")
-        else:
-            lines.append(f"    {target} = {_text(how, arg)}")
+    lines += [f"    {line}" for line in _straight_lines(stmts, "return 0")]
     return "\n".join(lines + [f"    return {returns}", ""])
+
+
+def _random_source(order, head, body, tail):
+    """The source of a loop over vectors start..stop-1 of a random scan, drawn by RNG v1.
+
+    This is the one text of the v1 draw (`harness.RNG_ALGO`): vector j is the
+    stream of `Random((seed << 32) + j).randint(lo, hi)`, drawn the way
+    CPython's randint draws it (randrange -> _randbelow_with_getrandbits):
+    getrandbits(k) for k = width.bit_length(), redrawn while it is not below
+    the width.  One generator is reseeded per vector instead of built per
+    vector, and randint's argument checks are skipped.  The reseed calls the
+    C-level `_random.Random.seed` that `random.Random.seed` ends in: for an
+    int seed the wrapper only checks the seed's type and clears the Gaussian
+    cache, which getrandbits never reads, so both set the same state.  Entry
+    s is drawn into c<s>; then the loop runs `body`.  `head` is the
+    function's line and the lines before the loop, `tail` the lines after it.
+    """
+    lines = head + [
+        "    rng = Random()",
+        "    reseed, getrandbits = super(Random, rng).seed, rng.getrandbits",
+        "    width = hi - lo + 1",
+        "    k = width.bit_length()",
+        "    base = seed << 32",
+        "    for j in range(base + start, base + stop):",
+        "        reseed(j)",
+    ]
+    for s in range(order):
+        lines += [f"        c{s} = getrandbits(k)", f"        while c{s} >= width:",
+                  f"            c{s} = getrandbits(k)", f"        c{s} += lo"]
+    return "\n".join(lines + [f"        {line}" for line in body] + tail + [""])
+
+
+@lru_cache(maxsize=None)
+def random_vectors(order: int):
+    """The vectors of a random scan of `order` slots, as a generator function, built once.
+
+    `vectors(seed, start, stop, lo, hi)` yields vectors start..stop-1 of the
+    scan with that seed over [lo, hi], each a tuple (`_random_source`).
+    """
+    head = ["def vectors(seed, start, stop, lo, hi):"]
+    body = [f"yield {''.join(f'c{s}, ' for s in range(order))}"]
+    return _compile(f"{order} slots", "vectors", _random_source(order, head, body, []))
+
+
+@lru_cache(maxsize=None)
+def random_walker(kind: str):
+    """The walker that counts a random shard of a table kind, built once.
+
+    `walk(seed, start, stop, lo, hi, counts)` draws vectors start..stop-1 of
+    the random scan with that seed over [lo, hi], as `random_vectors` does,
+    runs the kernel's statements on each in the same loop, a check that
+    fails going on to the next vector, and adds each nonzero determinant to
+    the Counter `counts`; it returns None.
+    """
+    order, stmts, result = _program(kind)
+    head = ["def walk(seed, start, stop, lo, hi, counts):", "    out = []", "    append = out.append"]
+    body = _straight_lines(stmts, "continue") + [f"append({_product_text(result)})"]
+    # Counter.update counts a list faster than a dict update per vector
+    return _compile(kind, "walk", _random_source(order, head, body, ["    counts.update(out)"]))
 
 
 @lru_cache(maxsize=None)

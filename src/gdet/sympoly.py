@@ -139,6 +139,9 @@ class SparsePoly:
     def __sub__(self, other):
         return self._combine(other, -1)
 
+    def __rsub__(self, other):
+        return (-self)._combine(other, 1)
+
     def __neg__(self):
         return _of({m: -c for m, c in self.terms.items()})
 

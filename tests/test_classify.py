@@ -219,6 +219,16 @@ def test_decider_matches_displayed_set_and_member(rule_name, data):
         assert verdict.reason["vp"] == vp
 
 
+@settings(max_examples=500, deadline=None)
+@given(a=st.integers(0, 80), b=st.integers(0, 60), r=st.integers(1, 2**80),
+       sign=st.sampled_from([1, -1]), rule_name=st.sampled_from(DECIDER_RULES))
+def test_decider_valuations_equal_valuation(a, b, r, sign, rule_name):
+    """The decider takes v3 in steps of 27, then of 3; r may hold more factors of 2 and 3."""
+    m = sign * 2**a * 3**b * r
+    _, v2, v3 = decider(parse_rule(rule_name))(m)
+    assert (v2, v3) == (classify.valuation(m, 2), classify.valuation(m, 3))
+
+
 # -- structural invariants
 
 

@@ -187,7 +187,8 @@ def test_violations_follow_index_order(monkeypatch, threads, full):
     """Rejecting some values lists every vector that reaches them, in index order.
 
     D:6 has five shards of 5^5 vectors.  Z7 has 125 shards of 5^4, whose
-    necklace walks count orbits that reach into other shards.
+    necklace walks count orbits that reach into other shards.  The random
+    S4 scan has three shards, counted by the random walker.
     """
     decider = classify.decider
 
@@ -208,14 +209,25 @@ def test_violations_follow_index_order(monkeypatch, threads, full):
     monkeypatch.setattr(classify, "decider", picky)
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     monkeypatch.setenv("GDET_THREADS", threads)
-    for group, shard_size in [("D:6", 4000), ("Z7", 700)]:
+    for fields, shard_size in [
+        (dict(group="D:6", lo=-1, hi=3, mode="exhaustive"), 4000),
+        (dict(group="Z7", lo=-1, hi=3, mode="exhaustive"), 700),
+        (dict(group="S4", lo=-3, hi=3, mode="random", count=2000, seed=5), 700),
+    ]:
         monkeypatch.setattr(harness, "SHARD_SIZE", shard_size)
-        report = scan(ScanConfig(group=group, lo=-1, hi=3, mode="exhaustive", full=full))
+        cfg = ScanConfig(**fields, full=full)
+        report = scan(cfg)
 
+        group = cfg.group
         g = build_group(group)
+        if cfg.mode == "random":  # drawn by randint itself
+            rngs = (random.Random((cfg.seed << 32) + j) for j in range(cfg.count))
+            vectors = [tuple(rng.randint(cfg.lo, cfg.hi) for _ in range(g.order)) for rng in rngs]
+        else:
+            vectors = itertools.product(range(cfg.lo, cfg.hi + 1), repeat=g.order)
         evaluate, decide = kernel_for(g), picky(parse_rule(group))
         want, records = [], []
-        for coeffs in itertools.product(range(-1, 4), repeat=g.order):
+        for coeffs in vectors:
             value = evaluate(coeffs)
             records.append({"coeffs": list(coeffs), "det": value})
             if value and not decide(value)[0]:
@@ -376,6 +388,34 @@ GOLDEN_EXHAUSTIVE = [
 def test_exhaustive_report_bytes_are_pinned(capsys, group, box, digest):
     assert run(["scan", "--group", group, f"--range={box}", "--exhaustive", "--json"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest
+
+
+# the first 16 hex digits of the sha256 of the .jsonl then the .csv that
+# `scan --group G --range=R --random 21000 --seed 7 --out` wrote (two shards) when
+# each vector was drawn by a Python loop and evaluated by the kernel; the 34-bit
+# ranges draw two words per getrandbits, and Z13 and Z11 call det_int
+GOLDEN_RANDOM = [
+    ("Z9", "-5000000000:5000000000", "e08ec9cf694a8b42"),
+    ("D8", "-5000000000:5000000000", "648602217dae71de"),
+    ("A4", "-5000000000:5000000000", "e3e4047e76f8a529"),
+    ("S4", "-100:100", "1d4e7b2b33f936bf"),
+    ("K4", "-1:1", "65ee49299fdbabdf"),
+    ("Z13", "-1:2", "3674f01449c7025d"),
+    ("D:6", "-4:3", "baa4fc6562e79533"),
+    ("Z11", "0:1", "321ace597442ac4b"),
+]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("group, box, digest", GOLDEN_RANDOM)
+def test_random_report_files_are_pinned(tmp_path, monkeypatch, group, box, digest, threads):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setenv("GDET_THREADS", threads)
+    out = tmp_path / "r"
+    argv = ["scan", "--group", group, f"--range={box}", "--random", "21000", "--seed", "7"]
+    assert run([*argv, "--out", str(out)]) == 0
+    data = (tmp_path / "r.jsonl").read_bytes() + (tmp_path / "r.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest()[:16] == digest
 
 
 # Z7 over [-1, 3] is 78125 vectors, five shards

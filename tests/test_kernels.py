@@ -254,6 +254,45 @@ def test_cyclic_exhaustive_scan_matches_kernel_path(data):
     assert report.to_json() == full.to_json()
 
 
+# range widths of one entry, of powers of two and not, and of 33 bits, which
+# getrandbits draws as two words of 32 bits
+RANDOM_WIDTHS = [1, 2, 7, 8, 201, 2**32, 2**32 + 1]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_random_walker_counts_the_kernel_over_the_random_vectors(kind, data):
+    """The random walker counts the nonzero kernel values of `_random_vectors`' stream."""
+    width = data.draw(st.sampled_from(RANDOM_WIDTHS), label="width")
+    lo = data.draw(st.integers(-width, 3), label="lo")
+    seed = data.draw(st.sampled_from([0, 1, 2**31 - 1]), label="seed")
+    # ranges that cross a shard boundary as well as ranges inside one shard
+    start = data.draw(st.integers(harness.SHARD_SIZE - 30, harness.SHARD_SIZE + 10), label="start")
+    stop = data.draw(st.integers(start, start + 30), label="stop")
+    hi = lo + width - 1
+    counts = Counter()
+    assert kernels.random_walker(kind)(seed, start, stop, lo, hi, counts) is None
+    order = kernels._program(kind)[0]
+    vectors = harness._random_vectors(seed, start, stop, order, lo, hi)
+    assert counts == _nonzero_counts(kernels.kernel(kind), vectors)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_random_shard_report_matches_kernel_path(data):
+    """A random shard counted by the random walker reports what the kernel's walk (--full) does."""
+    group = data.draw(st.sampled_from(RULE_GROUPS + ["S4"]), label="group")
+    lo = data.draw(st.integers(-3, 1), label="lo")
+    hi = data.draw(st.integers(lo, lo + 4), label="hi")
+    seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
+    start = data.draw(st.integers(0, 3 * harness.SHARD_SIZE), label="start")
+    stop = data.draw(st.integers(start + 1, start + 300), label="stop")
+    cfg = ScanConfig(group=group, lo=lo, hi=hi, mode="random", count=stop, seed=seed)
+    full = ScanConfig(group=group, lo=lo, hi=hi, mode="random", count=stop, seed=seed, full=True)
+    assert _scan_shard((cfg, start, stop)).to_json() == _scan_shard((full, start, stop)).to_json()
+
+
 def _kernel_minimum(kind, values):
     dets = (abs(v) for v in map(kernels.kernel(kind), itertools.product(*values)))
     return min((v for v in dets if v >= 2), default=None)

@@ -393,9 +393,16 @@ def test_constructor_rejects_a_key_that_is_not_a_packed_monomial():
 @pytest.mark.parametrize("other", [1.5, None, "x"])
 def test_sum_with_an_operand_that_is_not_an_int_is_a_type_error(other):
     x = a(1)
-    for apply in (lambda: x + other, lambda: other + x, lambda: x - other):
+    for apply in (lambda: x + other, lambda: other + x, lambda: x - other, lambda: other - x):
         with pytest.raises(TypeError):
             apply()
+
+
+@pytest.mark.parametrize("k", [0, 1, -3, 2**70])
+def test_int_minus_a_polynomial_is_its_negated_difference(k):
+    x = a(1)
+    assert k - x == -(x - k) == SparsePoly.const(k) - x
+    assert k - (x + k) == -x
 
 
 @pytest.mark.parametrize("other", [1.5, None, "x"])
