@@ -138,7 +138,8 @@ def _signed_action(p):
     return tuple(action)
 
 
-_ACTIONS = tuple(_signed_action(p) for p in _s4_perms_and_names()[0])
+_PERMS = _s4_perms_and_names()[0]  # the canonical S4 permutations, odd ones at 12..23
+_ACTIONS = tuple(_signed_action(p) for p in _PERMS)
 
 # Per cell (r, k) of the cubic matrices, row-major, the slots of A's cell, then
 # of B's; d1 = det(A + B) and d2 = det(A - B).  Cell (r, k) of A (of B) holds
@@ -273,9 +274,8 @@ def default_rep_table() -> RepTable:
     lattice of the pairings (through S4 -> S3), and rho3 is sign * rho2; the
     odd permutations are the canonical indices 12..23.
     """
-    perms, _ = _s4_perms_and_names()
-    rho1 = tuple(_sum_zero_action(tuple(r for r, _ in _signed_action(p))) for p in perms)
-    rho2 = tuple(_sum_zero_action(p) for p in perms)
+    rho1 = tuple(_sum_zero_action(tuple(r for r, _ in action)) for action in _ACTIONS)
+    rho2 = tuple(_sum_zero_action(p) for p in _PERMS)
     return RepTable(rho1=rho1, rho2=rho2, rho3=_sign_twist(rho2))
 
 

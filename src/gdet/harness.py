@@ -20,7 +20,8 @@ the zeros are set once, from the merged total.  When the merged shards
 reject a value, the violations are each vector, in index order, whose
 value the rule rejects: read from the records with --full, else found by
 one more pass over every shard, drawn by `_random_vectors` or
-`_box_block` and evaluated by the kernel.
+`_box_block` and evaluated by the kernel.  `lambda_scan` reads the least
+|value| >= 2 off the counts of the same blocks, one block at a time.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import itertools
 import json
 import os
 from collections import Counter
+from math import inf
 from operator import itemgetter
 
 from . import classify, detcalc
@@ -173,6 +175,38 @@ def _box_block(lo, hi, n, start, size):
     return prefix[::-1] + [values] * free
 
 
+def _box_step(width, n):
+    """The vectors of one shard of an exhaustive box of n slots, `width` values each.
+
+    That is width^m for the largest m, 1 <= m <= n, with width^m within
+    SHARD_SIZE (m = 1 when the width alone exceeds it, and m = 0 for a box
+    of no slots, which is one vector), so each shard is one aligned block
+    (`_box_block`).
+    """
+    m = min(n, 1)
+    while m < n and width ** (m + 1) <= SHARD_SIZE:
+        m += 1
+    return width ** m
+
+
+def _lambda_blocks(lo, hi, n):
+    """The blocks of [lo, hi]^n that `lambda_scan` walks, in index order, SHARD_SIZE vectors at most.
+
+    They are the aligned blocks that an exhaustive scan counts, one per
+    shard (`_box_step`), except that a block of more than SHARD_SIZE
+    vectors, which has one free slot, is cut into runs of that slot.
+    """
+    width = hi - lo + 1
+    step = _box_step(width, n)
+    for start in range(0, width ** n, step):
+        block = _box_block(lo, hi, n, start, step)
+        if step <= SHARD_SIZE:
+            yield block
+        else:
+            for run in range(0, width, SHARD_SIZE):
+                yield block[:-1] + [block[-1][run:run + SHARD_SIZE]]
+
+
 def _shard_vectors(cfg, n, start, stop):
     if cfg.mode == "random":
         return _random_vectors(cfg.seed, start, stop, n, cfg.lo, cfg.hi)
@@ -279,13 +313,7 @@ def scan(cfg: ScanConfig) -> ScanReport:
     g = build_group(cfg.group)
     classify.parse_rule(cfg.group)  # fail early if no decider exists
     size = _space_size(cfg, g.order)
-    step = SHARD_SIZE
-    if cfg.mode == "exhaustive":
-        # width^m vectors, with 1 <= m <= n as large as SHARD_SIZE allows: one block
-        width, m = cfg.hi - cfg.lo + 1, 1
-        while m < g.order and width ** (m + 1) <= SHARD_SIZE:
-            m += 1
-        step = width ** m
+    step = SHARD_SIZE if cfg.mode == "random" else _box_step(cfg.hi - cfg.lo + 1, g.order)
     shards = [(cfg, start, min(start + step, size)) for start in range(0, size, step)]
     report = ScanReport(cfg.report_config())
     with contextlib.ExitStack() as stack:
@@ -373,7 +401,18 @@ def write_report(report: ScanReport, path: str) -> None:
 
 
 def lambda_scan(group: str, lo: int, hi: int, support=None):
-    """Smallest |determinant| >= 2 over an exhaustive box, or None if absent."""
+    """Smallest |determinant| >= 2 over an exhaustive box, or None if absent.
+
+    The box gives the slots in `support` (all of them by default) every
+    value of [lo, hi] and the others 0.  Its free slots are walked in the
+    blocks of `_lambda_blocks`, at most SHARD_SIZE vectors each, and the
+    least |value| >= 2 is read off each block's counts, so only the running
+    minimum is kept.  A full box of Z<n>, n <= 16, or of D<2n>, n >= 3, is
+    counted as an exhaustive scan counts it (`kernels.count_walker`), by
+    necklaces or by half profiles; every other box, and one whose blocks
+    are runs of a slot, by the product walker (`kernels.walker`).  The walk
+    stops after a block that holds +-2.
+    """
     if lo > hi:
         raise ValueError(f"empty entry range [{lo}, {hi}]")
     g = build_group(group)
@@ -388,6 +427,20 @@ def lambda_scan(group: str, lo: int, hi: int, support=None):
         raise ValueError("lambda scan range too large")
     from . import kernels
 
-    # a minimum does not depend on the order of the walk
-    return kernels.walker(g.kind, "min")(
-        [range(lo, hi + 1) if slot in support else (0,) for slot in range(g.order)])
+    # the product walker has slot 0 innermost, so it takes the fixed slots of
+    # a block from the last free slot down, into its outer loops; a full box of
+    # another kind is counted in the aligned blocks of a scan
+    free = sorted(support, reverse=True)
+    walk = kernels.walker(g.kind)
+    if len(free) == g.order and width <= SHARD_SIZE and kernels.count_walker(g.kind) is not walk:
+        walk = kernels.count_walker(g.kind)
+        free.reverse()
+    best = inf
+    for block in _lambda_blocks(lo, hi, len(free)):
+        values = dict(zip(free, block))
+        counts = Counter()
+        walk([values.get(slot, (0,)) for slot in range(g.order)], counts)
+        best = min((abs(v) for v in counts if not -2 < v < 2 and abs(v) < best), default=best)
+        if best == 2:  # no |value| >= 2 is smaller
+            break
+    return best if best < inf else None

@@ -58,10 +58,11 @@ integer tables alone.  Six renderings of the same list are compiled:
   at the level of the deepest slot it reads and each sum split into a
   chain of partial sums, so that a loop adds only the terms of its own
   slot; exhaustive scans of K4, D:4, A4, S4 and Z<n> with n > 16 count
-  with it, and `lambda --scan-range` takes its minimum.  A check that
-  fails skips the vectors below it, so the count sink counts only nonzero
-  values.  Python allows at most 20 statically nested blocks, so past 16
-  slots the outer slots share one loop over their product;
+  with it, and so does `lambda --scan-range --support`, whose fixed slots
+  take only 0.  A check that fails skips the vectors below it, so it
+  counts only nonzero values.  Python allows at most 20 statically nested
+  blocks, so past 16 slots the outer slots share one loop over their
+  product;
 - `necklace_walker`, for Z<n> with n <= 16: the walker's loops and
   statements, run over one vector per rotation orbit of a box, its
   necklace.  A one-slot rotation is left translation by the generator,
@@ -81,7 +82,8 @@ integer tables alone.  Six renderings of the same list are compiled:
   D:4, whose half profile is the half itself, keep the product walker.
 
 `count_walker(kind)` picks the walker that counts an exhaustive shard, and
-`random_walker(kind)` counts a random one.
+`random_walker(kind)` counts a random one.  `lambda --scan-range` reads its
+minimum off the counts of the same blocks (`harness.lambda_scan`).
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ import itertools
 import re
 from collections import Counter
 from functools import lru_cache
-from math import inf, isqrt
+from math import isqrt
 from random import Random
 
 from .detcalc import _CUBIC_CELLS, det_int
@@ -360,8 +362,7 @@ def _product_text(result):
 
 
 def _compile(kind, role, src, det=det_int):
-    namespace = {"det_int": det, "product": itertools.product, "inf": inf, "Counter": Counter,
-                 "Random": Random}
+    namespace = {"det_int": det, "product": itertools.product, "Counter": Counter, "Random": Random}
     exec(compile(src, f"<gdet {role} {kind}>", "exec"), namespace)
     return namespace[role]
 
@@ -569,32 +570,24 @@ def _placed(levels, stmts):
     return body
 
 
-def _walker_source(order, stmts, result, sink):
+def _walker_source(order, stmts, result):
     """The source of a box walker: one loop per slot, slot 0 innermost (`_levels`).
 
-    The statements are placed by `_placed`, so the count sink counts only
-    the vectors that pass every check: the nonzero determinants.
+    The statements are placed by `_placed`, so the walker counts only the
+    vectors that pass every check: the nonzero determinants.
     """
     levels = _levels(order)
     body = _placed(levels, stmts)
-    inner = body[-1]
-    if sink == "count":  # Counter.update counts a list faster than a dict update per vector
-        inner.append(f"append({result})")
-        head = ["def walk(values, counts):", "    out = []", "    append = out.append"]
-        tail = ["    counts.update(out)"]
-    else:
-        inner += [f"r = {result}", "if r < 0:", "    r = -r", "if 1 < r < best:",
-                  "    if r == 2:", "        return 2", "    best = r"]
-        head = ["def walk(values):", "    best = inf"]
-        tail = ["    return best if best < inf else None"]
-    head.insert(1, f"    {''.join(f'v{s}, ' for s in range(order))}= values")
-    lines = head + _loops(levels, body)
-    if sink == "count" and len(levels) > 3:
+    # Counter.update counts a list faster than a dict update per vector
+    body[-1].append(f"append({result})")
+    lines = ["def walk(values, counts):", f"    {''.join(f'v{s}, ' for s in range(order))}= values",
+             "    out = []", "    append = out.append"] + _loops(levels, body)
+    if len(levels) > 3:
         # counted after each pass of the three innermost loops, so the list
         # never holds a heap int for every vector of a block
         pad = "    " * (len(levels) - 2)
         lines += [f"{pad}counts.update(out)", f"{pad}out.clear()"]
-    return "\n".join(lines + tail + [""])
+    return "\n".join(lines + ["    counts.update(out)", ""])
 
 
 def _loops(levels, body):
@@ -666,18 +659,16 @@ def _necklace_source(order, stmts, result):
 
 
 @lru_cache(maxsize=None)
-def walker(kind: str, sink: str = "count"):
-    """The box walker of a table kind, built once per sink.
+def walker(kind: str):
+    """The box walker of a table kind, built once.
 
-    `values` holds one sequence of entries per slot, and the walker visits
-    every vector of their product, in an order of its own.  With sink
-    "count", `walk(values, counts)` adds each nonzero determinant to the
-    Counter `counts` and returns None: a scan derives its zeros from its
-    total.  With sink "min", `walk(values)` returns the smallest
-    |determinant| >= 2, or None; it returns 2 as soon as it meets |det| = 2.
+    `values` holds one sequence of entries per slot, and `walk(values,
+    counts)` visits every vector of their product, in an order of its own.
+    It adds each nonzero determinant to the Counter `counts` and returns
+    None: a scan derives its zeros from its total.
     """
     order, stmts, result = _program(kind)
-    return _compile(kind, "walk", _walker_source(order, stmts, _product_text(result), sink))
+    return _compile(kind, "walk", _walker_source(order, stmts, _product_text(result)))
 
 
 @lru_cache(maxsize=None)

@@ -374,6 +374,21 @@ def test_rep_tables_are_homomorphisms():
     assert homomorphism_on_all_pairs(default_rep_table())
 
 
+def test_rep_table_is_derived_from_the_canonical_permutations():
+    """rho1 through the signed action on the pairings, rho2 on Z^4, rho3 = sign * rho2; pinned."""
+    from gdet import detcalc
+    from gdet.groups import _s4_perms_and_names
+
+    perms = _s4_perms_and_names()[0]
+    t = default_rep_table()
+    assert t.rho1 == tuple(detcalc._sum_zero_action(tuple(r for r, _ in detcalc._signed_action(p)))
+                           for p in perms)
+    assert t.rho2 == tuple(detcalc._sum_zero_action(p) for p in perms)
+    assert t.rho3 == detcalc._sign_twist(t.rho2)
+    digest = hashlib.sha256(repr((t.rho1, t.rho2, t.rho3)).encode()).hexdigest()
+    assert digest == "cefb15a73f2301b47f071b9f4a385b54f13d0ace331e07660b11c08969be5168"
+
+
 @st.composite
 def _matrix_pairs(draw):
     """An n x k and a k x m integer matrix, as tuples of rows."""

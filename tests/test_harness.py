@@ -546,6 +546,102 @@ def test_lambda_scan_range_too_large():
         lambda_scan("S4", -1, 1)
 
 
+@pytest.mark.parametrize("support", [(), []])
+@pytest.mark.parametrize("group", ["S4", "Z3", "D:6", "K4"])
+def test_lambda_scan_of_an_empty_support_finds_nothing(group, support):
+    """The box is the zero vector alone."""
+    assert lambda_scan(group, -3, 3, support=support) is None
+
+
+# boxes of more than SHARD_SIZE vectors, each with its lambda from the min sink
+# of the product walker, which walked the whole box in one call
+_MULTI_BLOCK = [
+    ("Z16", 0, 1, None, 3),  # necklaces, four blocks of 2^14
+    ("Z7", -1, 3, None, 2),  # necklaces, five blocks of 5^6
+    ("Z15", 0, 1, None, 2),  # necklaces and det_int on Phi_15, two blocks
+    ("D:10", -1, 1, None, 3),  # half profiles, three blocks of 3^9
+    ("S4", -1, 1, (1, 4, 8, 14, 16, 2, 3, 12, 20, 23), 5),  # the product walker, 3^10 vectors
+]
+
+
+@pytest.mark.parametrize("group, lo, hi, support, expected", _MULTI_BLOCK)
+def test_lambda_scan_over_several_blocks(group, lo, hi, support, expected):
+    slots = build_group(group).order if support is None else len(support)
+    assert (hi - lo + 1) ** slots > harness.SHARD_SIZE
+    assert lambda_scan(group, lo, hi, support=support) == expected
+
+
+def _spied_walks(monkeypatch, kinds):
+    """Spy on the walkers that `lambda_scan` reads: the vectors and the values of each call, in order."""
+    from gdet import kernels
+
+    real_walker, real_count = kernels.walker, kernels.count_walker
+    for kind in kinds:  # cached before the spies are in, so no cached walker is a spy
+        real_count(kind)
+    calls, spies = [], {}
+
+    def spy(real):
+        def get(kind):
+            walk = real(kind)
+            if walk not in spies:
+                def spied(block, counts):
+                    walk(block, counts)
+                    calls.append((len(list(itertools.product(*block))), set(counts)))
+
+                spies[walk] = spied
+            return spies[walk]
+
+        return get
+
+    monkeypatch.setattr(kernels, "walker", spy(real_walker))
+    monkeypatch.setattr(kernels, "count_walker", spy(real_count))
+    return calls
+
+
+@pytest.mark.parametrize("group, lo, hi, support, expected", _MULTI_BLOCK + [
+    ("Z9", 0, 2, None, 2), ("D:6", -1, 3, None, 4), ("A4", -1, 1, (0, 3, 4, 11, 7, 8, 9, 10, 1), 5),
+    ("Z17", 0, 1, tuple(range(2, 17)), 2),
+])
+def test_lambda_scan_walks_small_blocks_and_stops_after_two(monkeypatch, group, lo, hi, support,
+                                                             expected):
+    """No walk gets more than SHARD_SIZE vectors, and none follows one that counted +-2."""
+    calls = _spied_walks(monkeypatch, [build_group(group).kind])
+    assert lambda_scan(group, lo, hi, support=support) == expected
+    assert calls and all(size <= harness.SHARD_SIZE for size, _ in calls)
+    assert not any(values & {2, -2} for _, values in calls[:-1])
+    slots = build_group(group).order if support is None else len(support)
+    if expected == 2:
+        assert calls[-1][1] & {2, -2}
+    else:  # every block was walked, each vector once
+        assert sum(size for size, _ in calls) == (hi - lo + 1) ** slots
+
+
+@pytest.mark.parametrize("group, lo, hi, support", [
+    ("Z1", -20, 20, None), ("S4", -9, 9, (5,)), ("D:6", -7, 7, (0, 3)), ("Z3", 1, 9, None),
+    ("K4", -2, 3, None),
+])
+def test_lambda_scan_cuts_a_wide_slot_into_runs(monkeypatch, group, lo, hi, support):
+    """A slot of more than SHARD_SIZE values is walked a run at a time, by the product walker."""
+    g = build_group(group)
+    expected = lambda_scan(group, lo, hi, support=support)
+    monkeypatch.setattr(harness, "SHARD_SIZE", 6)
+    calls = _spied_walks(monkeypatch, [g.kind])
+    assert lambda_scan(group, lo, hi, support=support) == expected
+    assert calls and all(size <= 6 for size, _ in calls)
+
+
+@pytest.mark.parametrize("lo, hi, n, shard", [
+    (0, 1, 5, 4), (-1, 1, 4, 20), (-2, 2, 3, 7), (-3, 3, 1, 3), (0, 9, 2, 25), (1, 1, 3, 5),
+    (-1, 1, 0, 5),
+])
+def test_lambda_blocks_cover_the_box_once(monkeypatch, lo, hi, n, shard):
+    monkeypatch.setattr(harness, "SHARD_SIZE", shard)
+    blocks = list(harness._lambda_blocks(lo, hi, n))
+    vectors = [v for block in blocks for v in itertools.product(*block)]
+    assert all(len(list(itertools.product(*block))) <= shard for block in blocks)
+    assert sorted(vectors) == sorted(itertools.product(range(lo, hi + 1), repeat=n))
+
+
 def _rendered_files(report):
     """The report files with the report line from `to_json` and the CSV written pair by pair."""
     header = {"format": "gdet-scan", "version": 1, "config": report.config}

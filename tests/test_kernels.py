@@ -317,11 +317,10 @@ def test_lambda_scan_is_the_kernel_minimum(data):
     assert lambda_scan(group, lo, hi, support=support) == _kernel_minimum(g.kind, values)
 
 
-@pytest.mark.parametrize("sink", ["count", "min"])
-def test_walker_compiles_for_every_kind_up_to_order_24(sink):
+def test_walker_compiles_for_every_kind_up_to_order_24():
     """Python nests at most 20 blocks: the outer slots of large orders share one loop."""
     for kind in ALL_KINDS:
-        assert callable(kernels.walker(kind, sink))
+        assert callable(kernels.walker(kind))
 
 
 # value = c0 + c1 + c2, a block c2 - 1 that reads only the outermost slot and
@@ -347,12 +346,10 @@ def test_walker_counts_the_vectors_below_a_zero_block(values):
     kernel = kernels._compile("test", "kernel", kernels._kernel_source(*_PROGRAM))
     vectors = list(itertools.product(*values))
     assert any(not kernel(v) for v in vectors)
-    walk = kernels._compile("test", "walk", kernels._walker_source(*_PROGRAM, "count"))
+    walk = kernels._compile("test", "walk", kernels._walker_source(*_PROGRAM))
     counts = Counter()
     assert walk(values, counts) is None
     assert counts == _nonzero_counts(kernel, vectors)
-    least = kernels._compile("test", "walk", kernels._walker_source(*_PROGRAM, "min"))
-    assert least(values) == min(abs(kernel(v)) for v in vectors if abs(kernel(v)) >= 2)
 
 
 def _named_sums(kind):
