@@ -7,21 +7,23 @@ is split into index shards whose partial reports merge associatively, so
 shards can run in parallel (GDET_THREADS) without changing the output.  An
 exhaustive shard is width^m vectors, for the largest power of the range
 width within SHARD_SIZE (at least the width itself), so it is one product
-block: its first slots hold fixed values and its last m slots every value.
-A product block is counted by one call of the kind's count walker
-(`kernels.count_walker`): for D<2n>, n >= 3, the half walker pairs the
-distinct profiles of the block's two halves, and for Z<n>, n <= 16, the
-necklace walker counts the whole rotation orbit of each vector that is its
-orbit's least member; other kinds walk every vector.  A random shard is
-counted by one call of the kind's random walker (`kernels.random_walker`),
-which draws, evaluates and counts each vector in one compiled loop, by the
-draw `RNG_ALGO` names.  Every shard counts only its nonzero values, and
-the zeros are set once, from the merged total.  When the merged shards
-reject a value, the violations are each vector, in index order, whose
-value the rule rejects: read from the records with --full, else found by
-one more pass over every shard, drawn by `_random_vectors` or
-`_box_block` and evaluated by the kernel.  `lambda_scan` reads the least
-|value| >= 2 off the counts of the same blocks, one block at a time.
+block: its first slots hold one value each and its last m slots every
+value.  A product block is counted by one call of the kind's count walker
+(`kernels.count_walker`), reversed onto its slots (`_walker_block`), so
+its one-value slots are the walker's outer loops: for D<2n>, n >= 3, the
+half walker pairs the distinct profiles of the block's two halves, and
+for Z<n>, n <= 16, the necklace walker counts the whole rotation orbit of
+each vector that is its orbit's least member; other kinds walk every
+vector.  A random shard is counted by one call of the kind's random walker
+(`kernels.random_walker`), which draws, evaluates and counts each vector
+in one compiled loop, by the draw `RNG_ALGO` names.  Every shard counts
+only its nonzero values, and the zeros are set once, from the merged
+total.  When the merged shards reject a value, the violations are each
+vector, in index order, whose value the rule rejects: read from the
+records with --full, else found by one more pass over every shard, drawn
+by `kernels.random_vectors` or `_box_block` and evaluated by the kernel.
+`lambda_scan` reads the least |value| >= 2 off the counts of the same
+blocks, one block at a time.
 """
 
 from __future__ import annotations
@@ -138,26 +140,16 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _random_vectors(seed, start, stop, n, lo, hi):
-    """Vectors start..stop-1 of a random scan, n entries each, in [lo, hi], as tuples.
-
-    Vector j is the stream of `Random((seed << 32) + j).randint(lo, hi)`.
-    The draw is compiled once per n (`kernels.random_vectors`) from the same
-    text as the random walker's, which counts a random shard without --full.
-    """
-    from . import kernels  # imported on first use, as by `detcalc.kernel_for`
-
-    return kernels.random_vectors(n)(seed, start, stop, lo, hi)
-
-
 def _box_block(lo, hi, n, start, size):
     """Vectors start..start+size-1 of the box [lo, hi]^n as one product block.
 
     Vector j has the base-(hi - lo + 1) digits of j as its entries, so the
     last slot runs fastest.  The range must be aligned: `size` is a power
     width^m with m <= n and `start` a multiple of it.  Then start's digits
-    fill the first n - m slots, the last m slots take every value, and the
-    block is one sequence of values per slot.
+    fill the first n - m slots, one value each, the last m slots take every
+    value, and the block is one sequence of values per slot, whose product
+    --full and the violation pass walk in index order.  A walker takes it
+    reversed (`_walker_block`).
     """
     values = range(lo, hi + 1)
     width = len(values)
@@ -173,6 +165,20 @@ def _box_block(lo, hi, n, start, size):
         j, r = divmod(j, width)
         prefix.append((values[r],))
     return prefix[::-1] + [values] * free
+
+
+def _walker_block(block, free, order):
+    """A block of the slots `free` (ascending) as a walker of `order` slots takes it.
+
+    The block is reversed onto the free slots, and every other slot holds
+    0.  Each walker loops over its highest slots outermost, so the block's
+    one-value first slots become its outer loops, whose partial sums are
+    then worked out once per block.  Reversal maps a partition of a box
+    onto a partition of it, so the blocks of a box still count each
+    vector, or each rotation orbit, once.
+    """
+    values = dict(zip(free, reversed(block)))
+    return [values.get(slot, (0,)) for slot in range(order)]
 
 
 def _box_step(width, n):
@@ -209,7 +215,9 @@ def _lambda_blocks(lo, hi, n):
 
 def _shard_vectors(cfg, n, start, stop):
     if cfg.mode == "random":
-        return _random_vectors(cfg.seed, start, stop, n, cfg.lo, cfg.hi)
+        from . import kernels  # imported on first use, as by `detcalc.kernel_for`
+
+        return kernels.random_vectors(n)(cfg.seed, start, stop, cfg.lo, cfg.hi)
     return itertools.product(*_box_block(cfg.lo, cfg.hi, n, start, stop - start))
 
 
@@ -225,12 +233,9 @@ def _scan_shard(payload):
     order, for its record.  Without it, a random shard is counted by one call
     of `kernels.random_walker(g.kind)`, which draws, evaluates and counts
     each vector in one compiled loop, and an exhaustive shard, one product
-    block (`_box_block`), by one call of `kernels.count_walker(g.kind)`.
-    For a Z<n> shard with n <= 16 that counts every vector of each rotation
-    orbit whose least member (read from slot n - 1 down) lies in the block,
-    so its counts are not its own vectors'.  A D<2n> shard with n >= 3
-    (half walker) and every other shard (product walker) counts exactly its
-    own vectors.
+    block (`_box_block`), by one call of `kernels.count_walker(g.kind)` on
+    the block reversed (`_walker_block`).  So its counts are not its own
+    vectors', but the merged counts of all shards are the box's.
     """
     cfg, start, stop = payload
     g = build_group(cfg.group)
@@ -252,7 +257,7 @@ def _scan_shard(payload):
             kernels.random_walker(g.kind)(cfg.seed, start, stop, cfg.lo, cfg.hi, counts)
         else:
             block = _box_block(cfg.lo, cfg.hi, g.order, start, stop - start)
-            kernels.count_walker(g.kind)(block, counts)
+            kernels.count_walker(g.kind)(_walker_block(block, range(g.order), g.order), counts)
     decide = classify.decider(rule)
     residues, v2_hist, v3_hist = {}, {}, {}
     residue_get, v2_get, v3_get = residues.get, v2_hist.get, v3_hist.get
@@ -324,10 +329,10 @@ def scan(cfg: ScanConfig) -> ScanReport:
             run = stack.enter_context(multiprocessing.Pool(min(workers, len(shards)))).map
         for partial in run(_scan_shard, shards):
             report.merge(partial)
-        # shards count only nonzero values, and a necklace-walked shard whole
-        # orbits, which can reach into other shards: only the merged counts give
-        # the zeros, and only the union of the rejected values lists every
-        # violation of a shard
+        # a shard counts only nonzero values, of its reversed block, and a
+        # necklace-walked shard whole orbits, which can reach into other shards:
+        # only the merged counts give the zeros, and only the union of the
+        # rejected values lists every violation of a shard
         counts = report.value_counts
         report.zeros = report.total - sum(counts.values())
         if report.zeros:
@@ -405,13 +410,12 @@ def lambda_scan(group: str, lo: int, hi: int, support=None):
 
     The box gives the slots in `support` (all of them by default) every
     value of [lo, hi] and the others 0.  Its free slots are walked in the
-    blocks of `_lambda_blocks`, at most SHARD_SIZE vectors each, and the
-    least |value| >= 2 is read off each block's counts, so only the running
-    minimum is kept.  A full box of Z<n>, n <= 16, or of D<2n>, n >= 3, is
-    counted as an exhaustive scan counts it (`kernels.count_walker`), by
-    necklaces or by half profiles; every other box, and one whose blocks
-    are runs of a slot, by the product walker (`kernels.walker`).  The walk
-    stops after a block that holds +-2.
+    blocks of `_lambda_blocks`, at most SHARD_SIZE vectors each, each
+    reversed onto them (`_walker_block`), and the least |value| >= 2 is read
+    off each block's counts, so only the running minimum is kept.  A full
+    box is counted as an exhaustive scan counts it (`kernels.count_walker`),
+    and a box of fewer slots by the product walker (`kernels.walker`).  The
+    walk stops after a block that holds +-2.
     """
     if lo > hi:
         raise ValueError(f"empty entry range [{lo}, {hi}]")
@@ -422,24 +426,16 @@ def lambda_scan(group: str, lo: int, hi: int, support=None):
             raise ValueError(f"support index {slot} is outside 0..{g.order - 1}")
     if len(set(support)) != len(support):
         raise ValueError(f"support repeats an index: {list(support)}")
-    width = hi - lo + 1
-    if width ** len(support) > EXHAUSTIVE_LIMIT:
+    if (hi - lo + 1) ** len(support) > EXHAUSTIVE_LIMIT:
         raise ValueError("lambda scan range too large")
     from . import kernels
 
-    # the product walker has slot 0 innermost, so it takes the fixed slots of
-    # a block from the last free slot down, into its outer loops; a full box of
-    # another kind is counted in the aligned blocks of a scan
-    free = sorted(support, reverse=True)
-    walk = kernels.walker(g.kind)
-    if len(free) == g.order and width <= SHARD_SIZE and kernels.count_walker(g.kind) is not walk:
-        walk = kernels.count_walker(g.kind)
-        free.reverse()
+    free = sorted(support)
+    walk = kernels.count_walker(g.kind) if len(free) == g.order else kernels.walker(g.kind)
     best = inf
     for block in _lambda_blocks(lo, hi, len(free)):
-        values = dict(zip(free, block))
         counts = Counter()
-        walk([values.get(slot, (0,)) for slot in range(g.order)], counts)
+        walk(_walker_block(block, free, g.order), counts)
         best = min((abs(v) for v in counts if not -2 < v < 2 and abs(v) < best), default=best)
         if best == 2:  # no |value| >= 2 is smaller
             break

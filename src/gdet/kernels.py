@@ -58,7 +58,7 @@ integer tables alone.  Six renderings of the same list are compiled:
   at the level of the deepest slot it reads and each sum split into a
   chain of partial sums, so that a loop adds only the terms of its own
   slot; exhaustive scans of K4, D:4, A4, S4 and Z<n> with n > 16 count
-  with it, and so does `lambda --scan-range --support`, whose fixed slots
+  with it, and so does `lambda --scan-range --support`, whose other slots
   take only 0.  A check that fails skips the vectors below it, so it
   counts only nonzero values.  Python allows at most 20 statically nested
   blocks, so past 16 slots the outer slots share one loop over their
@@ -68,7 +68,8 @@ integer tables alone.  Six renderings of the same list are compiled:
   necklace.  A one-slot rotation is left translation by the generator,
   which multiplies the determinant by (-1)^(n-1), so one evaluation counts
   the whole orbit; exhaustive Z<n> scans count with it.  It takes the same
-  block as the product walker and also counts only nonzero values;
+  block as the product walker, each slot a run of integers that are its
+  digits, and also counts only nonzero values;
 - the half walker, for D<2n> with n >= 3 (`_half_source`): every block of
   a dihedral kind reads the r^k half A of the slots and the s r^k half B
   only through numbers of each half alone, A(+-1), B(+-1) and each half's
@@ -82,8 +83,10 @@ integer tables alone.  Six renderings of the same list are compiled:
   D:4, whose half profile is the half itself, keep the product walker.
 
 `count_walker(kind)` picks the walker that counts an exhaustive shard, and
-`random_walker(kind)` counts a random one.  `lambda --scan-range` reads its
-minimum off the counts of the same blocks (`harness.lambda_scan`).
+`random_walker(kind)` counts a random one.  The harness hands each box
+walker its block reversed (`harness._walker_block`), so the block's
+one-value slots are the walker's outermost loops.  `lambda --scan-range`
+reads its minimum off the counts of the same blocks (`harness.lambda_scan`).
 """
 
 from __future__ import annotations
@@ -608,10 +611,11 @@ def _necklace_source(order, stmts, result):
     The loops and statements of `_walker_source`, slot order - 1 outermost,
     run only over the prenecklaces of the box, in the order of Fredricksen,
     Kessler and Maiorana (Ruskey, Savage and Wang 1992).  Each slot of the
-    block is a run of `values`, and the digits word[1], word[2], ... index
-    `values`, for the slots from order - 1 down; level t starts at
-    word[t - p], where p (`lyn`) is the period of word[1..t-1], and a
-    prenecklace of period p is a necklace when p divides the order.  A one-slot rotation of the coefficients is left
+    block is a run of consecutive integers, and the entries themselves are
+    the digits word[1], word[2], ..., for the slots from order - 1 down;
+    level t starts at word[t - p], where p (`lyn`) is the period of
+    word[1..t-1], and a prenecklace of period p is a necklace when p
+    divides the order.  A one-slot rotation of the coefficients is left
     translation by the generator, an n-cycle of the slots, so it multiplies
     D by (-1)^(n-1).  So each necklace of period p stands for p vectors: p
     of value D for odd n, and p/2 of D and p/2 of -D for even n, where an
@@ -623,20 +627,19 @@ def _necklace_source(order, stmts, result):
     levels = _levels(n)
     body = _placed(levels, stmts)
     bounds = ", ".join(f"(f{s}, e{s})" for s in range(n))
-    lines = ["def walk(values, block, counts):",
-             f"    {bounds}, = [(values.index(v[0]), values.index(v[-1]) + 1) for v in block]",
-             "    values = list(values)", f"    word = [0] * {n + 1}", "    lyn0 = 1", "    out = []",
+    # word[0] is read only by level 1, whose slot n - 1 starts at its first entry
+    lines = ["def walk(block, counts):", f"    {bounds}, = [(v[0], v[-1] + 1) for v in block]",
+             f"    word = [f{n - 1}] * {n + 1}", "    lyn0 = 1", "    out = []",
              "    append = out.append", "    tally = Counter()"]
     for t, ((s,), placed) in enumerate(zip(levels, body), 1):
         pad = "    " * t
         lines += [f"{pad}low{t} = word[{t} - lyn{t - 1}]",
-                  f"{pad}for j{t} in range(low{t} if low{t} > f{s} else f{s}, e{s}):"]
+                  f"{pad}for c{s} in range(low{t} if low{t} > f{s} else f{s}, e{s}):"]
         if t < n:
-            lines.append(f"{pad}    word[{t}] = j{t}")
-        lines.append(f"{pad}    lyn{t} = lyn{t - 1} if j{t} == low{t} else {t}")
+            lines.append(f"{pad}    word[{t}] = c{s}")
+        lines.append(f"{pad}    lyn{t} = lyn{t - 1} if c{s} == low{t} else {t}")
         if t == n:  # a prenecklace that is no necklace
             lines += [f"{pad}    if {n} % lyn{n}:", f"{pad}        continue"]
-        lines.append(f"{pad}    c{s} = values[j{t}]")
         lines += [f"{pad}    {line}" for line in placed]
     pad = "    " * (n + 1)
     # an aperiodic necklace is tallied, and its n rotations counted at the end
@@ -675,13 +678,12 @@ def walker(kind: str):
 def necklace_walker(kind: str):
     """The necklace walker of a cyclic kind Z<n> with n <= 16, built once; None for other kinds.
 
-    `walk(values, block, counts)` takes the block as the product walker
-    does, one sequence of entries per slot, each a run of the sequence
-    `values`, and adds to the Counter `counts` each nonzero determinant of
-    every vector whose rotation orbit has its least member, read from slot
-    n - 1 down, in the block; it returns None.  Over the whole box that is
-    every vector of it, and over the aligned blocks of one box
-    (`harness._box_block`), each orbit once.
+    `walk(block, counts)` takes the block as the product walker does, one
+    sequence of entries per slot, but each a run of consecutive integers,
+    and adds to the Counter `counts` each nonzero determinant of every
+    vector whose rotation orbit has its least member, read from slot n - 1
+    down, in the block; it returns None.  Over the whole box that is every
+    vector of it, and over blocks that partition one box, each orbit once.
     """
     m = _KIND.fullmatch(kind)
     if not m or m.group(1) != "Z" or int(m.group(2)) > _MAX_LOOPS:
@@ -806,20 +808,17 @@ def _half_source(order, stmts, result):
 def count_walker(kind: str):
     """The walker that counts an exhaustive shard of a table kind, built once.
 
-    `walk(block, counts)` takes an aligned block of a box (`harness._box_block`),
-    one sequence of entries per slot, whose last slot takes every value of
-    the box; it adds to the Counter `counts` the nonzero determinants it is
-    responsible for, and returns None.  For Z<n> with n <= 16 that is the
-    necklace walker (`necklace_walker`), which counts the whole rotation
-    orbit of each vector that is its orbit's least member; for D<2n> with
-    n >= 3 the half walker (`_half_source`), and for every other kind the
-    product walker (`walker`), which each count exactly the block's vectors.
+    `walk(block, counts)` takes one block of a partition of a box, one run
+    of consecutive integers per slot; it adds to the Counter `counts` the
+    nonzero determinants it is responsible for, and returns None.  For Z<n>
+    with n <= 16 that is the necklace walker (`necklace_walker`), which
+    counts the whole rotation orbit of each vector that is its orbit's least
+    member; for D<2n> with n >= 3 the half walker (`_half_source`), and for
+    every other kind the product walker (`walker`), which each count exactly
+    the block's vectors.
     """
-    necklaces = necklace_walker(kind)
-    if necklaces:
-        return lambda block, counts: necklaces(block[-1], block, counts)
     m = _KIND.fullmatch(kind)
     if m and m.group(1) == "D" and int(m.group(2)) >= 6:
         order, stmts, result = _program(kind)
         return _compile(kind, "halves", _half_source(order, stmts, result))
-    return walker(kind)
+    return necklace_walker(kind) or walker(kind)

@@ -13,12 +13,12 @@ from collections import Counter
 import pytest
 
 from gdet import (
-    ScanConfig, ScanReport, build_group, classify, det_int, group_matrix, harness, lambda_scan,
-    parse_rule, scan, write_report,
+    ScanConfig, ScanReport, build_group, classify, det_int, group_matrix, harness, kernels,
+    lambda_scan, parse_rule, scan, write_report,
 )
 from gdet.cli import run
 from gdet.detcalc import kernel_for
-from gdet.harness import _box_block, _random_vectors, _scan_shard
+from gdet.harness import _box_block, _scan_shard
 
 
 def test_z4_exhaustive_no_violations():
@@ -281,7 +281,7 @@ def test_shards_count_only_nonzero_values(monkeypatch, threads, full, fields, sh
 
     g = build_group(cfg.group)
     if cfg.mode == "random":
-        vectors = _random_vectors(cfg.seed, 0, cfg.count, g.order, cfg.lo, cfg.hi)
+        vectors = kernels.random_vectors(g.order)(cfg.seed, 0, cfg.count, cfg.lo, cfg.hi)
     else:
         vectors = itertools.product(range(cfg.lo, cfg.hi + 1), repeat=g.order)
     values = list(map(kernel_for(g), vectors))
@@ -346,7 +346,7 @@ def test_cli_rejects_scan_outside_seed_domain(capsys, argv):
                                     (0, 2**32 - 1), (0, 2**32), (-5 * 10**9, 5 * 10**9)])
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**31 - 1])
 def test_random_vectors_follow_randint_stream(lo, hi, seed):
-    got = list(_random_vectors(seed, 0, 40, 24, lo, hi))
+    got = list(kernels.random_vectors(24)(seed, 0, 40, lo, hi))
     for j, vector in enumerate(got):
         rng = random.Random((seed << 32) + j)
         assert vector == tuple(rng.randint(lo, hi) for _ in range(24))
@@ -572,9 +572,7 @@ def test_lambda_scan_over_several_blocks(group, lo, hi, support, expected):
 
 
 def _spied_walks(monkeypatch, kinds):
-    """Spy on the walkers that `lambda_scan` reads: the vectors and the values of each call, in order."""
-    from gdet import kernels
-
+    """Spy on the box walkers: the vectors, the values and the block of each call, in order."""
     real_walker, real_count = kernels.walker, kernels.count_walker
     for kind in kinds:  # cached before the spies are in, so no cached walker is a spy
         real_count(kind)
@@ -586,7 +584,7 @@ def _spied_walks(monkeypatch, kinds):
             if walk not in spies:
                 def spied(block, counts):
                     walk(block, counts)
-                    calls.append((len(list(itertools.product(*block))), set(counts)))
+                    calls.append((len(list(itertools.product(*block))), set(counts), block))
 
                 spies[walk] = spied
             return spies[walk]
@@ -607,13 +605,13 @@ def test_lambda_scan_walks_small_blocks_and_stops_after_two(monkeypatch, group, 
     """No walk gets more than SHARD_SIZE vectors, and none follows one that counted +-2."""
     calls = _spied_walks(monkeypatch, [build_group(group).kind])
     assert lambda_scan(group, lo, hi, support=support) == expected
-    assert calls and all(size <= harness.SHARD_SIZE for size, _ in calls)
-    assert not any(values & {2, -2} for _, values in calls[:-1])
+    assert calls and all(size <= harness.SHARD_SIZE for size, _, _ in calls)
+    assert not any(values & {2, -2} for _, values, _ in calls[:-1])
     slots = build_group(group).order if support is None else len(support)
     if expected == 2:
         assert calls[-1][1] & {2, -2}
     else:  # every block was walked, each vector once
-        assert sum(size for size, _ in calls) == (hi - lo + 1) ** slots
+        assert sum(size for size, _, _ in calls) == (hi - lo + 1) ** slots
 
 
 @pytest.mark.parametrize("group, lo, hi, support", [
@@ -621,13 +619,39 @@ def test_lambda_scan_walks_small_blocks_and_stops_after_two(monkeypatch, group, 
     ("K4", -2, 3, None),
 ])
 def test_lambda_scan_cuts_a_wide_slot_into_runs(monkeypatch, group, lo, hi, support):
-    """A slot of more than SHARD_SIZE values is walked a run at a time, by the product walker."""
+    """A slot of more than SHARD_SIZE values is walked a run at a time."""
     g = build_group(group)
     expected = lambda_scan(group, lo, hi, support=support)
     monkeypatch.setattr(harness, "SHARD_SIZE", 6)
     calls = _spied_walks(monkeypatch, [g.kind])
     assert lambda_scan(group, lo, hi, support=support) == expected
-    assert calls and all(size <= 6 for size, _ in calls)
+    assert calls and all(size <= 6 for size, _, _ in calls)
+
+
+@pytest.mark.parametrize("group, lo, hi, support", [
+    ("A4", -1, 1, None),  # the product walker, 27 shards of 3^9
+    ("Z7", -1, 3, None),  # the necklace walker, five shards of 5^6
+    ("D:6", -2, 3, None),  # the half walker, six shards of 6^5
+    ("S4", -1, 1, (1, 4, 8, 14, 16, 2, 3, 12, 20, 23)),  # the product walker, three blocks of 3^9
+])
+def test_walkers_take_the_one_value_slots_outermost(monkeypatch, group, lo, hi, support):
+    """Every block a scan or lambda walks has its one-value slots on its highest free slots.
+
+    A walker loops over its highest slots outermost, so their partial sums
+    are worked out once per block.
+    """
+    g = build_group(group)
+    calls = _spied_walks(monkeypatch, [g.kind])
+    if support is None:
+        monkeypatch.delenv("GDET_THREADS", raising=False)  # the shards run in this process
+        scan(ScanConfig(group=group, lo=lo, hi=hi, mode="exhaustive"))
+    lambda_scan(group, lo, hi, support=support)
+    free = sorted(range(g.order) if support is None else support)
+    assert sum(any(len(block[slot]) == 1 for slot in free) for _, _, block in calls) >= 3
+    for _, _, block in calls:
+        assert all(block[slot] == (0,) for slot in range(g.order) if slot not in free)
+        fixed = [slot for slot in free if len(block[slot]) == 1]
+        assert fixed == free[len(free) - len(fixed):]
 
 
 @pytest.mark.parametrize("lo, hi, n, shard", [

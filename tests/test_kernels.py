@@ -97,10 +97,10 @@ def _product_counts(kind, lo, hi):
     return _PRODUCT_COUNTS[kind, lo, hi]
 
 
-def _necklace_counts(walk, values, block):
-    """The counts of a necklace walker over a block of per-slot runs of `values`; it returns None."""
+def _counts(walk, block):
+    """The counts of a count walker (`kernels.count_walker`) over a block; it returns None."""
     counts = Counter()
-    assert walk(values, block, counts) is None
+    assert walk(block, counts) is None
     return counts
 
 
@@ -116,13 +116,13 @@ def test_necklace_walker_counts_what_the_product_walker_does(data):
     values = range(lo, hi + 1)
     walk = kernels.necklace_walker(kind)
     want = _product_counts(kind, lo, hi)
-    assert _necklace_counts(walk, values, [values] * n) == want
+    assert _counts(walk, [values] * n) == want
     width = len(values)
     fewest = next(m for m in range(n + 1) if width ** (n - m) <= 256)  # at most 256 blocks
     size = width ** data.draw(st.integers(fewest, n), label="m")
     total = Counter()
     for start in range(0, width ** n, size):
-        total.update(_necklace_counts(walk, values, _box_block(lo, hi, n, start, size)))
+        total.update(_counts(walk, _box_block(lo, hi, n, start, size)))
     assert total == want
 
 
@@ -154,7 +154,7 @@ def test_necklace_walker_weighs_each_necklace_by_its_period(order, lo, hi):
     values = range(lo, hi + 1)
     want = Counter(map(kernel, itertools.product(values, repeat=order)))
     del want[0]
-    assert _necklace_counts(walk, values, [values] * order) == want
+    assert _counts(walk, [values] * order) == want
 
 
 def test_necklace_walker_refuses_a_nonzero_value_of_odd_period_for_even_order():
@@ -163,18 +163,11 @@ def test_necklace_walker_refuses_a_nonzero_value_of_odd_period_for_even_order():
                    ("value", "check", None)], "value")  # c0 + c1, not negated by a rotation
     walk = kernels._compile("test", "walk", kernels._necklace_source(*program))
     with pytest.raises(AssertionError, match="odd period 1"):
-        _necklace_counts(walk, range(1, 2), [range(1, 2)] * 2)
+        _counts(walk, [range(1, 2)] * 2)
 
 
 # dihedral kinds with a half walker; D6 to D14 take widths above 1 in a box of at most 2^14 vectors
 HALF_KINDS = [f"D{2 * n}" for n in range(3, 13)]
-
-
-def _counts(walk, block):
-    """The counts of a count walker (`kernels.count_walker`) over a block; it returns None."""
-    counts = Counter()
-    assert walk(block, counts) is None
-    return counts
 
 
 @settings(max_examples=80, deadline=None)
@@ -202,8 +195,8 @@ def test_half_walker_counts_what_the_product_walker_does(data):
 @pytest.mark.parametrize("kind", CYCLIC_KINDS + HALF_KINDS + ["D4", "K4", "A4", "S4", "Z17", "Z24"])
 def test_count_walker_picks_necklaces_for_cyclic_halves_for_dihedral_else_products(kind):
     walk = kernels.count_walker(kind)
-    if kind in CYCLIC_KINDS:  # the necklace walker, given the last slot's run as its values
-        assert kernels.necklace_walker(kind) in [cell.cell_contents for cell in walk.__closure__]
+    if kind in CYCLIC_KINDS:
+        assert walk is kernels.necklace_walker(kind)
     elif kind in HALF_KINDS:
         assert walk.__code__.co_filename == f"<gdet halves {kind}>"
     else:
@@ -215,34 +208,19 @@ RULE_GROUPS = ["Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z9", "Z10", "K4", "D:6", "D8
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_exhaustive_shard_report_matches_kernel_path(data):
-    """An aligned shard counted by the walker reports what the kernel's index-order walk (--full) does.
+def test_exhaustive_scan_matches_kernel_path(data):
+    """A multi-shard scan counted by the count walker reports what its --full scan does.
 
-    A shard of a cyclic group counts whole rotation orbits, some of whose
-    vectors lie in other shards, so only the merged scans compare
-    (`test_cyclic_exhaustive_scan_matches_kernel_path`).
+    Each shard's walker counts the shard's block reversed, and a necklace
+    walker whole rotation orbits, some of whose vectors lie in other
+    shards, so only the merged scans compare.
     """
-    group = data.draw(st.sampled_from([g for g in RULE_GROUPS if g[0] != "Z"]), label="group")
+    group = data.draw(st.sampled_from(RULE_GROUPS), label="group")
     n = build_group(group).order
+    width = data.draw(st.sampled_from([w for w in (2, 3, 4) if 3 <= w ** (n - 1) and w ** n <= 6000]),
+                      label="width")
     lo = data.draw(st.integers(-2, 1), label="lo")
-    hi = data.draw(st.integers(lo, lo + 3), label="hi")
-    start, size = _draw_aligned_shard(data, n, lo, hi, 1500)
-    stop = start + size
-    cfg = ScanConfig(group=group, lo=lo, hi=hi, mode="exhaustive")
-    full = ScanConfig(group=group, lo=lo, hi=hi, mode="exhaustive", full=True)
-    assert _scan_shard((cfg, start, stop)).to_json() == _scan_shard((full, start, stop)).to_json()
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_cyclic_exhaustive_scan_matches_kernel_path(data):
-    """A multi-shard scan counted by the necklace walker reports what its --full scan does."""
-    group = data.draw(st.sampled_from([g for g in RULE_GROUPS if g[0] == "Z"]), label="group")
-    n = int(group[1:])
-    lo = data.draw(st.integers(-2, 1), label="lo")
-    hi = data.draw(st.integers(lo + 1, lo + 3), label="hi")
-    width = hi - lo + 1
-    assume(3 <= width ** (n - 1) and width ** n <= 6000)
+    hi = lo + width - 1
     m = data.draw(st.integers(1, max(m for m in range(1, n) if width ** (n - m) >= 3)), label="m")
     threads = data.draw(st.sampled_from(["1", "2"]), label="GDET_THREADS")
     with pytest.MonkeyPatch.context() as patch:
@@ -263,7 +241,7 @@ RANDOM_WIDTHS = [1, 2, 7, 8, 201, 2**32, 2**32 + 1]
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
 def test_random_walker_counts_the_kernel_over_the_random_vectors(kind, data):
-    """The random walker counts the nonzero kernel values of `_random_vectors`' stream."""
+    """The random walker counts the nonzero kernel values of `kernels.random_vectors`' stream."""
     width = data.draw(st.sampled_from(RANDOM_WIDTHS), label="width")
     lo = data.draw(st.integers(-width, 3), label="lo")
     seed = data.draw(st.sampled_from([0, 1, 2**31 - 1]), label="seed")
@@ -274,7 +252,7 @@ def test_random_walker_counts_the_kernel_over_the_random_vectors(kind, data):
     counts = Counter()
     assert kernels.random_walker(kind)(seed, start, stop, lo, hi, counts) is None
     order = kernels._program(kind)[0]
-    vectors = harness._random_vectors(seed, start, stop, order, lo, hi)
+    vectors = kernels.random_vectors(order)(seed, start, stop, lo, hi)
     assert counts == _nonzero_counts(kernels.kernel(kind), vectors)
 
 
